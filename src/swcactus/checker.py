@@ -87,20 +87,24 @@ def input_rank(g: UnionGraph) -> int:
     return len(max_independent_edges(input_edges_only(g)))
 
 
-def _linking_upper(structure: SwitchedStructure, g: UnionGraph,
-                   reachable_count: int, layer_cap: int,
-                   vertex_cap: int) -> tuple[int, bool, int | None]:
+def _bounds(structure: SwitchedStructure, g: UnionGraph, cover: CactusCover,
+            reachable_count: int, layer_cap: int, vertex_cap: int) -> DimBounds:
+    """The one bounds computation behind :func:`check` and :func:`dim_bounds`."""
+    lower = len(cover.covered)
     depth_needed = structure.n - input_rank(g)
-    if depth_needed > layer_cap:
-        # a shallower linking can undershoot the true dimension, so it is
-        # not a sound upper bound; fall back to reachability alone
-        return reachable_count, False, None
-    try:
-        mdg = build_mdg(structure, depth_needed, vertex_cap=vertex_cap)
-    except MdgSizeError:
-        return reachable_count, False, None
-    linking = max_linking(mdg)
-    return min(reachable_count, linking.size), True, depth_needed
+    # a shallower linking can undershoot the true dimension, so it is not a
+    # sound upper bound; past either cap, fall back to reachability alone
+    if depth_needed <= layer_cap:
+        try:
+            mdg = build_mdg(structure, depth_needed, vertex_cap=vertex_cap)
+        except MdgSizeError:
+            pass
+        else:
+            linking = max_linking(mdg)
+            return DimBounds(lower=lower, upper=min(reachable_count, linking.size),
+                             used_linking_bound=True, linking_layers=depth_needed)
+    return DimBounds(lower=lower, upper=reachable_count,
+                     used_linking_bound=False, linking_layers=None)
 
 
 def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
@@ -115,15 +119,8 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     """
     g = graph if graph is not None else build_union_graph(structure)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
-    reachable_count = len(reachable_states(g))
-    upper, used_linking, layers = _linking_upper(
-        structure, g, reachable_count, layer_cap, vertex_cap)
-    return DimBounds(
-        lower=len(cover.covered),
-        upper=upper,
-        used_linking_bound=used_linking,
-        linking_layers=layers,
-    )
+    return _bounds(structure, g, cover, len(reachable_states(g)),
+                   layer_cap, vertex_cap)
 
 
 def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
@@ -169,11 +166,7 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
             generic_rank=grank, seed=seed, prime=prime)
 
     cover = best_cactus_cover(g)
-    reachable_count = len(reachable)
-    upper, used_linking, layers = _linking_upper(
-        structure, g, reachable_count, layer_cap, vertex_cap)
-    bounds = DimBounds(lower=len(cover.covered), upper=upper,
-                       used_linking_bound=used_linking, linking_layers=layers)
+    bounds = _bounds(structure, g, cover, len(reachable), layer_cap, vertex_cap)
 
     if not bounds.lower <= probe.dim <= bounds.upper:
         raise _inconsistent(

@@ -4,28 +4,43 @@ The graph unrolls mode products into layers.  Layer 0 holds one copy of every
 state and every input.  Layer ``i >= 1`` holds ``N^i`` blocks, one per word of
 ``i`` colors; a block is addressed as ``(k, t)`` where ``k`` is the first
 color of its word and ``t`` packs the remaining ``i - 1`` colors big-endian
-in base ``N``.  Every block contains all ``n`` states and all ``M`` inputs.
+in base ``N``, so its index inside the layer is ``k * N^(i-1) + t``.  Every
+block contains all ``n`` states and all ``M`` inputs.
 
-Vertices are plain tuples so they hash, sort, and print without ceremony:
+Edges point toward layer 0.  Inside a block, input copies feed state copies
+through their own ``B_l`` pattern; a state copy in block ``(k, t)`` at layer
+``i`` feeds layer ``i - 1`` through the ``A_k`` pattern, landing in block
+``t`` of the layer below (the word minus its first color).  Each edge
+carries the key of the structural entry it represents, so one realization
+assigns consistent weights to all copies of an entry.
+
+The graph is implicit: :class:`Mdg` stores only the layer sizes and the
+sorted rows of every ``A`` and ``B`` column, and derives everything else by
+arithmetic.  Vertices are numbered layer by layer; inside a layer all input
+copies come first (block-major, then subsystem, then column), then all
+state copies (block-major, then state).  The integer id of a vertex is
+therefore ``base[i] + block * M + offset[l] + q`` for an input copy and
+``base[i] + blocks[i] * M + block * n + j`` for a state copy.
+
+At the API boundary vertices are plain tuples, so they hash, sort, and print
+without ceremony:
 
 * ``("x", layer, k, t, j)`` is the copy of state ``j`` in block ``(k, t)``.
 * ``("u", layer, k, t, l, q)`` is the copy of input ``q`` of subsystem ``l``.
 
-Layer 0 uses ``k = t = 0``.  Edges point toward layer 0.  Inside a block,
-input copies feed state copies through their own ``B_l`` pattern; a state
-copy in block ``(k, t)`` at layer ``i`` feeds layer ``i - 1`` through the
-``A_k`` pattern, landing in the block addressed by the remainder of the word.
-Each edge carries the key of the structural entry it represents, so one
-realization assigns consistent weights to all copies of an entry.
+Layer 0 uses ``k = t = 0``.  Tuples are built only for the vertices a caller
+asks about and for the paths of a returned linking.
 
 A vertex-disjoint path family from input copies onto layer-0 states bounds
-the generic rank of the depth-limited product stack; maximum families are
-computed here by unit-capacity max-flow with vertex splitting.
+the generic rank of the depth-limited product stack.  Maximum families are
+computed by unit-capacity Dinic max-flow with every vertex split into an
+in/out pair (Even and Tarjan 1975), on flat integer arrays: one list of arc
+heads, one of residual capacities, and per-node lists of arc ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -103,7 +118,7 @@ def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | No
 
 
 class Mdg:
-    """Materialized layered graph down from ``depth`` to layer 0."""
+    """Implicit layered graph down from ``depth`` to layer 0."""
 
     def __init__(self, structure: SwitchedStructure, depth: int, *,
                  vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
@@ -129,33 +144,17 @@ class Mdg:
                 f"unrolling to depth {depth} needs {total} vertices "
                 f"(block count grows as {self.colors}^layer); cap is {vertex_cap}")
         self._blocks_at = blocks
-
-        self._out: dict[MdgVertex, list[tuple[MdgVertex, WeightKey]]] = {}
-        self._build_edges()
-
-    def _build_edges(self) -> None:
-        n, N = self.n, self.colors
-        for layer in range(self.depth + 1):
-            for k, t in self._block_ids(layer):
-                for l, (_, b) in enumerate(self.structure.subsystems):
-                    for r, c in sorted(b.nonzeros):
-                        u = ("u", layer, k, t, l, c)
-                        x = ("x", layer, k, t, r)
-                        self._out.setdefault(u, []).append((x, (l, "B", r, c)))
-                if layer == 0:
-                    continue
-                if layer == 1:
-                    down_k, down_t = 0, 0
-                else:
-                    span = N ** (layer - 2)
-                    down_k, down_t = t // span, t % span
-                a = self.structure.subsystems[k][0]
-                for r, c in sorted(a.nonzeros):
-                    tail = ("x", layer, k, t, c)
-                    head = ("x", layer - 1, down_k, down_t, r)
-                    self._out.setdefault(tail, []).append((head, (k, "A", r, c)))
-        for targets in self._out.values():
-            targets.sort()
+        # id of the first vertex of every layer, plus one past the last
+        self._layer_base = [0]
+        for count in blocks:
+            self._layer_base.append(self._layer_base[-1] + per_block * count)
+        self._input_slots = tuple(
+            (l, q) for l in range(self.colors) for q in range(self.input_counts[l]))
+        # sorted rows of every B_l and A_k column
+        self._b_cols = tuple(_column_rows(b.nonzeros, b.cols)
+                             for _, b in structure.subsystems)
+        self._a_cols = tuple(_column_rows(a.nonzeros, self.n)
+                             for a, _ in structure.subsystems)
 
     def _block_ids(self, layer: int) -> Iterator[tuple[int, int]]:
         if layer == 0:
@@ -165,9 +164,41 @@ class Mdg:
             for t in range(self.colors ** (layer - 1)):
                 yield (k, t)
 
+    def _block_of(self, layer: int, index: int) -> tuple[int, int]:
+        if layer == 0:
+            return (0, 0)
+        return divmod(index, self._blocks_at[layer - 1])
+
+    def _vertex(self, vid: int) -> MdgVertex:
+        """The tuple vertex with integer id ``vid``."""
+        layer = bisect_right(self._layer_base, vid) - 1
+        offset = vid - self._layer_base[layer]
+        inputs = self._blocks_at[layer] * self.total_inputs
+        if offset < inputs:
+            block, slot = divmod(offset, self.total_inputs)
+            return ("u", layer, *self._block_of(layer, block), *self._input_slots[slot])
+        block, j = divmod(offset - inputs, self.n)
+        return ("x", layer, *self._block_of(layer, block), j)
+
+    def _contains(self, vertex: MdgVertex) -> bool:
+        if not isinstance(vertex, tuple) or len(vertex) not in (5, 6):
+            return False
+        kind, layer, k, t = vertex[:4]
+        if not 0 <= layer <= self.depth:
+            return False
+        if (k, t) != (0, 0) and not (
+                layer > 0 and 0 <= k < self.colors
+                and 0 <= t < self._blocks_at[layer - 1]):
+            return False
+        if kind == "x" and len(vertex) == 5:
+            return 0 <= vertex[4] < self.n
+        if kind == "u" and len(vertex) == 6:
+            return vertex[4:] in self._input_slots
+        return False
+
     @property
     def vertex_count(self) -> int:
-        return (self.n + self.total_inputs) * sum(self._blocks_at)
+        return self._layer_base[-1]
 
     def state_vertices(self, layer: int) -> Iterator[MdgVertex]:
         for k, t in self._block_ids(layer):
@@ -176,16 +207,27 @@ class Mdg:
 
     def input_vertices(self, layer: int) -> Iterator[MdgVertex]:
         for k, t in self._block_ids(layer):
-            for l in range(self.colors):
-                for q in range(self.input_counts[l]):
-                    yield ("u", layer, k, t, l, q)
+            for l, q in self._input_slots:
+                yield ("u", layer, k, t, l, q)
 
     def all_input_vertices(self) -> Iterator[MdgVertex]:
         for layer in range(self.depth + 1):
             yield from self.input_vertices(layer)
 
     def edges_from(self, vertex: MdgVertex) -> tuple[tuple[MdgVertex, WeightKey], ...]:
-        return tuple(self._out.get(vertex, ()))
+        """Out-edges of ``vertex`` as ``(head, key)`` pairs, sorted by head."""
+        if not self._contains(vertex):
+            return ()
+        if vertex[0] == "u":
+            _, layer, k, t, l, q = vertex
+            return tuple((("x", layer, k, t, r), (l, "B", r, q))
+                         for r in self._b_cols[l][q])
+        _, layer, k, t, c = vertex
+        if layer == 0:
+            return ()
+        down = self._block_of(layer - 1, t)
+        return tuple((("x", layer - 1, *down, r), (k, "A", r, c))
+                     for r in self._a_cols[k][c])
 
     def input_column_index(self, vertex: MdgVertex) -> int:
         """Position of this input copy's column in the depth-stacked products.
@@ -214,11 +256,16 @@ class Mdg:
         return (k, *reversed(digits))
 
 
+def _column_rows(nonzeros, cols: int) -> tuple[tuple[int, ...], ...]:
+    rows: list[list[int]] = [[] for _ in range(cols)]
+    for r, c in sorted(nonzeros):
+        rows[c].append(r)
+    return tuple(tuple(col) for col in rows)
+
+
 def build_mdg(structure: SwitchedStructure, depth: int, *,
               vertex_cap: int = DEFAULT_VERTEX_CAP) -> Mdg:
-    mdg = Mdg(structure, depth, vertex_cap=vertex_cap)
-    assert sum(1 for _ in mdg.state_vertices(depth)) == structure.n * structure.subsystem_count ** depth
-    return mdg
+    return Mdg(structure, depth, vertex_cap=vertex_cap)
 
 
 @dataclass(frozen=True)
@@ -242,114 +289,156 @@ def max_linking(mdg: Mdg) -> Linking:
     """Maximum vertex-disjoint linking from all input copies to layer 0.
 
     Unit-capacity max-flow with every graph vertex split into an in/out pair,
-    so disjointness is on vertices, not just edges.  Vertex ids are assigned
-    in a fixed enumeration order and arcs inserted deterministically; equal
-    inputs always produce the identical linking.
+    so disjointness is on vertices, not just edges.  Vertex ``v`` becomes
+    nodes ``2v`` (in) and ``2v + 1`` (out); arcs are inserted in vertex-id
+    order, each vertex's out-edges sorted by head, so equal inputs always
+    produce the identical linking.  Paths are listed by tail id.
     """
-    order: list[MdgVertex] = []
-    for layer in range(mdg.depth + 1):
-        order.extend(mdg.input_vertices(layer))
-        order.extend(mdg.state_vertices(layer))
-    ids: dict[MdgVertex, int] = {v: i for i, v in enumerate(order)}
+    heads, adj, source, sink = _split_network(mdg)
+    caps = [1, 0] * (len(heads) // 2)
+    _dinic(heads, caps, adj, source, sink)
 
-    count = len(order)
-    source = 2 * count
-    sink = 2 * count + 1
-    flow = _Dinic(2 * count + 2)
-    for v in order:
-        vid = ids[v]
-        flow.add(2 * vid, 2 * vid + 1, 1)
-        if v[0] == "u":
-            flow.add(source, 2 * vid, 1)
-        elif v[1] == 0:
-            flow.add(2 * vid + 1, sink, 1)
-        for head, _ in mdg.edges_from(v):
-            flow.add(2 * vid + 1, 2 * ids[head], 1)
-    flow.max_flow(source, sink)
-
+    first_state, last_state = mdg.total_inputs, mdg.total_inputs + mdg.n
     paths: list[tuple[MdgVertex, ...]] = []
-    for v in order:
-        if v[0] != "u":
+    for eid in adj[source]:
+        if caps[eid]:
             continue
-        vid = ids[v]
-        if not flow.is_saturated(source, 2 * vid):
-            continue
-        path = [v]
-        current = vid
-        while True:
-            vertex = order[current]
-            if vertex[0] == "x" and vertex[1] == 0:
-                break
-            nxt = flow.saturated_successor(2 * current + 1)
-            if nxt == sink:
-                break
-            current = nxt // 2
-            path.append(order[current])
-        paths.append(tuple(path))
+        vid = heads[eid] >> 1
+        path = [vid]
+        while not first_state <= vid < last_state:
+            # vertex capacity 1 leaves exactly one saturated forward arc
+            for eid in adj[2 * vid + 1]:
+                if not eid & 1 and not caps[eid]:
+                    break
+            else:
+                raise AssertionError("flow conservation violated during path extraction")
+            vid = heads[eid] >> 1
+            path.append(vid)
+        paths.append(tuple(mdg._vertex(v) for v in path))
     return Linking(paths=tuple(paths))
 
 
-class _Dinic:
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.heads: list[int] = []
-        self.caps: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(size)]
+def _split_network(mdg: Mdg) -> tuple[list[int], list[list[int]], int, int]:
+    """Arc heads and per-node arc lists of the vertex-split flow network.
 
-    def add(self, tail: int, head: int, cap: int) -> None:
-        self.adj[tail].append(len(self.heads))
-        self.heads.append(head)
-        self.caps.append(cap)
-        self.adj[head].append(len(self.heads))
-        self.heads.append(tail)
-        self.caps.append(0)
+    Arc ``e`` and its residual twin ``e ^ 1`` are stored side by side.
+    Arcs are inserted vertex by vertex in id order: the split arc, then the
+    source or sink arc, then the edges of the layered graph sorted by head.
+    """
+    n, m = mdg.n, mdg.total_inputs
+    count = mdg.vertex_count
+    source, sink = 2 * count, 2 * count + 1
+    heads: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(2 * count + 2)]
 
-    def max_flow(self, source: int, sink: int) -> int:
-        total = 0
+    def arc(tail: int, head: int) -> None:
+        adj[tail].append(len(heads))
+        adj[head].append(len(heads) + 1)
+        heads.extend((head, tail))
+
+    vid = 0
+    for layer, blocks in enumerate(mdg._blocks_at):
+        # id of the layer's first state copy; its input copies come before
+        states = mdg._layer_base[layer] + blocks * m
+        for block in range(blocks):
+            for l, q in mdg._input_slots:
+                arc(2 * vid, 2 * vid + 1)
+                arc(source, 2 * vid)
+                for r in mdg._b_cols[l][q]:
+                    arc(2 * vid + 1, 2 * (states + block * n + r))
+                vid += 1
+        for block in range(blocks):
+            k, t = mdg._block_of(layer, block)
+            for c in range(n):
+                arc(2 * vid, 2 * vid + 1)
+                if layer == 0:
+                    arc(2 * vid + 1, sink)
+                else:
+                    # block (k, t) feeds block t of the layer below
+                    for r in mdg._a_cols[k][c]:
+                        arc(2 * vid + 1, 2 * (below + t * n + r))
+                vid += 1
+        below = states
+    return heads, adj, source, sink
+
+
+def _dinic(heads: list[int], caps: list[int], adj: list[list[int]],
+           source: int, sink: int) -> int:
+    """Unit-capacity Dinic max-flow; saturates ``caps`` in place.
+
+    Each phase labels nodes by residual distance from the source, stopping
+    once the sink is labelled, then keeps the labels of the nodes that lie on
+    a shortest path to the sink.  Augmenting paths are found by a depth-first
+    search with per-node arc pointers that restarts from the source after
+    every augmentation.  Inside a phase usable arcs only disappear, so a node
+    dropped by either pruning is one the search would have entered and left
+    as a dead end: pruning changes the running time, not the flow.
+    """
+    total = 0
+    size = len(adj)
+    # a flow saturating every source or every sink arc is maximum already
+    limit = min(len(adj[source]), len(adj[sink]))
+    while total < limit:
+        level = [-1] * size
+        level[source] = 0
+        queue = [source]
+        for v in queue:
+            next_level = level[v] + 1
+            for eid in adj[v]:
+                if caps[eid]:
+                    head = heads[eid]
+                    if level[head] < 0:
+                        level[head] = next_level
+                        queue.append(head)
+            if level[sink] >= 0:
+                break
+        if level[sink] < 0:
+            return total
+        # keep the labels of nodes on shortest source-sink paths only; the
+        # search below would reach every other node as a dead end
+        rank = [-1] * size
+        rank[sink] = level[sink]
+        queue = [sink]
+        for w in queue:
+            want = level[w] - 1
+            for eid in adj[w]:
+                tail = heads[eid]
+                if rank[tail] < 0 and level[tail] == want and caps[eid ^ 1]:
+                    rank[tail] = want
+                    queue.append(tail)
+
+        progress = [0] * size
+        stack = [source]
+        path: list[int] = []
         while True:
-            level = [-1] * self.size
-            level[source] = 0
-            queue = deque([source])
-            while queue:
-                v = queue.popleft()
-                for eid in self.adj[v]:
-                    if self.caps[eid] and level[self.heads[eid]] < 0:
-                        level[self.heads[eid]] = level[v] + 1
-                        queue.append(self.heads[eid])
-            if level[sink] < 0:
-                return total
-            progress = [0] * self.size
-
-            def dfs(v: int) -> bool:
-                if v == sink:
-                    return True
-                while progress[v] < len(self.adj[v]):
-                    eid = self.adj[v][progress[v]]
-                    head = self.heads[eid]
-                    if self.caps[eid] and level[head] == level[v] + 1 and dfs(head):
-                        self.caps[eid] -= 1
-                        self.caps[eid ^ 1] += 1
-                        return True
-                    progress[v] += 1
-                return False
-
-            while dfs(source):
+            v = stack[-1]
+            if v == sink:
+                for eid in path:
+                    caps[eid] -= 1
+                    caps[eid ^ 1] += 1
                 total += 1
-
-    def is_saturated(self, tail: int, head: int) -> bool:
-        for eid in self.adj[tail]:
-            if eid % 2 == 0 and self.heads[eid] == head:
-                return self.caps[eid] == 0
-        return False
-
-    def saturated_successor(self, tail: int) -> int:
-        for eid in self.adj[tail]:
-            if eid % 2 == 0 and self.caps[eid] == 0:
-                # consume so shared endpoints are never walked twice
-                self.caps[eid] = 1
-                self.caps[eid ^ 1] = 0
-                return self.heads[eid]
-        raise AssertionError("flow conservation violated during path extraction")
+                del stack[1:]
+                path.clear()
+                continue
+            arcs = adj[v]
+            i = progress[v]
+            want = rank[v] + 1
+            while i < len(arcs):
+                eid = arcs[i]
+                if caps[eid] and rank[heads[eid]] == want:
+                    break
+                i += 1
+            progress[v] = i
+            if i < len(arcs):
+                stack.append(heads[eid])
+                path.append(eid)
+            elif v == source:
+                break
+            else:
+                stack.pop()
+                path.pop()
+                progress[stack[-1]] += 1
+    return total
 
 
 def linking_determinant_expansion(mdg: Mdg, realization: Realization,

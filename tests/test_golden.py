@@ -1,0 +1,37 @@
+"""Byte-identity of the default CLI output on the bundled systems.
+
+The files under ``data/golden`` were written by ``swcactus`` itself; any
+change to a verdict, a bound, a cover or a linking path shows up here as a
+byte difference.  Regenerate one with, for example,
+``swcactus mdg tests/data/chain10.json > tests/data/golden/mdg_chain10.json``
+when a change to the output is intended, and say why in the change log.
+"""
+
+import pytest
+
+import helpers
+from swcactus.cli import main
+
+GOLDEN_DIR = helpers.DATA_DIR / "golden"
+
+# (golden file, command line, exit code); check exits 1 when uncontrollable
+CASES = [
+    ("check_example1.json", ["check", "example1.json"], 0),
+    ("check_chain10.json", ["check", "chain10.json"], 1),
+    ("check_boost.json", ["check", "boost.json"], 0),
+    ("mdg_example1.json", ["mdg", "example1.json"], 0),
+    ("mdg_chain10.json", ["mdg", "chain10.json"], 0),
+    ("mdg_boost.json", ["mdg", "boost.json"], 0),
+    ("mdg_example1_layers2.dot",
+     ["mdg", "example1.json", "--layers", "2", "--format", "dot"], 0),
+]
+
+
+@pytest.mark.parametrize("golden, argv, exit_code", CASES,
+                         ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(tmp_path, golden, argv, exit_code):
+    command, system, *options = argv
+    out = tmp_path / golden
+    code = main([command, str(helpers.DATA_DIR / system), "-o", str(out), *options])
+    assert code == exit_code
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()

@@ -11,11 +11,13 @@ from swcactus import (
     MdgSizeError,
     ModelError,
     build_mdg,
+    build_union_graph,
     layered_product_columns,
     linking_determinant_expansion,
     max_linking,
     sample_realization,
 )
+from swcactus.checker import input_rank
 from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import det_ff, rank_ff
 
@@ -168,3 +170,46 @@ def test_max_linking_deterministic(chain10):
     first = max_linking(mdg)
     second = max_linking(mdg)
     assert first.paths == second.paths
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _split_graph(nx, mdg):
+    """The vertex-split flow network, built from ``edges_from`` alone."""
+    g = nx.DiGraph()
+    g.add_nodes_from(["source", "sink"])
+    for layer in range(mdg.depth + 1):
+        for u in mdg.input_vertices(layer):
+            g.add_edge("source", ("in", u), capacity=1)
+        for v in [*mdg.input_vertices(layer), *mdg.state_vertices(layer)]:
+            g.add_edge(("in", v), ("out", v), capacity=1)
+            for head, _ in mdg.edges_from(v):
+                g.add_edge(("out", v), ("in", head), capacity=1)
+    for x in mdg.state_vertices(0):
+        g.add_edge(("out", x), "sink", capacity=1)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_linking_matches_networkx_max_flow(nx, seed):
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=6, max_colors=3)
+    depth = s.n - input_rank(build_union_graph(s))
+    mdg = build_mdg(s, depth)
+    linking = max_linking(mdg)
+    assert linking.size == nx.maximum_flow_value(
+        _split_graph(nx, mdg), "source", "sink")
+
+    inputs = set(mdg.all_input_vertices())
+    used = set()
+    for path in linking.paths:
+        assert path[0] in inputs
+        assert path[-1][0] == "x" and path[-1][1] == 0
+        for tail, head in zip(path, path[1:]):
+            assert head in [h for h, _ in mdg.edges_from(tail)]
+        assert used.isdisjoint(path)
+        used.update(path)
