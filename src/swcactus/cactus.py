@@ -207,16 +207,13 @@ def best_cactus_cover(g: UnionGraph) -> CactusCover:
 
     The all-color iteration can talk itself into a smaller cover than a
     single subsystem would reach alone, because a larger matching is not
-    always a more coverable one.  Running every single-color iteration as
-    well and keeping the best makes the result at least as large as any
-    per-subsystem cover; ties prefer the all-color run.
+    always a more coverable one.  Comparing with the best single-color cover
+    makes the result at least as large as any per-subsystem cover; ties
+    prefer the all-color run, then the lowest color.
     """
-    candidates: list[CactusCover] = [
-        CactusCover(_cover_fixpoint(g), None)
-    ]
-    for c in range(g.colors):
-        candidates.append(CactusCover(_cover_fixpoint(restrict_to_color(g, c)), c))
-    return max(candidates, key=lambda cover: len(cover.covered))
+    mixed = CactusCover(_cover_fixpoint(g), None)
+    single = conventional_cactus_cover(g)
+    return single if len(single.covered) > len(mixed.covered) else mixed
 
 
 def conventional_cactus_cover(g: UnionGraph) -> CactusCover:

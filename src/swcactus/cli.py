@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cactus import Decomposition, best_cactus_cover
+from .cactus import Decomposition, best_cactus_cover, conventional_cactus_cover
 from .checker import (
     DEFAULT_LAYER_CAP,
     DEFAULT_SEED,
@@ -71,12 +71,10 @@ def _json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _union_dot(g: UnionGraph, decomposition: Decomposition | None) -> str:
-    stems = frozenset(decomposition.stems) if decomposition else frozenset()
-    cycles = frozenset(
-        e for grp in decomposition.cycle_groups for e in grp
-    ) if decomposition else frozenset()
-    dropped = frozenset(decomposition.dropped) if decomposition else frozenset()
+def _union_dot(g: UnionGraph, decomposition: Decomposition) -> str:
+    stems = frozenset(decomposition.stems)
+    cycles = frozenset(e for grp in decomposition.cycle_groups for e in grp)
+    dropped = frozenset(decomposition.dropped)
     lines = ["digraph union {", "  rankdir=LR;"]
     for u in g.input_vertices:
         lines.append(f'  "{format_vertex(u)}" [shape=box];')
@@ -146,9 +144,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json(report_to_dict(report)), args.output)
     else:
-        shown = report.certificate if report.certificate is not None \
-            else report.cover.decomposition
-        _emit(_union_dot(report.graph, shown), args.output)
+        _emit(_union_dot(report.graph, report.cover.decomposition), args.output)
     return 0 if report.controllable else 1
 
 
@@ -168,16 +164,14 @@ def _cmd_grank(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     structure = _load(args.system)
     g = build_union_graph(structure)
-    general = dim_bounds(structure, layer_cap=args.layer_cap, graph=g)
-    conventional = dim_bounds(structure, conventional=True,
-                              layer_cap=args.layer_cap, graph=g)
+    bounds = dim_bounds(structure, layer_cap=args.layer_cap, graph=g)
     doc = {
         "n": structure.n,
-        "conventional_lower": conventional.lower,
-        "lower": general.lower,
-        "upper": general.upper,
-        "used_linking_bound": general.used_linking_bound,
-        "linking_layers": general.linking_layers,
+        "conventional_lower": len(conventional_cactus_cover(g).covered),
+        "lower": bounds.lower,
+        "upper": bounds.upper,
+        "used_linking_bound": bounds.used_linking_bound,
+        "linking_layers": bounds.linking_layers,
     }
     _emit(_json(doc), args.output)
     return 0
@@ -205,7 +199,7 @@ def _cmd_mdg(args: argparse.Namespace) -> int:
     if args.layers is not None:
         depth = args.layers
     else:
-        depth = min(args.layer_cap, max(0, structure.n - input_rank(g)))
+        depth = min(args.layer_cap, structure.n - input_rank(g))
     mdg = build_mdg(structure, depth)
     linking = max_linking(mdg)
     if args.format == "json":
@@ -237,6 +231,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     structure = _load(args.system)
+    if args.samples < 1:
+        raise ModelError(f"need at least one sample, got {args.samples}")
     probe = controllable_dim(structure, seed=args.seed, trials=args.trials,
                              prime=args.prime)
     rng = np.random.default_rng(args.seed & ((1 << 64) - 1))
@@ -270,7 +266,6 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = False,
         sub.add_argument("--format", choices=("json", "dot"), default="json")
     if seeded:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         sub.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     if layered:
         sub.add_argument("--layer-cap", type=int, default=DEFAULT_LAYER_CAP)
@@ -285,6 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="decide structural controllability")
     _add_common(p, fmt=True, seeded=True, layered=True)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("grank", help="generic rank of the stacked patterns")
@@ -313,8 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("counterexample",
                         help="rank lost by mixing all modes into one pair")
     _add_common(p, seeded=True)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--samples", type=int, default=100,
-                   help="weight vectors per realization")
+                   help="weight vectors per realization (at least 1)")
     p.set_defaults(func=_cmd_counterexample)
 
     return parser

@@ -134,15 +134,18 @@ class Mdg:
             sum(self.input_counts[:l]) for l in range(self.colors)
         )
 
-        blocks = [1]
-        for _ in range(depth):
-            blocks.append(blocks[-1] * self.colors)
         per_block = self.n + self.total_inputs
-        total = per_block * sum(blocks)
+        blocks = [1]
+        total = per_block
+        # stop at the first layer past the cap: a huge depth must fail fast
+        while len(blocks) <= depth and total <= vertex_cap:
+            blocks.append(blocks[-1] * self.colors)
+            total += per_block * blocks[-1]
         if total > vertex_cap:
             raise MdgSizeError(
-                f"unrolling to depth {depth} needs {total} vertices "
-                f"(block count grows as {self.colors}^layer); cap is {vertex_cap}")
+                f"unrolling to depth {depth} needs more vertices than the "
+                f"vertex cap of {vertex_cap} (block count grows as "
+                f"{self.colors}^layer)")
         self._blocks_at = blocks
         # id of the first vertex of every layer, plus one past the last
         self._layer_base = [0]

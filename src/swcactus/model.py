@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -31,8 +32,12 @@ class ModelError(ValueError):
     """A malformed system document or invalid model argument."""
 
 
+@lru_cache(maxsize=64)
 def is_prime(value: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for 64-bit integers."""
+    """Deterministic Miller-Rabin primality test, exact for 64-bit integers.
+
+    Cached: every trial of a rank probe re-validates the same prime.
+    """
     n = int(value)
     if n < 2:
         return False

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import swcactus.cactus as cactus_mod
 from swcactus import (
     ModelError,
     StateVertex,
@@ -19,7 +20,7 @@ from swcactus import (
 )
 from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
 from swcactus.mdg import mdg_path_vertices
-from swcactus.unigraph import ColoredEdge, InputVertex
+from swcactus.unigraph import ColoredEdge, InputVertex, restrict_to_color
 
 
 def test_decompose_example1_all_stems(example1):
@@ -218,3 +219,19 @@ def test_cover_deterministic(chain10):
     second = best_cactus_cover(g)
     assert first.decomposition.stems == second.decomposition.stems
     assert first.decomposition.cycle_groups == second.decomposition.cycle_groups
+
+
+def test_best_cover_prefers_mixed_then_lowest_color():
+    # the definition spelled out: all-color fixpoint first, then each color;
+    # the first candidate of largest coverage wins
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        g = build_union_graph(helpers.random_structure(rng))
+        candidates = [(cactus_mod._cover_fixpoint(g), None)] + [
+            (cactus_mod._cover_fixpoint(restrict_to_color(g, c)), c)
+            for c in range(g.colors)
+        ]
+        decomp, color = max(candidates, key=lambda cand: len(cand[0].covered))
+        cover = best_cactus_cover(g)
+        assert cover.decomposition == decomp
+        assert cover.restricted_color == color

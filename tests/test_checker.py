@@ -2,14 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import swcactus.checker as checker_mod
 from swcactus import (
     CheckReport,
     ConsistencyError,
+    StructuredMatrix,
+    SwitchedStructure,
     build_union_graph,
     check,
+    conventional_cactus_cover,
     dim_bounds,
     input_rank,
     report_to_dict,
@@ -122,3 +127,35 @@ def test_mini_harness_is_consistent():
             assert report.certificate is not None
         else:
             assert report.certificate is None
+
+
+def _mid_scale_structure(rng: np.random.Generator, n: int, colors: int) -> SwitchedStructure:
+    # A columns hold 0-2 entries, so some states lose their in-edges and
+    # some A_i are column-deficient; B_i has 0-2 columns of 1-2 entries
+    subsystems = []
+    for _ in range(colors):
+        a = {(int(r), c) for c in range(n)
+             for r in rng.choice(n, size=int(rng.choice(3, p=[0.15, 0.45, 0.4])),
+                                 replace=False)}
+        m = int(rng.integers(0, 3))
+        b = {(int(r), c) for c in range(m)
+             for r in rng.choice(n, size=int(rng.integers(1, 3)), replace=False)}
+        subsystems.append((StructuredMatrix(n, n, frozenset(a)),
+                           StructuredMatrix(n, m, frozenset(b))))
+    return SwitchedStructure(n=n, subsystems=tuple(subsystems))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=20, max_value=60),
+       st.integers(min_value=1, max_value=3))
+def test_mid_scale_views_agree(seed, n, colors):
+    # beyond brute force: check() itself raises ConsistencyError when the
+    # verdict, the rank probe and the cover/linking sandwich disagree; the
+    # layer cap lets one-mode systems reach a linking bound at any depth
+    s = _mid_scale_structure(np.random.default_rng(seed), n, colors)
+    report = check(s, layer_cap=n, vertex_cap=50_000)
+    conventional = conventional_cactus_cover(report.graph)
+    assert len(conventional.covered) <= report.bounds.lower
+    if report.controllable:
+        assert report.certificate == report.cover.decomposition

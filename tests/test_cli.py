@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swcactus
+import swcactus.cactus as cactus_mod
+import swcactus.checker as checker_mod
 from swcactus.cli import main
 
 EX1 = "tests/data/example1.json"
@@ -88,6 +93,60 @@ def test_bounds_values(capsys):
     _, out, _ = run(capsys, "bounds", FIG3A)
     doc = json.loads(out)
     assert doc["lower"] == 8 and doc["upper"] == 8
+
+
+def test_bounds_runs_one_linking(capsys, monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("build_mdg", "max_linking", "input_rank"):
+        counted(checker_mod, name)
+    counted(cactus_mod, "_cover_fixpoint")
+    code, out, _ = run(capsys, "bounds", FIG3A)
+    assert code == 0
+    assert json.loads(out)["conventional_lower"] == 6
+    assert calls["build_mdg"] == calls["max_linking"] == calls["input_rank"] == 1
+    # one all-color fixpoint plus two per-color ones for each lower bound
+    assert calls["_cover_fixpoint"] <= 5
+
+
+def test_counterexample_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, "counterexample", "tests/data/boost.json",
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "at least one sample" in err
+
+
+def test_trials_only_where_read(capsys):
+    assert run(capsys, "realize", EX1, "--trials", "2")[0] == 2
+    assert run(capsys, "check", EX1, "--trials", "2")[0] == 0
+    assert run(capsys, "counterexample", EX1, "--trials", "2",
+               "--samples", "1")[0] == 0
+
+
+@pytest.mark.parametrize("layers", ["10000", "20000"])
+def test_oversize_layers_exit_2(layers):
+    env = dict(os.environ)
+    src = str(Path(swcactus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "swcactus.cli", "mdg", EX1, "--layers", layers],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "cap" in lines[0]
+    assert len(lines[0]) < 200
 
 
 def test_mdg_values(capsys):

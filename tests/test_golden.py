@@ -24,6 +24,17 @@ CASES = [
     ("mdg_boost.json", ["mdg", "boost.json"], 0),
     ("mdg_example1_layers2.dot",
      ["mdg", "example1.json", "--layers", "2", "--format", "dot"], 0),
+    ("bounds_example1.json", ["bounds", "example1.json"], 0),
+    ("bounds_chain10.json", ["bounds", "chain10.json"], 0),
+    ("bounds_boost.json", ["bounds", "boost.json"], 0),
+    ("cactus_example1.json", ["cactus", "example1.json"], 0),
+    ("cactus_chain10.json", ["cactus", "chain10.json"], 0),
+    ("cactus_boost.json", ["cactus", "boost.json"], 0),
+    ("grank_example1.json", ["grank", "example1.json"], 0),
+    ("grank_chain10.json", ["grank", "chain10.json"], 0),
+    ("grank_boost.json", ["grank", "boost.json"], 0),
+    ("check_example1.dot", ["check", "example1.json", "--format", "dot"], 0),
+    ("check_chain10.dot", ["check", "chain10.json", "--format", "dot"], 1),
 ]
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from swcactus import (
     layered_product_columns,
     linking_determinant_expansion,
     max_linking,
+    parse_system,
     sample_realization,
 )
 from swcactus.checker import input_rank
@@ -213,3 +216,15 @@ def test_linking_matches_networkx_max_flow(nx, seed):
             assert head in [h for h, _ in mdg.edges_from(tail)]
         assert used.isdisjoint(path)
         used.update(path)
+
+
+def test_huge_depth_fails_fast():
+    # one mode keeps every layer at one block, so only the cap test stops
+    # the layer count from growing with the depth
+    s = parse_system('{"n": 1, "subsystems": '
+                     '[{"A": [[1, 1]], "B": {"cols": 1, "nonzeros": [[1, 1]]}}]}')
+    start = time.perf_counter()
+    with pytest.raises(MdgSizeError) as err:
+        build_mdg(s, 10 ** 9)
+    assert time.perf_counter() - start < 5.0
+    assert "cap" in str(err.value)

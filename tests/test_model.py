@@ -147,6 +147,17 @@ def test_sample_realization_validates(example1):
         sample_realization(example1, prime=(1 << 61) + 1)
 
 
+def test_cached_primality_keeps_rejections(example1):
+    # is_prime is cached; a repeated draw must still reject what it rejected
+    for _ in range(3):
+        with pytest.raises(ModelError, match="not prime"):
+            sample_realization(example1, prime=(1 << 61) + 1)
+        with pytest.raises(ModelError, match="2\\*\\*31"):
+            sample_realization(example1, prime=97)
+        assert sample_realization(example1, prime=DEFAULT_PRIME).prime == DEFAULT_PRIME
+    assert is_prime.cache_info().hits > 0
+
+
 def test_realized_dense(example1):
     r = sample_realization(example1, seed=1)
     a = realized_dense(example1, r, 0, "A")
