@@ -36,7 +36,7 @@ from .model import (
     realization_to_dict,
     sample_realization,
 )
-from .rankcore import averaged_pair_rank, controllable_dim
+from .rankcore import averaged_pair_rank, reachable_space_dim
 from .unigraph import (
     UnionGraph,
     build_union_graph,
@@ -233,13 +233,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     structure = _load(args.system)
     if args.samples < 1:
         raise ModelError(f"need at least one sample, got {args.samples}")
-    probe = controllable_dim(structure, seed=args.seed, trials=args.trials,
-                             prime=args.prime)
+    if args.trials < 1:
+        raise ModelError(f"need at least one trial, got {args.trials}")
+    # the realizations of controllable_dim, drawn once and shared with the
+    # mixing loop; probe_dim is that probe's maximum over them
+    realizations = [sample_realization(structure, seed=args.seed + t, prime=args.prime)
+                    for t in range(args.trials)]
+    probe_dim = max(reachable_space_dim(structure, r)[0] for r in realizations)
     rng = np.random.default_rng(args.seed & ((1 << 64) - 1))
     max_rank = 0
-    for r in range(args.trials):
-        realization = sample_realization(structure, seed=args.seed + r,
-                                         prime=args.prime)
+    for realization in realizations:
         for _ in range(args.samples):
             weights = [int(rng.integers(1, args.prime))
                        for _ in range(structure.subsystem_count)]
@@ -247,11 +250,11 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
                            averaged_pair_rank(structure, realization, weights))
     doc = {
         "n": structure.n,
-        "probe_dim": probe.dim,
+        "probe_dim": probe_dim,
         "samples": args.samples,
         "realizations": args.trials,
         "max_mixed_rank": max_rank,
-        "mixing_loses_rank": max_rank < probe.dim,
+        "mixing_loses_rank": max_rank < probe_dim,
     }
     _emit(_json(doc), args.output)
     return 0

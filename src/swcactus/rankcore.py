@@ -7,8 +7,11 @@ probability that a trial undershoots is at most ``degree / p``; with the
 default 61-bit prime and a handful of trials the failure odds are negligible,
 and taking the maximum over trials only ever helps.
 
-Everything in the finite-field path uses plain Python integers: products of
-61-bit values do not fit a machine word.
+The finite-field path uses Python integers, which hold any prime.  The
+elimination in ``ColumnReducer`` packs a whole column into one integer, a
+fixed-width slot per row, so one pivot step is one big-integer multiply-add
+(Kronecker substitution).  The Krylov loop of ``reachable_space_dim`` applies
+the ``A_i`` only to the columns the previous round added.
 """
 
 from __future__ import annotations
@@ -31,40 +34,53 @@ _REAL_RANK_REL_TOL = 1e-9
 
 
 class ColumnReducer:
-    """Incremental column-echelon basis over GF(p).
+    """Incremental column-echelon basis over GF(p), on packed integers.
 
     ``add`` reduces a column against the basis and absorbs it when it is
-    independent.  Basis columns are normalized to pivot value 1 so each
-    reduction is one multiply-subtract sweep.
+    independent.  A column is one Python int with a fixed-width slot per row
+    (row ``i`` in bits ``i*w`` to ``(i+1)*w - 1``), so eliminating one pivot
+    is a single big-integer multiply-add rather than ``n`` scalar steps.
+    Basis columns are stored normalized and negated: every slot holds a value
+    in ``[0, p)`` and the pivot slot ``p - 1``.  Adding ``f`` times such a
+    column, with ``f`` the candidate's pivot entry mod p, clears that entry
+    mod p; every term is non-negative, so no borrow crosses a slot.  A slot
+    grows by less than ``p**2`` per pivot, and the width
+    ``2 * bitlen(p) + bitlen(n) + 2`` holds ``n`` pivots, so slots are
+    reduced mod p only once, after the last pivot.
     """
 
     def __init__(self, n: int, prime: int) -> None:
         self.n = n
         self.prime = prime
-        self._pivots: list[int] = []
-        self._basis: list[list[int]] = []
+        self._width = 2 * prime.bit_length() + n.bit_length() + 2
+        self._mask = (1 << self._width) - 1
+        # (pivot slot shift, packed negated normalized column), in pivot order
+        self._basis: list[tuple[int, int]] = []
 
     @property
     def rank(self) -> int:
         return len(self._basis)
 
-    def basis_columns(self) -> list[list[int]]:
-        return [list(col) for col in self._basis]
-
     def add(self, column: Sequence[int]) -> bool:
-        p = self.prime
+        p, w, mask = self.prime, self._width, self._mask
         col = [int(v) % p for v in column]
         if len(col) != self.n:
             raise ModelError(f"column length {len(col)} does not match n={self.n}")
-        for pivot, vec in zip(self._pivots, self._basis):
-            factor = col[pivot]
+        acc = 0
+        for value in reversed(col):
+            acc = acc << w | value
+        for shift, neg in self._basis:
+            factor = (acc >> shift & mask) % p
             if factor:
-                col = [(a - factor * b) % p for a, b in zip(col, vec)]
+                acc += factor * neg
+        col = [(acc >> (row * w) & mask) % p for row in range(self.n)]
         for row, value in enumerate(col):
             if value:
                 inv = pow(value, p - 2, p)
-                self._pivots.append(row)
-                self._basis.append([v * inv % p for v in col])
+                neg = 0
+                for v in reversed(col):
+                    neg = neg << w | -v * inv % p
+                self._basis.append((row * w, neg))
                 return True
         return False
 
@@ -147,16 +163,20 @@ def reachable_space_dim(structure: SwitchedStructure,
     assert p is not None
     a_sparse = _sparse_matrices(structure, realization, "A")
     reducer = ColumnReducer(n, p)
-    for col in _input_columns(structure, realization):
-        reducer.add(col)
+    # S_{k+1} = S_k + sum_i A_i S_k, and A_i S_{k-1} already lies in S_k, so
+    # each round needs the products of the previous round's new columns only
+    frontier = [col for col in _input_columns(structure, realization) if reducer.add(col)]
     layers = 0
     while reducer.rank < n:
-        before = reducer.rank
-        for basis_col in reducer.basis_columns():
+        absorbed = []
+        for col in frontier:
             for entries in a_sparse:
-                reducer.add(_apply_sparse(entries, basis_col, n, p))
-        if reducer.rank == before:
+                prod = _apply_sparse(entries, col, n, p)
+                if reducer.add(prod):
+                    absorbed.append(prod)
+        if not absorbed:
             break
+        frontier = absorbed
         layers += 1
     return reducer.rank, layers
 

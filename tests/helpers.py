@@ -7,6 +7,7 @@ algorithms are checked against definitions, not against themselves.
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -174,3 +175,80 @@ def concat_rank(structure: SwitchedStructure, seed: int) -> int:
                     col[r] = realization.values[(idx, "B", r, c)]
             cols.append(col)
     return rank_ff(cols, n, realization.prime)
+
+
+class BruteReducer:
+    """Column elimination over GF(p) on plain lists of Python ints.
+
+    Basis columns are normalized to pivot value 1, and reducing a column is
+    one multiply-subtract sweep per pivot, every entry taken mod p.
+    """
+
+    def __init__(self, n: int, prime: int) -> None:
+        self.n = n
+        self.prime = prime
+        self.pivots: list[int] = []
+        self.basis: list[list[int]] = []
+
+    def add(self, column) -> bool:
+        p = self.prime
+        col = [int(v) % p for v in column]
+        for pivot, vec in zip(self.pivots, self.basis):
+            factor = col[pivot]
+            if factor:
+                col = [(a - factor * b) % p for a, b in zip(col, vec)]
+        for row, value in enumerate(col):
+            if value:
+                inv = pow(value, p - 2, p)
+                self.pivots.append(row)
+                self.basis.append([v * inv % p for v in col])
+                return True
+        return False
+
+
+def brute_rank_ff(columns, n: int, prime: int) -> int:
+    reducer = BruteReducer(n, prime)
+    for col in columns:
+        reducer.add(col)
+    return len(reducer.basis)
+
+
+def brute_reachable_space_dim(structure: SwitchedStructure,
+                              realization) -> tuple[int, int]:
+    """``(dim, layers_used)`` by applying every dense ``A_i`` to the whole
+    basis each round, until a round adds nothing."""
+    n, p = structure.n, realization.prime
+    values = realization.values
+    a_dense = []
+    reducer = BruteReducer(n, p)
+    for idx, (a, b) in enumerate(structure.subsystems):
+        mat = [[0] * n for _ in range(n)]
+        for r, c in a.nonzeros:
+            mat[r][c] = values[(idx, "A", r, c)]
+        a_dense.append(mat)
+        for q in range(b.cols):
+            reducer.add([values.get((idx, "B", r, q), 0) for r in range(n)])
+    layers = 0
+    while len(reducer.basis) < n:
+        before = len(reducer.basis)
+        for vec in list(reducer.basis):
+            for mat in a_dense:
+                reducer.add([sum(x * y for x, y in zip(row, vec)) % p for row in mat])
+        if len(reducer.basis) == before:
+            break
+        layers += 1
+    return len(reducer.basis), layers
+
+
+def wide_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
+    """The benchmark's wide family: every column of every ``A_i`` gets two
+    distinct random rows, and every ``B_i`` one column with two.  Same draws
+    as ``wide(random.Random(seed), n, modes)`` in ``perfbench/families.py``."""
+    rng = random.Random(seed)
+    subsystems = []
+    for _ in range(modes):
+        b = StructuredMatrix(n, 1, frozenset((r, 0) for r in rng.sample(range(n), 2)))
+        a = StructuredMatrix(n, n, frozenset(
+            (r, c) for c in range(n) for r in rng.sample(range(n), 2)))
+        subsystems.append((a, b))
+    return SwitchedStructure(n=n, subsystems=tuple(subsystems))

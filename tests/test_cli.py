@@ -11,6 +11,8 @@ import pytest
 import swcactus
 import swcactus.cactus as cactus_mod
 import swcactus.checker as checker_mod
+import swcactus.cli as cli_mod
+import swcactus.rankcore as rankcore_mod
 from swcactus.cli import main
 
 EX1 = "tests/data/example1.json"
@@ -123,6 +125,28 @@ def test_counterexample_rejects_zero_samples(capsys):
     assert code == 2
     assert out == ""
     assert "at least one sample" in err
+
+
+def test_counterexample_draws_each_realization_once(capsys, monkeypatch):
+    calls = []
+    original = cli_mod.sample_realization
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return original(*args, **kwargs)
+    for module in (cli_mod, rankcore_mod):
+        monkeypatch.setattr(module, "sample_realization", counted)
+    code, out, _ = run(capsys, "counterexample", "tests/data/boost.json",
+                       "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["probe_dim"] == 2
+    assert sorted(calls) == [1729, 1730, 1731]
+
+
+def test_counterexample_rejects_zero_trials(capsys):
+    code, out, err = run(capsys, "counterexample", EX1, "--trials", "0")
+    assert code == 2 and out == ""
+    assert "at least one trial" in err
 
 
 def test_trials_only_where_read(capsys):

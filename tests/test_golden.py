@@ -35,6 +35,13 @@ CASES = [
     ("grank_boost.json", ["grank", "boost.json"], 0),
     ("check_example1.dot", ["check", "example1.json", "--format", "dot"], 0),
     ("check_chain10.dot", ["check", "chain10.json", "--format", "dot"], 1),
+    ("counterexample_boost.json", ["counterexample", "boost.json"], 0),
+    ("counterexample_example1.json", ["counterexample", "example1.json"], 0),
+    # wide60 is perfbench/families.py wide(random.Random(11), 60, 3), the
+    # first uncontrollable draw: the rank probe runs three rounds that grow
+    # the span and one that does not.  It sits in a subdirectory because the
+    # benchmark times the CLI on every tests/data/*.json
+    ("check_wide60.json", ["check", "probe/wide60.json"], 1),
 ]
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,9 @@ from swcactus.model import StructuredMatrix, SwitchedStructure
 from swcactus.rankcore import ColumnReducer, det_ff, rank_ff
 
 P = DEFAULT_PRIME
+# a prime just past the probe's 2**31 floor, the default, the largest 64-bit
+# prime and one past 64 bits
+PRIMES = ((1 << 31) + 11, DEFAULT_PRIME, (1 << 64) - 59, (1 << 89) - 1)
 
 
 def test_column_reducer_basic():
@@ -30,6 +35,46 @@ def test_column_reducer_basic():
     assert red.rank == 3
     with pytest.raises(ModelError):
         red.add([1, 2])
+
+
+def _low_rank_columns(rng: random.Random, n: int, prime: int) -> list[list[int]]:
+    # integer combinations of at most n generators, shifted by multiples of p:
+    # entries are zero, negative or far beyond p, and the rank mod p is low
+    gens = [[rng.choice((0, 0, 1, -1, rng.randrange(-3 * prime, 3 * prime)))
+             for _ in range(n)] for _ in range(rng.randint(0, n))]
+    return [[sum(c * g[row] for c, g in zip(coeffs, gens)) + prime * rng.randrange(-2, 3)
+             for row in range(n)]
+            for coeffs in ([rng.randrange(-3, 4) for _ in gens]
+                           for _ in range(rng.randint(0, 2 * n + 2)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_column_reducer_matches_plain_elimination(prime, n, seed):
+    cols = _low_rank_columns(random.Random(seed), n, prime)
+    red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
+    assert [red.add(c) for c in cols] == [brute.add(c) for c in cols]
+    assert red.rank == rank_ff(cols, n, prime) == helpers.brute_rank_ff(cols, n, prime)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
+def test_column_reducer_largest_slot_sum(prime, n):
+    # basis e_k + e_last for every row k but the last: each stored negated
+    # column holds p - 1 in its pivot row and in the last row.  Minus their
+    # sum makes every factor p - 1, so the last row, which no pivot reads,
+    # takes n - 1 products (p - 1)**2 on top of its entry before it is
+    # reduced; a narrower slot would carry out of it and break the rejection
+    red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
+    for k in range(n - 1):
+        col = [0] * n
+        col[k] = col[n - 1] = 1
+        assert red.add(col) and brute.add(col)
+    candidate = [-1] * (n - 1) + [1 - n]
+    assert not red.add(candidate) and not brute.add(candidate)
+    assert red.add([0] * (n - 1) + [1])
+    assert red.rank == n
 
 
 def test_rank_ff_known():
@@ -164,3 +209,51 @@ def test_averaged_pair_rank_full_when_single_mode(boost):
     single = SwitchedStructure(n=2, subsystems=(boost.subsystems[0],))
     r = sample_realization(single, seed=2)
     assert averaged_pair_rank(single, r, [5]) == 2
+
+
+def _count_adds(mp: pytest.MonkeyPatch) -> list[int]:
+    calls = [0]
+    original = ColumnReducer.add
+
+    def add(self, column):
+        calls[0] += 1
+        return original(self, column)
+    mp.setattr(ColumnReducer, "add", add)
+    return calls
+
+
+def _probe_against_all_basis_loop(s, r) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        adds = _count_adds(mp)
+        dim, layers = reachable_space_dim(s, r)
+    assert (dim, layers) == helpers.brute_reachable_space_dim(s, r)
+    # each input column once, then each absorbed column times every A_i once
+    assert adds[0] <= s.total_inputs + s.subsystem_count * dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_krylov_matches_all_basis_loop(seed):
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=12, max_colors=3,
+                                 density=float(rng.uniform(0.05, 0.4)))
+    _probe_against_all_basis_loop(s, sample_realization(s, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11])
+def test_krylov_matches_all_basis_loop_wide(seed):
+    # wide_structure(11, 40, 3) is uncontrollable (dim 39)
+    s = helpers.wide_structure(seed, 40, 3)
+    _probe_against_all_basis_loop(s, sample_realization(s, seed=seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_dim_is_rank_of_full_stack(seed):
+    # depth n - 1 is where the controllability stack stops growing
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=7, max_colors=3)
+    r = sample_realization(s, seed=seed)
+    dim, _ = reachable_space_dim(s, r)
+    cols, _ = layered_product_columns(s, r, s.n - 1)
+    assert helpers.brute_rank_ff(cols, s.n, P) == dim
