@@ -55,7 +55,8 @@ class Decomposition:
 
     @property
     def covered(self) -> frozenset[int]:
-        return frozenset(e.head for e in self.retained)
+        return frozenset([e.head for e in self.stems]
+                         + [e.head for group in self.cycle_groups for e in group])
 
 
 def _check_independent(edges: tuple[ColoredEdge, ...]) -> None:
@@ -79,48 +80,50 @@ def decompose(edges, reachable: frozenset[int]) -> Decomposition:
     """
     edges = tuple(sorted(edges, key=edge_sort_key))
     _check_independent(edges)
+    # edges are handled by their position in the sorted tuple, so every
+    # piece below is put in order by sorting integers
+    heads = [e.head for e in edges]
+    tails = [-1 if isinstance(e.tail, InputVertex) else e.tail.index
+             for e in edges]
 
-    stems: list[ColoredEdge] = []
-    by_state_tail: dict[int, list[ColoredEdge]] = {}
-    for e in edges:
-        if isinstance(e.tail, StateVertex):
-            by_state_tail.setdefault(e.tail.index, []).append(e)
-    absorbed: set[ColoredEdge] = set()
-    frontier: deque[int] = deque()
-    for e in edges:
-        if isinstance(e.tail, InputVertex):
-            stems.append(e)
-            absorbed.add(e)
-            frontier.append(e.head)
-    while frontier:
-        v = frontier.popleft()
-        for e in by_state_tail.get(v, ()):
-            if e not in absorbed:
-                absorbed.add(e)
-                stems.append(e)
-                frontier.append(e.head)
+    by_state_tail: dict[int, list[int]] = {}
+    stems: list[int] = []
+    absorbed = bytearray(len(edges))
+    for i, t in enumerate(tails):
+        if t < 0:
+            stems.append(i)
+            absorbed[i] = 1
+        else:
+            by_state_tail.setdefault(t, []).append(i)
+    for i in stems:  # grows while it is read: breadth-first
+        for j in by_state_tail.get(heads[i], ()):
+            if not absorbed[j]:
+                absorbed[j] = 1
+                stems.append(j)
 
-    remainder = [e for e in edges if e not in absorbed]
-    cycle_groups: list[tuple[ColoredEdge, ...]] = []
-    dropped: list[ColoredEdge] = []
-    for comp in _weak_components(remainder):
-        verts = {e.head for e in comp} | {e.tail.index for e in comp}
+    remainder = [i for i in range(len(edges)) if not absorbed[i]]
+    cycle_groups: list[list[int]] = []
+    dropped: list[int] = []
+    for comp in _weak_components(remainder, tails, heads):
+        verts = {heads[i] for i in comp} | {tails[i] for i in comp}
         assert len(comp) in (len(verts) - 1, len(verts))
         if len(comp) == len(verts) and verts <= reachable:
             cycle_groups.append(comp)
         else:
-            dropped.extend(comp)
+            dropped += comp
 
     return Decomposition(
-        stems=tuple(sorted(stems, key=edge_sort_key)),
-        cycle_groups=tuple(sorted(cycle_groups,
-                                  key=lambda grp: edge_sort_key(grp[0]))),
-        dropped=tuple(sorted(dropped, key=edge_sort_key)),
+        stems=tuple(edges[i] for i in sorted(stems)),
+        cycle_groups=tuple(tuple(edges[i] for i in comp)
+                           for comp in sorted(cycle_groups)),
+        dropped=tuple(edges[i] for i in sorted(dropped)),
     )
 
 
-def _weak_components(edges) -> list[tuple[ColoredEdge, ...]]:
-    # remainder edges have state tails only; group by shared endpoints
+def _weak_components(positions: list[int], tails: list[int],
+                     heads: list[int]) -> list[list[int]]:
+    """Group edge positions (state tails only) by shared endpoints; each
+    group stays in position order."""
     parent: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -129,18 +132,18 @@ def _weak_components(edges) -> list[tuple[ColoredEdge, ...]]:
             v = parent[v]
         return v
 
-    for e in edges:
-        for v in (e.tail.index, e.head):
-            parent.setdefault(v, v)
-        a, b = find(e.tail.index), find(e.head)
+    for i in positions:
+        t, h = tails[i], heads[i]
+        parent.setdefault(t, t)
+        parent.setdefault(h, h)
+        a, b = find(t), find(h)
         if a != b:
             parent[max(a, b)] = min(a, b)
 
-    groups: dict[int, list[ColoredEdge]] = {}
-    for e in edges:
-        groups.setdefault(find(e.head), []).append(e)
-    return [tuple(sorted(groups[root], key=edge_sort_key))
-            for root in sorted(groups)]
+    groups: dict[int, list[int]] = {}
+    for i in positions:
+        groups.setdefault(find(heads[i]), []).append(i)
+    return list(groups.values())
 
 
 def component_cycle(group) -> tuple[ColoredEdge, ...]:
@@ -209,9 +212,10 @@ def best_cactus_cover(g: UnionGraph) -> CactusCover:
     single subsystem would reach alone, because a larger matching is not
     always a more coverable one.  Comparing with the best single-color cover
     makes the result at least as large as any per-subsystem cover; ties
-    prefer the all-color run, then the lowest color.
+    prefer the all-color run, then the lowest color.  Every fixpoint runs
+    once per graph, however often the covers are asked for.
     """
-    mixed = CactusCover(_cover_fixpoint(g), None)
+    mixed = CactusCover(g._once(_cover_fixpoint), None)
     single = conventional_cactus_cover(g)
     return single if len(single.covered) > len(mixed.covered) else mixed
 
@@ -219,7 +223,7 @@ def best_cactus_cover(g: UnionGraph) -> CactusCover:
 def conventional_cactus_cover(g: UnionGraph) -> CactusCover:
     """Best cover achievable inside a single subsystem's subgraph."""
     candidates = [
-        CactusCover(_cover_fixpoint(restrict_to_color(g, c)), c)
+        CactusCover(restrict_to_color(g, c)._once(_cover_fixpoint), c)
         for c in range(g.colors)
     ]
     return max(candidates, key=lambda cover: len(cover.covered))

@@ -22,6 +22,9 @@ DEFAULT_PRIME = (1 << 61) - 1
 # Realization values must stay exact; primes this large force Python-int
 # arithmetic downstream (int64 products would overflow).
 _MIN_PRIME_EXCLUSIVE = 1 << 31
+# The sampler draws field values as int64 integers, so the prime must stay
+# below 2**63; ``is_prime`` is exact on that whole range.
+_MAX_PRIME_EXCLUSIVE = 1 << 63
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -311,6 +314,8 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
         p = int(prime)
         if p <= _MIN_PRIME_EXCLUSIVE:
             raise ModelError(f"prime must exceed 2**31 for reliable generic ranks, got {p}")
+        if p >= _MAX_PRIME_EXCLUSIVE:
+            raise ModelError(f"prime must be below 2**63, the sampler's int64 bound, got {p}")
         if not is_prime(p):
             raise ModelError(f"{p} is not prime")
     seed = int(seed) & _UINT64_MASK

@@ -13,13 +13,39 @@ the largest edge set whose heads are pairwise distinct and whose same-tail
 edges carry pairwise distinct colors.  Its size equals the generic rank of
 the row-concatenation of all system matrices, which is why it drives both
 the controllability test and the cover construction downstream.
+
+Layout.  Vertices are numbered once, inputs first (by subsystem, then
+column) and then the states, which is :func:`vertex_sort_key` order.  With
+``V`` vertices an edge is the single integer ``(color * V + tail) * n +
+head``, so sorted keys are edges in :func:`edge_sort_key` order.  The edges
+of one (tail, color) pair form a *row*, one left vertex of the matching,
+kept once as its sorted head list.  Rows and keys are sorted by color
+first, so :func:`restrict_to_color` takes contiguous slices.
+:class:`ColoredEdge` objects exist only at the public boundary: ``edges``
+(a view that builds them as it is read), ``edges_from``, ``edges_into`` and
+returned matchings.
+
+Memo.  A graph never changes, so results derived from it are computed
+once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
+function and its arguments: :func:`reachable_states` keeps ``_reachable``,
+:func:`restrict_to_color` keeps ``_color_slice`` per color, ``edges_from``
+keeps ``_out_edges`` (built on its first call) and the cactus module keeps
+``_cover_fixpoint``.  A graph is dropped with its memo.
+
+Matching.  :func:`max_independent_edges` is Hopcroft-Karp (SIAM J. Comput.
+1973) on the rows, with an explicit stack in place of recursion, so an
+augmenting path may run through every state.  Heads outside
+``allowed_heads`` are held by a sentinel row that no search may displace.
+Rows and heads are tried in the same order as a recursive search would, so
+the matching is fully determined by the graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .model import ModelError, SwitchedStructure
 
@@ -65,7 +91,7 @@ def format_vertex(vertex: Vertex) -> str:
 
 
 class UnionGraph:
-    """Immutable colored multigraph with precomputed adjacency.
+    """Immutable colored multigraph on flat integer arrays.
 
     ``input_counts`` keeps one entry per subsystem even when that subsystem
     has no inputs, so downstream layer-size arithmetic stays aligned with the
@@ -74,6 +100,22 @@ class UnionGraph:
 
     def __init__(self, n: int, input_counts: tuple[int, ...],
                  edges: Iterable[ColoredEdge]) -> None:
+        self._shape(n, input_counts)
+        keys = []
+        for e in edges:
+            self._check_edge(e)
+            keys.append(self._edge_key(e))
+        keys.sort()
+        self._set_keys(keys)
+
+    @classmethod
+    def _blank(cls, n: int, input_counts: tuple[int, ...]) -> UnionGraph:
+        """A graph whose edges are still to be set, from valid keys."""
+        g = cls.__new__(cls)
+        g._shape(n, input_counts)
+        return g
+
+    def _shape(self, n: int, input_counts: tuple[int, ...]) -> None:
         if n < 1:
             raise ModelError(f"graph needs a positive state count, got {n}")
         if not input_counts:
@@ -81,19 +123,32 @@ class UnionGraph:
         self.n = int(n)
         self.input_counts = tuple(int(m) for m in input_counts)
         self.colors = len(self.input_counts)
-        self.edges: tuple[ColoredEdge, ...] = tuple(sorted(edges, key=edge_sort_key))
-        for e in self.edges:
-            self._check_edge(e)
-        self.input_vertices: tuple[InputVertex, ...] = tuple(
-            InputVertex(i, k)
-            for i, m in enumerate(self.input_counts)
-            for k in range(m)
-        )
-        self._out: dict[Vertex, list[ColoredEdge]] = {}
-        self._into: dict[int, list[ColoredEdge]] = {h: [] for h in range(self.n)}
-        for e in self.edges:
-            self._out.setdefault(e.tail, []).append(e)
-            self._into[e.head].append(e)
+        bases = []
+        total = 0
+        for m in self.input_counts:
+            bases.append(total)
+            total += m
+        self._input_base = tuple(bases)
+        self._inputs = total
+        self._width = total + self.n
+        self._memo: dict = {}
+
+    def _set_keys(self, keys: list[int]) -> None:
+        n = self.n
+        rows: list[int] = []
+        adj: list[list[int]] = []
+        prev = -1
+        for key in keys:
+            row, head = divmod(key, n)
+            if row != prev:
+                heads: list[int] = []
+                rows.append(row)
+                adj.append(heads)
+                prev = row
+            heads.append(head)
+        self._keys = keys
+        self._rows = rows
+        self._adj = adj
 
     def _check_edge(self, e: ColoredEdge) -> None:
         if not (0 <= e.color < self.colors):
@@ -111,79 +166,172 @@ class UnionGraph:
         elif not (0 <= t.index < self.n):
             raise ModelError(f"state tail {format_vertex(t)} outside 1..{self.n}")
 
+    def _vertex_id(self, vertex: Vertex) -> int | None:
+        if isinstance(vertex, InputVertex):
+            if not (0 <= vertex.subsystem < self.colors
+                    and 0 <= vertex.index < self.input_counts[vertex.subsystem]):
+                return None
+            return self._input_base[vertex.subsystem] + vertex.index
+        if not (0 <= vertex.index < self.n):
+            return None
+        return self._inputs + vertex.index
+
+    def _edge_key(self, e: ColoredEdge) -> int:
+        return (e.color * self._width + self._vertex_id(e.tail)) * self.n + e.head
+
+    def _row_tail(self, row: int) -> tuple[Vertex, int]:
+        """The tail vertex and the color of one row."""
+        color, t = divmod(row, self._width)
+        if t < self._inputs:
+            return InputVertex(color, t - self._input_base[color]), color
+        return StateVertex(t - self._inputs), color
+
+    def _row_edges(self, row: int, heads) -> list[ColoredEdge]:
+        tail, color = self._row_tail(row)
+        return [ColoredEdge(tail, h, color) for h in heads]
+
+    def _key_edge(self, key: int) -> ColoredEdge:
+        row, head = divmod(key, self.n)
+        tail, color = self._row_tail(row)
+        return ColoredEdge(tail, head, color)
+
+    def _once(self, compute: Callable, *args):
+        """``compute(self, *args)``, computed on the first call and kept.
+
+        The memo is keyed by ``compute`` itself and ``args``, so callers in
+        different modules cannot clash.
+        """
+        key = (compute, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self, *args)
+            return value
+
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
+
+    @property
+    def input_vertices(self) -> tuple[InputVertex, ...]:
+        return tuple(InputVertex(i, k)
+                     for i, m in enumerate(self.input_counts) for k in range(m))
+
     def edges_from(self, vertex: Vertex) -> tuple[ColoredEdge, ...]:
-        return tuple(self._out.get(vertex, ()))
+        t = self._vertex_id(vertex)
+        if t is None:
+            return ()
+        return self._once(_out_edges)[t]
 
     def edges_into(self, head: int) -> tuple[ColoredEdge, ...]:
-        return tuple(self._into.get(head, ()))
+        n = self.n
+        return tuple(self._key_edge(k) for k in self._keys if k % n == head)
 
     @property
     def state_edge_count(self) -> int:
-        return sum(1 for e in self.edges if isinstance(e.tail, StateVertex))
+        return len(self._keys) - self.input_edge_count
 
     @property
     def input_edge_count(self) -> int:
-        return sum(1 for e in self.edges if isinstance(e.tail, InputVertex))
+        n, width, m = self.n, self._width, self._inputs
+        return sum(1 for k in self._keys if k // n % width < m)
+
+
+class EdgeView(Sequence):
+    """A graph's edges in ``edge_sort_key`` order, built when read."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: UnionGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph._keys)
+
+    def __getitem__(self, index):
+        g = self._graph
+        if isinstance(index, slice):
+            return tuple(map(g._key_edge, g._keys[index]))
+        return g._key_edge(g._keys[index])
+
+    def __iter__(self) -> Iterator[ColoredEdge]:
+        g = self._graph
+        for row, heads in zip(g._rows, g._adj):
+            yield from g._row_edges(row, heads)
+
+
+def _out_edges(g: UnionGraph) -> list[tuple[ColoredEdge, ...]]:
+    """Every vertex's out-edges in ``edge_sort_key`` order, by vertex id."""
+    out: list[list[ColoredEdge]] = [[] for _ in range(g._width)]
+    for row, heads in zip(g._rows, g._adj):
+        out[row % g._width] += g._row_edges(row, heads)
+    return [tuple(edges) for edges in out]
 
 
 def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
-    edges: list[ColoredEdge] = []
+    g = UnionGraph._blank(structure.n, structure.input_counts)
+    n, width = g.n, g._width
+    keys: list[int] = []
     for i, (a, b) in enumerate(structure.subsystems):
-        for r, c in a.nonzeros:
-            edges.append(ColoredEdge(StateVertex(c), r, i))
-        for r, c in b.nonzeros:
-            edges.append(ColoredEdge(InputVertex(i, c), r, i))
-    return UnionGraph(structure.n, structure.input_counts, edges)
+        states = (i * width + g._inputs) * n
+        inputs = (i * width + g._input_base[i]) * n
+        keys += [states + c * n + r for r, c in a.nonzeros]
+        keys += [inputs + c * n + r for r, c in b.nonzeros]
+    keys.sort()
+    g._set_keys(keys)
+    return g
 
 
 def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
-    """Subgraph keeping only the given color's edges (state set unchanged)."""
+    """Subgraph keeping only the given color's edges (state set unchanged).
+
+    The color's edges are a contiguous slice of ``g``'s keys; the subgraph
+    is built once per graph and color.
+    """
     if not (0 <= color < g.colors):
         raise ModelError(f"color {color + 1} outside 1..{g.colors}")
-    return UnionGraph(g.n, g.input_counts,
-                      (e for e in g.edges if e.color == color))
+    return g._once(_color_slice, color)
+
+
+def _color_slice(g: UnionGraph, color: int) -> UnionGraph:
+    sub = UnionGraph._blank(g.n, g.input_counts)
+    step = g._width * g.n
+    lo = bisect_left(g._keys, color * step)
+    hi = bisect_left(g._keys, (color + 1) * step)
+    sub._set_keys(g._keys[lo:hi])
+    return sub
 
 
 def input_edges_only(g: UnionGraph) -> UnionGraph:
-    return UnionGraph(g.n, g.input_counts,
-                      (e for e in g.edges if isinstance(e.tail, InputVertex)))
+    sub = UnionGraph._blank(g.n, g.input_counts)
+    n, width, m = g.n, g._width, g._inputs
+    sub._set_keys([k for k in g._keys if k // n % width < m])
+    return sub
 
 
 def reachable_states(g: UnionGraph) -> frozenset[int]:
     """States reachable from at least one input vertex, any edge colors."""
-    seen: set[int] = set()
-    queue: deque[int] = deque()
-    for u in g.input_vertices:
-        for e in g.edges_from(u):
-            if e.head not in seen:
-                seen.add(e.head)
-                queue.append(e.head)
-    while queue:
-        k = queue.popleft()
-        for e in g.edges_from(StateVertex(k)):
-            if e.head not in seen:
-                seen.add(e.head)
-                queue.append(e.head)
-    return frozenset(seen)
+    return g._once(_reachable)
 
 
-def _matching_left_side(g: UnionGraph, heads_ok: frozenset[int]):
-    # One left vertex per (tail, color) pair; all edges out of an input vertex
-    # share its color, so inputs contribute one left vertex each.
-    by_tail: dict[tuple[Vertex, int], list[int]] = {}
-    for e in g.edges:
-        if e.head in heads_ok:
-            by_tail.setdefault((e.tail, e.color), []).append(e.head)
-
-    def left_key(item: tuple[Vertex, int]) -> tuple:
-        tail, color = item
-        if isinstance(tail, InputVertex):
-            return (color, 0, tail.subsystem, tail.index)
-        return (color, 1, tail.index, 0)
-
-    lefts = sorted(by_tail, key=left_key)
-    adjacency = [tuple(sorted(set(by_tail[key]))) for key in lefts]
-    return lefts, adjacency
+def _reachable(g: UnionGraph) -> frozenset[int]:
+    width, m = g._width, g._inputs
+    succ: list[list[int]] = [[] for _ in range(width)]
+    for row, heads in zip(g._rows, g._adj):
+        succ[row % width] += heads
+    seen = bytearray(g.n)
+    order: list[int] = []
+    for t in range(m):
+        for h in succ[t]:
+            if not seen[h]:
+                seen[h] = 1
+                order.append(h)
+    for k in order:  # grows while it is read: breadth-first
+        for h in succ[m + k]:
+            if not seen[h]:
+                seen[h] = 1
+                order.append(h)
+    return frozenset(order)
 
 
 def max_independent_edges(g: UnionGraph,
@@ -197,57 +345,78 @@ def max_independent_edges(g: UnionGraph,
     ``allowed_heads`` when given).  Fully deterministic: ties are broken by
     color, then input tails before state tails, then tail and head order.
     """
+    adj = g._adj
+    size = len(adj)
+    # a head outside allowed_heads is held by the sentinel left ``size``,
+    # whose layer never qualifies, so no phase can take it
     if allowed_heads is None:
-        heads_ok = frozenset(range(g.n))
+        match_right = [-1] * g.n
     else:
-        heads_ok = frozenset(h for h in allowed_heads if 0 <= h < g.n)
-    lefts, adjacency = _matching_left_side(g, heads_ok)
-    size = len(lefts)
-    match_left: list[int | None] = [None] * size
-    match_right: dict[int, int] = {}
-    INF = size + 1
-    dist: list[int] = [INF] * size
-
-    def bfs_layers() -> bool:
-        queue: deque[int] = deque()
-        for idx in range(size):
-            dist[idx] = INF if match_left[idx] is not None else 0
-            if dist[idx] == 0:
-                queue.append(idx)
+        match_right = [size] * g.n
+        for h in allowed_heads:
+            if 0 <= h < g.n:
+                match_right[h] = -1
+    match_left = [-1] * size
+    inf = size + 1
+    while True:
+        # breadth-first layers from every free row
+        dist = [inf if m >= 0 else 0 for m in match_left]
+        dist.append(-2)
+        queue = [idx for idx in range(size) if match_left[idx] < 0]
         found = False
-        while queue:
-            idx = queue.popleft()
-            for head in adjacency[idx]:
-                other = match_right.get(head)
-                if other is None:
+        for idx in queue:  # grows while it is read
+            layer = dist[idx] + 1
+            for head in adj[idx]:
+                other = match_right[head]
+                if other < 0:
                     found = True
-                elif dist[other] == INF:
-                    dist[other] = dist[idx] + 1
+                elif dist[other] == inf:
+                    dist[other] = layer
                     queue.append(other)
-        return found
+        if not found:
+            break
+        # one depth-first augmenting search per free row, on an explicit
+        # stack: path[j] is a row and pos[j] the position after the head
+        # it is trying, so heads are tried in row order as in a recursion
+        for root in range(size):
+            if match_left[root] >= 0:
+                continue
+            path = [root]
+            pos = [0]
+            while path:
+                idx = path[-1]
+                heads = adj[idx]
+                p = pos[-1]
+                layer = dist[idx] + 1
+                end = len(heads)
+                while p < end:
+                    other = match_right[heads[p]]
+                    p += 1
+                    if other < 0 or dist[other] == layer:
+                        break
+                else:
+                    dist[idx] = inf
+                    path.pop()
+                    pos.pop()
+                    continue
+                pos[-1] = p
+                if other < 0:
+                    for left, q in zip(path, pos):
+                        head = adj[left][q - 1]
+                        match_left[left] = head
+                        match_right[head] = left
+                    break
+                path.append(other)
+                pos.append(0)
 
-    def try_augment(idx: int) -> bool:
-        for head in adjacency[idx]:
-            other = match_right.get(head)
-            if other is None or (dist[other] == dist[idx] + 1
-                                 and try_augment(other)):
-                match_left[idx] = head
-                match_right[head] = idx
-                return True
-        dist[idx] = INF
-        return False
-
-    while bfs_layers():
-        for idx in range(size):
-            if match_left[idx] is None:
-                try_augment(idx)
-
-    chosen = [
-        ColoredEdge(tail, match_left[idx], color)
-        for idx, (tail, color) in enumerate(lefts)
-        if match_left[idx] is not None
-    ]
-    return tuple(sorted(chosen, key=edge_sort_key))
+    # rows are in (color, tail) order, so the edges come out sorted
+    rows = g._rows
+    chosen: list[ColoredEdge] = []
+    for idx, head in enumerate(match_left):
+        if head >= 0:
+            tail, color = g._row_tail(rows[idx])
+            chosen.append(ColoredEdge(tail, head, color))
+    return tuple(chosen)
 
 
 def generic_rank(g: UnionGraph) -> int:

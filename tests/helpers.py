@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from swcactus import (
+    ColoredEdge,
     InputVertex,
     StateVertex,
     StructuredMatrix,
@@ -24,6 +26,7 @@ from swcactus import (
     sample_realization,
 )
 from swcactus.rankcore import rank_ff
+from swcactus.unigraph import edge_sort_key
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -52,6 +55,77 @@ def brute_max_independent(g: UnionGraph) -> int:
             if is_independent(subset):
                 return size
     return 0
+
+
+def ref_max_independent_edges(g: UnionGraph, allowed_heads=None):
+    """The dict-based, recursive Hopcroft-Karp matching that the flat-array
+    ``max_independent_edges`` replaced, kept as its reference.
+
+    Left vertices are (tail, color) pairs sorted by color, inputs before
+    states, then tail; heads are tried in increasing order.  The recursion
+    is one frame per edge of an augmenting path, so keep paths short.
+    """
+    if allowed_heads is None:
+        heads_ok = frozenset(range(g.n))
+    else:
+        heads_ok = frozenset(h for h in allowed_heads if 0 <= h < g.n)
+    by_tail = {}
+    for e in g.edges:
+        if e.head in heads_ok:
+            by_tail.setdefault((e.tail, e.color), []).append(e.head)
+
+    def left_key(item):
+        tail, color = item
+        if isinstance(tail, InputVertex):
+            return (color, 0, tail.subsystem, tail.index)
+        return (color, 1, tail.index, 0)
+
+    lefts = sorted(by_tail, key=left_key)
+    adjacency = [tuple(sorted(set(by_tail[key]))) for key in lefts]
+    size = len(lefts)
+    match_left = [None] * size
+    match_right = {}
+    inf = size + 1
+    dist = [inf] * size
+
+    def bfs_layers():
+        queue = deque()
+        for idx in range(size):
+            dist[idx] = inf if match_left[idx] is not None else 0
+            if dist[idx] == 0:
+                queue.append(idx)
+        found = False
+        while queue:
+            idx = queue.popleft()
+            for head in adjacency[idx]:
+                other = match_right.get(head)
+                if other is None:
+                    found = True
+                elif dist[other] == inf:
+                    dist[other] = dist[idx] + 1
+                    queue.append(other)
+        return found
+
+    def try_augment(idx):
+        for head in adjacency[idx]:
+            other = match_right.get(head)
+            if other is None or (dist[other] == dist[idx] + 1
+                                 and try_augment(other)):
+                match_left[idx] = head
+                match_right[head] = idx
+                return True
+        dist[idx] = inf
+        return False
+
+    while bfs_layers():
+        for idx in range(size):
+            if match_left[idx] is None:
+                try_augment(idx)
+
+    chosen = [ColoredEdge(tail, match_left[idx], color)
+              for idx, (tail, color) in enumerate(lefts)
+              if match_left[idx] is not None]
+    return tuple(sorted(chosen, key=edge_sort_key))
 
 
 def _vertex_key(v):
@@ -252,3 +326,14 @@ def wide_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
             (r, c) for c in range(n) for r in rng.sample(range(n), 2)))
         subsystems.append((a, b))
     return SwitchedStructure(n=n, subsystems=tuple(subsystems))
+
+
+def chain_document(n: int) -> dict:
+    """Mode 1 has ``x_i -> x_i`` for i < n and ``x_i -> x_{i+1}``; mode 2
+    has one input into ``x_1``.  Its matching needs an augmenting path
+    through every state."""
+    a = [[i, i] for i in range(1, n)] + [[i + 1, i] for i in range(1, n)]
+    return {"n": n, "subsystems": [
+        {"A": a, "B": {"cols": 0, "nonzeros": []}},
+        {"A": [], "B": {"cols": 1, "nonzeros": [[1, 1]]}},
+    ]}

@@ -20,6 +20,7 @@ from swcactus import (
 )
 from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
 from swcactus.mdg import mdg_path_vertices
+from swcactus.rankcore import controllable_dim
 from swcactus.unigraph import ColoredEdge, InputVertex, restrict_to_color
 
 
@@ -235,3 +236,20 @@ def test_best_cover_prefers_mixed_then_lowest_color():
         cover = best_cactus_cover(g)
         assert cover.decomposition == decomp
         assert cover.restricted_color == color
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_fixpoint_is_a_bounded_cover(seed):
+    rng = np.random.default_rng(seed)
+    s = helpers.sparse_structure(rng, max_n=6, max_colors=3, max_edges=11)
+    g = build_union_graph(s)
+    exact = helpers.brute_best_cover(g)
+    probe_dim = controllable_dim(s).dim
+    for graph in (g, *(restrict_to_color(g, c) for c in range(g.colors))):
+        result = cactus_mod._cover_fixpoint(graph)
+        assert not result.dropped
+        assert helpers.is_valid_cover_config(
+            [*result.stems, *(e for grp in result.cycle_groups for e in grp)],
+            reachable_states(graph))
+        assert len(result.covered) <= min(exact, probe_dim)

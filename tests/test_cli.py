@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import swcactus
 import swcactus.cactus as cactus_mod
 import swcactus.checker as checker_mod
@@ -115,8 +116,34 @@ def test_bounds_runs_one_linking(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["conventional_lower"] == 6
     assert calls["build_mdg"] == calls["max_linking"] == calls["input_rank"] == 1
-    # one all-color fixpoint plus two per-color ones for each lower bound
-    assert calls["_cover_fixpoint"] <= 5
+    # one all-color fixpoint plus one per color, shared by both lower bounds
+    assert calls["_cover_fixpoint"] == 1 + 2
+
+
+@pytest.mark.parametrize("command", ["grank", "bounds", "cactus"])
+def test_long_augmenting_path(capsys, monkeypatch, command):
+    # the matching needs an augmenting path through all 5000 states; a
+    # recursive search ran out of stack near 1000
+    doc = json.dumps(helpers.chain_document(5000))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, command, "-")
+    assert code == 0 and err == ""
+    if command == "grank":
+        assert json.loads(out)["generic_rank"] == 5000
+    if command == "bounds":
+        assert json.loads(out)["lower"] == 5000
+
+
+@pytest.mark.parametrize("prime", ["18446744073709551557",
+                                   "318665857834031151167461"])
+def test_prime_beyond_sampler_exit_2(capsys, monkeypatch, prime):
+    # the first is prime but past the int64 sampler, the second a composite
+    # that the 12-base Miller-Rabin test passes
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(EX1).read_text()))
+    code, out, err = run(capsys, "check", "-", "--prime", prime)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "2**63" in lines[0]
 
 
 def test_counterexample_rejects_zero_samples(capsys):

@@ -42,6 +42,9 @@ CASES = [
     # the span and one that does not.  It sits in a subdirectory because the
     # benchmark times the CLI on every tests/data/*.json
     ("check_wide60.json", ["check", "probe/wide60.json"], 1),
+    # a 57-state mixed cover, and a matching of 59 of its 366 edges
+    ("cactus_wide60.json", ["cactus", "probe/wide60.json"], 0),
+    ("grank_wide60.json", ["grank", "probe/wide60.json"], 0),
 ]
 
 

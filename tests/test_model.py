@@ -147,6 +147,21 @@ def test_sample_realization_validates(example1):
         sample_realization(example1, prime=(1 << 61) + 1)
 
 
+@pytest.mark.parametrize("prime", [(1 << 64) - 59, 318665857834031151167461,
+                                   1 << 63])
+def test_sample_realization_rejects_primes_past_int64(example1, monkeypatch, prime):
+    # checked before primality: is_prime passes the composite 3186...461
+    monkeypatch.setattr("swcactus.model.is_prime", lambda p: pytest.fail("called"))
+    with pytest.raises(ModelError, match="below 2\\*\\*63"):
+        sample_realization(example1, prime=prime)
+
+
+def test_largest_int64_prime_accepted(example1):
+    prime = (1 << 63) - 25
+    values = sample_realization(example1, prime=prime).values.values()
+    assert all(1 <= v < prime for v in values)
+
+
 def test_cached_primality_keeps_rejections(example1):
     # is_prime is cached; a repeated draw must still reject what it rejected
     for _ in range(3):

@@ -168,3 +168,71 @@ def test_independence_property(seed):
     # restricting heads can never increase the matching
     sub = max_independent_edges(g, allowed_heads=range(g.n - 1))
     assert len(sub) <= len(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+def test_matching_equals_reference(seed, max_n, density):
+    # whole edge tuples, not sizes: the ties must break the same way
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=max_n, density=density)
+    g = build_union_graph(s)
+    allowed = [h for h in range(g.n) if rng.random() < 0.7]
+    for graph in (g, *(restrict_to_color(g, c) for c in range(g.colors))):
+        assert max_independent_edges(graph) == helpers.ref_max_independent_edges(graph)
+        assert (max_independent_edges(graph, allowed_heads=allowed)
+                == helpers.ref_max_independent_edges(graph, allowed_heads=allowed))
+
+
+@pytest.mark.parametrize("seed, n, modes", [(1, 40, 3), (2, 60, 2), (3, 80, 6)])
+def test_matching_equals_reference_wide(seed, n, modes):
+    g = build_union_graph(helpers.wide_structure(seed, n, modes))
+    banned = set(range(0, n, 7))
+    allowed = [h for h in range(n) if h not in banned]
+    assert max_independent_edges(g) == helpers.ref_max_independent_edges(g)
+    assert (max_independent_edges(g, allowed_heads=allowed)
+            == helpers.ref_max_independent_edges(g, allowed_heads=allowed))
+
+
+@pytest.mark.parametrize("seed, n, modes", [(1, 100, 3), (2, 250, 2), (3, 400, 3)])
+def test_matching_size_matches_networkx(seed, n, modes):
+    nx = pytest.importorskip("networkx")
+    g = build_union_graph(helpers.wide_structure(seed, n, modes))
+    allowed = frozenset(h for h in range(n) if h % 5)
+    for heads_ok in (None, allowed):
+        bip = nx.Graph()
+        lefts = set()
+        for e in g.edges:
+            if heads_ok is None or e.head in heads_ok:
+                lefts.add(("row", e.tail, e.color))
+                bip.add_edge(("row", e.tail, e.color), ("head", e.head))
+        size = len(nx.bipartite.maximum_matching(bip, top_nodes=lefts)) // 2
+        chosen = max_independent_edges(g, allowed_heads=heads_ok)
+        assert len(chosen) == size
+        assert helpers.is_independent(chosen)
+        assert heads_ok is None or {e.head for e in chosen} <= heads_ok
+
+
+def test_derived_results_are_kept(chain10):
+    g = build_union_graph(chain10)
+    assert reachable_states(g) is reachable_states(g)
+    assert restrict_to_color(g, 1) is restrict_to_color(g, 1)
+    sub = restrict_to_color(g, 1)
+    assert list(sub.edges) == [e for e in g.edges if e.color == 1]
+
+
+def test_edge_accessors_agree_with_edges():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        g = build_union_graph(
+            helpers.sparse_structure(rng, max_n=6, max_colors=3, max_edges=14))
+        edges = list(g.edges)
+        for h in range(g.n):
+            assert g.edges_into(h) == tuple(e for e in edges if e.head == h)
+        for v in (*g.input_vertices, *(StateVertex(k) for k in range(g.n))):
+            assert g.edges_from(v) == tuple(e for e in edges if e.tail == v)
+        inputs = sum(isinstance(e.tail, InputVertex) for e in edges)
+        assert g.input_edge_count == inputs
+        assert g.state_edge_count == len(edges) - inputs
