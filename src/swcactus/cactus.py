@@ -49,11 +49,6 @@ class Decomposition:
     dropped: tuple[ColoredEdge, ...]
 
     @property
-    def retained(self) -> tuple[ColoredEdge, ...]:
-        group_edges = [e for group in self.cycle_groups for e in group]
-        return tuple(sorted((*self.stems, *group_edges), key=edge_sort_key))
-
-    @property
     def covered(self) -> frozenset[int]:
         return frozenset([e.head for e in self.stems]
                          + [e.head for group in self.cycle_groups for e in group])
@@ -193,12 +188,14 @@ def _cover_fixpoint(g: UnionGraph) -> Decomposition:
     Dropped edges show their heads cannot be covered by the current
     selection; banning those heads and re-matching lets the matching spend
     its edges elsewhere.  The allowed set shrinks every round, so this
-    terminates.
+    terminates.  A round that allows every head reads the graph's kept
+    unrestricted matching, which is the same matching.
     """
     reachable = reachable_states(g)
     allowed = set(reachable)
     while True:
-        edges = max_independent_edges(g, allowed_heads=allowed)
+        edges = max_independent_edges(
+            g, allowed_heads=None if len(allowed) == g.n else allowed)
         decomp = decompose(edges, reachable)
         if not decomp.dropped:
             return decomp
@@ -283,9 +280,10 @@ def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputSta
     Each walk runs from an input to the group's entry vertex along shortest
     walks, circles the cycle ``loops`` times, and follows the group's unique
     edge path to the target.  The loop count is the degree of freedom used to
-    pull different groups' walks apart in the layered graph.
+    pull different groups' walks apart in the layered graph.  The walk
+    tree is computed once per graph and only read here.
     """
-    parents, dist = shortest_walk_tree(g)
+    parents, dist = g._once(shortest_walk_tree)
     cycle = component_cycle(group)
     cycle_tails = [e.tail.index for e in cycle]
     for v in cycle_tails:

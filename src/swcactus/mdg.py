@@ -14,12 +14,13 @@ through their own ``B_l`` pattern; a state copy in block ``(k, t)`` at layer
 carries the key of the structural entry it represents, so one realization
 assigns consistent weights to all copies of an entry.
 
-The graph is implicit: :class:`Mdg` stores only the layer sizes and the
-sorted rows of every ``A`` and ``B`` column, and derives everything else by
-arithmetic.  Vertices are numbered layer by layer; inside a layer all input
-copies come first (block-major, then subsystem, then column), then all
-state copies (block-major, then state).  The integer id of a vertex is
-therefore ``base[i] + block * M + offset[l] + q`` for an input copy and
+The graph is implicit: :class:`Mdg` stores only the layer sizes, reads the
+sorted rows of every ``A`` and ``B`` column from the patterns' own
+``columns``, and derives everything else by arithmetic.  Vertices are
+numbered layer by layer; inside a layer all input copies come first
+(block-major, then subsystem, then column), then all state copies
+(block-major, then state).  The integer id of a vertex is therefore
+``base[i] + block * M + offset[l] + q`` for an input copy and
 ``base[i] + blocks[i] * M + block * n + j`` for a state copy.
 
 At the API boundary vertices are plain tuples, so they hash, sort, and print
@@ -154,10 +155,8 @@ class Mdg:
         self._input_slots = tuple(
             (l, q) for l in range(self.colors) for q in range(self.input_counts[l]))
         # sorted rows of every B_l and A_k column
-        self._b_cols = tuple(_column_rows(b.nonzeros, b.cols)
-                             for _, b in structure.subsystems)
-        self._a_cols = tuple(_column_rows(a.nonzeros, self.n)
-                             for a, _ in structure.subsystems)
+        self._b_cols = tuple(b.columns for _, b in structure.subsystems)
+        self._a_cols = tuple(a.columns for a, _ in structure.subsystems)
 
     def _block_ids(self, layer: int) -> Iterator[tuple[int, int]]:
         if layer == 0:
@@ -257,13 +256,6 @@ class Mdg:
             digits.append(value % self.colors)
             value //= self.colors
         return (k, *reversed(digits))
-
-
-def _column_rows(nonzeros, cols: int) -> tuple[tuple[int, ...], ...]:
-    rows: list[list[int]] = [[] for _ in range(cols)]
-    for r, c in sorted(nonzeros):
-        rows[c].append(r)
-    return tuple(tuple(col) for col in rows)
 
 
 def build_mdg(structure: SwitchedStructure, depth: int, *,

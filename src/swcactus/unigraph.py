@@ -15,22 +15,27 @@ the row-concatenation of all system matrices, which is why it drives both
 the controllability test and the cover construction downstream.
 
 Layout.  Vertices are numbered once, inputs first (by subsystem, then
-column) and then the states, which is :func:`vertex_sort_key` order.  With
-``V`` vertices an edge is the single integer ``(color * V + tail) * n +
-head``, so sorted keys are edges in :func:`edge_sort_key` order.  The edges
-of one (tail, color) pair form a *row*, one left vertex of the matching,
-kept once as its sorted head list.  Rows and keys are sorted by color
-first, so :func:`restrict_to_color` takes contiguous slices.
-:class:`ColoredEdge` objects exist only at the public boundary: ``edges``
-(a view that builds them as it is read), ``edges_from``, ``edges_into`` and
-returned matchings.
+column) and then the states, which is :func:`vertex_sort_key` order.  The
+edges of one (tail, color) pair form a *row*, one left vertex of the
+matching, numbered ``color * V + tail`` with ``V`` vertices and kept as
+its ascending head tuple.  Rows ascend, so iterating them yields edges in
+:func:`edge_sort_key` order, and a color's rows are contiguous, so
+:func:`restrict_to_color` takes slices.  The head tuple of a row is column
+``tail`` of that color's ``B_i`` or ``A_i``, taken as it is from
+:attr:`StructuredMatrix.columns`; nothing is sorted or regrouped, and a
+subgraph shares its parent's tuples.  :class:`ColoredEdge` objects exist
+only at the public boundary: ``edges`` (a view that builds them as it is
+read), ``edges_from``, ``edges_into`` and returned matchings.
 
 Memo.  A graph never changes, so results derived from it are computed
 once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
 function and its arguments: :func:`reachable_states` keeps ``_reachable``,
 :func:`restrict_to_color` keeps ``_color_slice`` per color, ``edges_from``
-keeps ``_out_edges`` (built on its first call) and the cactus module keeps
-``_cover_fixpoint``.  A graph is dropped with its memo.
+keeps ``_out_edges`` (built on its first call), and
+:func:`max_independent_edges` without ``allowed_heads`` keeps
+``_max_matching``.  The cactus module keeps ``_cover_fixpoint``, whose
+first round reads that kept matching when every state is reachable, and
+``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
 
 Matching.  :func:`max_independent_edges` is Hopcroft-Karp (SIAM J. Comput.
 1973) on the rows, with an explicit stack in place of recursion, so an
@@ -101,16 +106,17 @@ class UnionGraph:
     def __init__(self, n: int, input_counts: tuple[int, ...],
                  edges: Iterable[ColoredEdge]) -> None:
         self._shape(n, input_counts)
-        keys = []
+        by_row: dict[int, list[int]] = {}
         for e in edges:
             self._check_edge(e)
-            keys.append(self._edge_key(e))
-        keys.sort()
-        self._set_keys(keys)
+            row = e.color * self._width + self._vertex_id(e.tail)
+            by_row.setdefault(row, []).append(e.head)
+        rows = sorted(by_row)
+        self._set_rows(rows, [tuple(sorted(by_row[row])) for row in rows])
 
     @classmethod
     def _blank(cls, n: int, input_counts: tuple[int, ...]) -> UnionGraph:
-        """A graph whose edges are still to be set, from valid keys."""
+        """A graph whose edges are still to be set, from valid rows."""
         g = cls.__new__(cls)
         g._shape(n, input_counts)
         return g
@@ -133,22 +139,11 @@ class UnionGraph:
         self._width = total + self.n
         self._memo: dict = {}
 
-    def _set_keys(self, keys: list[int]) -> None:
-        n = self.n
-        rows: list[int] = []
-        adj: list[list[int]] = []
-        prev = -1
-        for key in keys:
-            row, head = divmod(key, n)
-            if row != prev:
-                heads: list[int] = []
-                rows.append(row)
-                adj.append(heads)
-                prev = row
-            heads.append(head)
-        self._keys = keys
+    def _set_rows(self, rows: list[int], adj: list[tuple[int, ...]]) -> None:
+        """Ascending row ids and each row's ascending head tuple."""
         self._rows = rows
         self._adj = adj
+        self._edge_count = sum(map(len, adj))
 
     def _check_edge(self, e: ColoredEdge) -> None:
         if not (0 <= e.color < self.colors):
@@ -176,9 +171,6 @@ class UnionGraph:
             return None
         return self._inputs + vertex.index
 
-    def _edge_key(self, e: ColoredEdge) -> int:
-        return (e.color * self._width + self._vertex_id(e.tail)) * self.n + e.head
-
     def _row_tail(self, row: int) -> tuple[Vertex, int]:
         """The tail vertex and the color of one row."""
         color, t = divmod(row, self._width)
@@ -189,11 +181,6 @@ class UnionGraph:
     def _row_edges(self, row: int, heads) -> list[ColoredEdge]:
         tail, color = self._row_tail(row)
         return [ColoredEdge(tail, h, color) for h in heads]
-
-    def _key_edge(self, key: int) -> ColoredEdge:
-        row, head = divmod(key, self.n)
-        tail, color = self._row_tail(row)
-        return ColoredEdge(tail, head, color)
 
     def _once(self, compute: Callable, *args):
         """``compute(self, *args)``, computed on the first call and kept.
@@ -224,17 +211,19 @@ class UnionGraph:
         return self._once(_out_edges)[t]
 
     def edges_into(self, head: int) -> tuple[ColoredEdge, ...]:
-        n = self.n
-        return tuple(self._key_edge(k) for k in self._keys if k % n == head)
+        tails = [self._row_tail(row) for row, heads in zip(self._rows, self._adj)
+                 for h in heads if h == head]
+        return tuple(ColoredEdge(tail, head, color) for tail, color in tails)
 
     @property
     def state_edge_count(self) -> int:
-        return len(self._keys) - self.input_edge_count
+        return self._edge_count - self.input_edge_count
 
     @property
     def input_edge_count(self) -> int:
-        n, width, m = self.n, self._width, self._inputs
-        return sum(1 for k in self._keys if k // n % width < m)
+        width, m = self._width, self._inputs
+        return sum(len(heads) for row, heads in zip(self._rows, self._adj)
+                   if row % width < m)
 
 
 class EdgeView(Sequence):
@@ -246,13 +235,10 @@ class EdgeView(Sequence):
         self._graph = graph
 
     def __len__(self) -> int:
-        return len(self._graph._keys)
+        return self._graph._edge_count
 
     def __getitem__(self, index):
-        g = self._graph
-        if isinstance(index, slice):
-            return tuple(map(g._key_edge, g._keys[index]))
-        return g._key_edge(g._keys[index])
+        return tuple(self)[index]
 
     def __iter__(self) -> Iterator[ColoredEdge]:
         g = self._graph
@@ -270,23 +256,25 @@ def _out_edges(g: UnionGraph) -> list[tuple[ColoredEdge, ...]]:
 
 def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
     g = UnionGraph._blank(structure.n, structure.input_counts)
-    n, width = g.n, g._width
-    keys: list[int] = []
+    rows: list[int] = []
+    adj: list[tuple[int, ...]] = []
     for i, (a, b) in enumerate(structure.subsystems):
-        states = (i * width + g._inputs) * n
-        inputs = (i * width + g._input_base[i]) * n
-        keys += [states + c * n + r for r, c in a.nonzeros]
-        keys += [inputs + c * n + r for r, c in b.nonzeros]
-    keys.sort()
-    g._set_keys(keys)
+        # one row per non-empty column; per color, input rows come first
+        base = i * g._width
+        for first, mat in ((base + g._input_base[i], b), (base + g._inputs, a)):
+            for c, heads in enumerate(mat.columns):
+                if heads:
+                    rows.append(first + c)
+                    adj.append(heads)
+    g._set_rows(rows, adj)
     return g
 
 
 def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
     """Subgraph keeping only the given color's edges (state set unchanged).
 
-    The color's edges are a contiguous slice of ``g``'s keys; the subgraph
-    is built once per graph and color.
+    The color's rows are a contiguous slice of ``g``'s rows, sharing their
+    head tuples; the subgraph is built once per graph and color.
     """
     if not (0 <= color < g.colors):
         raise ModelError(f"color {color + 1} outside 1..{g.colors}")
@@ -295,17 +283,17 @@ def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
 
 def _color_slice(g: UnionGraph, color: int) -> UnionGraph:
     sub = UnionGraph._blank(g.n, g.input_counts)
-    step = g._width * g.n
-    lo = bisect_left(g._keys, color * step)
-    hi = bisect_left(g._keys, (color + 1) * step)
-    sub._set_keys(g._keys[lo:hi])
+    lo = bisect_left(g._rows, color * g._width)
+    hi = bisect_left(g._rows, (color + 1) * g._width)
+    sub._set_rows(g._rows[lo:hi], g._adj[lo:hi])
     return sub
 
 
 def input_edges_only(g: UnionGraph) -> UnionGraph:
     sub = UnionGraph._blank(g.n, g.input_counts)
-    n, width, m = g.n, g._width, g._inputs
-    sub._set_keys([k for k in g._keys if k // n % width < m])
+    width, m = g._width, g._inputs
+    kept = [k for k, row in enumerate(g._rows) if row % width < m]
+    sub._set_rows([g._rows[k] for k in kept], [g._adj[k] for k in kept])
     return sub
 
 
@@ -344,7 +332,15 @@ def max_independent_edges(g: UnionGraph,
     the generic rank of ``[A_1 .. A_N, B_1 .. B_N]`` (restricted to
     ``allowed_heads`` when given).  Fully deterministic: ties are broken by
     color, then input tails before state tails, then tail and head order.
+    The matching without ``allowed_heads`` is computed once per graph.
     """
+    if allowed_heads is None:
+        return g._once(_max_matching)
+    return _max_matching(g, allowed_heads)
+
+
+def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
+                  ) -> tuple[ColoredEdge, ...]:
     adj = g._adj
     size = len(adj)
     # a head outside allowed_heads is held by the sentinel left ``size``,

@@ -253,3 +253,18 @@ def test_fixpoint_is_a_bounded_cover(seed):
             [*result.stems, *(e for grp in result.cycle_groups for e in grp)],
             reachable_states(graph))
         assert len(result.covered) <= min(exact, probe_dim)
+
+
+def test_walking_builds_one_walk_tree(boost, monkeypatch):
+    calls = []
+    original = cactus_mod.shortest_walk_tree
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+    monkeypatch.setattr(cactus_mod, "shortest_walk_tree", counted)
+    g = build_union_graph(boost)
+    assert verify_cactus_walking(best_cactus_cover(g), g) is not None
+    assert calls == [g]
+    # the public function still hands out fresh dicts
+    assert original(g)[0] is not original(g)[0]

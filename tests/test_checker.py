@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 import swcactus.checker as checker_mod
+import swcactus.unigraph as unigraph_mod
 from swcactus import (
     CheckReport,
     ConsistencyError,
@@ -159,3 +161,20 @@ def test_mid_scale_views_agree(seed, n, colors):
     assert len(conventional.covered) <= report.bounds.lower
     if report.controllable:
         assert report.certificate == report.cover.decomposition
+
+
+@pytest.mark.parametrize("name", ["example1", "boost", "chain10"])
+def test_check_runs_one_unrestricted_matching_per_graph(name, monkeypatch):
+    # a mask that allows every head gives the unrestricted matching again,
+    # so it counts as one; the graphs are kept alive as counter keys
+    counts: Counter = Counter()
+    original = unigraph_mod._max_matching
+
+    def counted(g, allowed_heads=None):
+        if allowed_heads is None or set(allowed_heads) >= set(range(g.n)):
+            counts[g] += 1
+        return original(g, allowed_heads)
+    monkeypatch.setattr(unigraph_mod, "_max_matching", counted)
+    report = check(helpers.load_system(name))
+    assert counts[report.graph] == 1
+    assert set(counts.values()) == {1}

@@ -32,6 +32,18 @@ def test_structured_matrix_bounds():
         StructuredMatrix(0, 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=5),
+       st.data())
+def test_columns_group_sorted_nonzeros(rows, cols, data):
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, max(cols - 1, 0)))
+    nonzeros = data.draw(st.frozensets(cells) if cols else st.just(frozenset()))
+    m = StructuredMatrix(rows, cols, nonzeros)
+    assert m.columns == tuple(tuple(r for r, c in sorted(nonzeros) if c == col)
+                              for col in range(cols))
+    assert all(m.column_rows(c) is m.columns[c] for c in range(cols))
+
+
 def test_zero_column_matrix_allowed():
     m = StructuredMatrix(3, 0)
     assert m.nnz == 0

@@ -21,6 +21,15 @@ from swcactus import (
 from swcactus.unigraph import UnionGraph, edge_sort_key, format_vertex
 
 
+def _pattern_edges(s):
+    """The union graph's edges read straight off the nonzeros, unsorted."""
+    edges = []
+    for i, (a, b) in enumerate(s.subsystems):
+        edges += [ColoredEdge(StateVertex(c), r, i) for r, c in a.nonzeros]
+        edges += [ColoredEdge(InputVertex(i, c), r, i) for r, c in b.nonzeros]
+    return edges
+
+
 def test_example1_edges(example1):
     g = build_union_graph(example1)
     assert g.n == 3 and g.colors == 2
@@ -236,3 +245,57 @@ def test_edge_accessors_agree_with_edges():
         inputs = sum(isinstance(e.tail, InputVertex) for e in edges)
         assert g.input_edge_count == inputs
         assert g.state_edge_count == len(edges) - inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from([0.1, 0.3, 0.6]))
+def test_pattern_rows_match_public_constructor(seed, density):
+    # whole edge tuples: the rows taken from the pattern columns must equal
+    # the graph the public constructor builds from the same edge list
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=7, density=density)
+    edges = _pattern_edges(s)
+    expected = sorted(edges, key=edge_sort_key)
+    rng.shuffle(edges)
+    g = build_union_graph(s)
+    ref = UnionGraph(s.n, s.input_counts, edges)
+    assert tuple(g.edges) == tuple(ref.edges) == tuple(expected)
+    assert len(g.edges) == len(ref.edges) == len(expected)
+    for c in range(g.colors):
+        mine, theirs = restrict_to_color(g, c), restrict_to_color(ref, c)
+        assert (tuple(mine.edges) == tuple(theirs.edges)
+                == tuple(e for e in expected if e.color == c))
+        assert len(mine.edges) == len(theirs.edges)
+    mine, theirs = input_edges_only(g), input_edges_only(ref)
+    assert (tuple(mine.edges) == tuple(theirs.edges)
+            == tuple(e for e in expected if isinstance(e.tail, InputVertex)))
+    assert len(mine.edges) == mine.input_edge_count == theirs.input_edge_count
+
+
+def test_edge_view_indexing_agrees_with_iteration():
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        g = build_union_graph(helpers.random_structure(rng, max_n=6))
+        edges = list(g.edges)
+        view = g.edges
+        assert len(view) == len(edges)
+        for i in range(-len(edges), len(edges)):
+            assert view[i] == edges[i]
+        for part in (slice(None), slice(1, None, 2), slice(-3, None),
+                     slice(None, None, -1), slice(2, 1)):
+            assert view[part] == tuple(edges[part])
+        with pytest.raises(IndexError):
+            view[len(edges)]
+
+
+def test_color_slices_share_pattern_columns(chain10):
+    g = build_union_graph(chain10)
+    for color, (a, b) in enumerate(chain10.subsystems):
+        sub = restrict_to_color(g, color)
+        assert sub._rows
+        for row, heads in zip(sub._rows, sub._adj):
+            tail, row_color = sub._row_tail(row)
+            mat = b if isinstance(tail, InputVertex) else a
+            assert row_color == color
+            assert heads is mat.columns[tail.index]
