@@ -34,9 +34,11 @@ asks about and for the paths of a returned linking.
 
 A vertex-disjoint path family from input copies onto layer-0 states bounds
 the generic rank of the depth-limited product stack.  Maximum families are
-computed by unit-capacity Dinic max-flow with every vertex split into an
-in/out pair (Even and Tarjan 1975), on flat integer arrays: one list of arc
-heads, one of residual capacities, and per-node lists of arc ids.
+found as a bipartite matching (Ingleton and Piff 1973), by the union
+graph's Hopcroft-Karp loop: one row per vertex id, listing its heads, with
+every state copy above layer 0 listing itself first so that it can stay
+off every path.  The matching, followed down from each input copy, gives
+the paths; a chain that stops short of layer 0 is dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import ModelError, Realization, SwitchedStructure
-from .unigraph import InputStateWalk
+from .unigraph import InputStateWalk, hopcroft_karp
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -283,157 +285,55 @@ class Linking:
 def max_linking(mdg: Mdg) -> Linking:
     """Maximum vertex-disjoint linking from all input copies to layer 0.
 
-    Unit-capacity max-flow with every graph vertex split into an in/out pair,
-    so disjointness is on vertices, not just edges.  Vertex ``v`` becomes
-    nodes ``2v`` (in) and ``2v + 1`` (out); arcs are inserted in vertex-id
-    order, each vertex's out-edges sorted by head, so equal inputs always
-    produce the identical linking.  Paths are listed by tail id.
-    """
-    heads, adj, source, sink = _split_network(mdg)
-    caps = [1, 0] * (len(heads) // 2)
-    _dinic(heads, caps, adj, source, sink)
-
-    first_state, last_state = mdg.total_inputs, mdg.total_inputs + mdg.n
-    paths: list[tuple[MdgVertex, ...]] = []
-    for eid in adj[source]:
-        if caps[eid]:
-            continue
-        vid = heads[eid] >> 1
-        path = [vid]
-        while not first_state <= vid < last_state:
-            # vertex capacity 1 leaves exactly one saturated forward arc
-            for eid in adj[2 * vid + 1]:
-                if not eid & 1 and not caps[eid]:
-                    break
-            else:
-                raise AssertionError("flow conservation violated during path extraction")
-            vid = heads[eid] >> 1
-            path.append(vid)
-        paths.append(tuple(mdg._vertex(v) for v in path))
-    return Linking(paths=tuple(paths))
-
-
-def _split_network(mdg: Mdg) -> tuple[list[int], list[list[int]], int, int]:
-    """Arc heads and per-node arc lists of the vertex-split flow network.
-
-    Arc ``e`` and its residual twin ``e ^ 1`` are stored side by side.
-    Arcs are inserted vertex by vertex in id order: the split arc, then the
-    source or sink arc, then the edges of the layered graph sorted by head.
+    A linking is a matching in disguise (Ingleton and Piff 1973).  Every
+    vertex but the layer-0 states is a row listing its out-neighbors, and
+    a state copy above layer 0 lists itself first.  A linking, plus a self
+    match for every such copy off its paths, is a matching; conversely a
+    maximum matching from :func:`unigraph.hopcroft_karp`, followed down
+    from each input copy, traces chains, and the ones that reach layer 0
+    form a linking of the matching's size minus the state copies above
+    layer 0.  A chain that stops short, at a copy whose row is unmatched,
+    is dropped.  Rows are built in vertex-id order, heads sorted after the
+    self entry, so equal inputs always produce the identical linking.
+    Paths are listed by tail id.
     """
     n, m = mdg.n, mdg.total_inputs
-    count = mdg.vertex_count
-    source, sink = 2 * count, 2 * count + 1
-    heads: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(2 * count + 2)]
-
-    def arc(tail: int, head: int) -> None:
-        adj[tail].append(len(heads))
-        adj[head].append(len(heads) + 1)
-        heads.extend((head, tail))
-
-    vid = 0
+    adj: list[tuple[int, ...]] = []
     for layer, blocks in enumerate(mdg._blocks_at):
         # id of the layer's first state copy; its input copies come before
         states = mdg._layer_base[layer] + blocks * m
         for block in range(blocks):
+            base = states + block * n
             for l, q in mdg._input_slots:
-                arc(2 * vid, 2 * vid + 1)
-                arc(source, 2 * vid)
-                for r in mdg._b_cols[l][q]:
-                    arc(2 * vid + 1, 2 * (states + block * n + r))
-                vid += 1
-        for block in range(blocks):
-            k, t = mdg._block_of(layer, block)
-            for c in range(n):
-                arc(2 * vid, 2 * vid + 1)
-                if layer == 0:
-                    arc(2 * vid + 1, sink)
-                else:
-                    # block (k, t) feeds block t of the layer below
-                    for r in mdg._a_cols[k][c]:
-                        arc(2 * vid + 1, 2 * (below + t * n + r))
-                vid += 1
+                adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
+        if layer == 0:
+            adj += [()] * n
+        else:
+            for block in range(blocks):
+                k, t = mdg._block_of(layer, block)
+                # block (k, t) feeds block t of the layer below
+                base = below + t * n
+                for rows in mdg._a_cols[k]:
+                    adj.append((len(adj), *[base + r for r in rows]))
         below = states
-    return heads, adj, source, sink
+    match = hopcroft_karp(adj, [-1] * len(adj))
 
-
-def _dinic(heads: list[int], caps: list[int], adj: list[list[int]],
-           source: int, sink: int) -> int:
-    """Unit-capacity Dinic max-flow; saturates ``caps`` in place.
-
-    Each phase labels nodes by residual distance from the source, stopping
-    once the sink is labelled, then keeps the labels of the nodes that lie on
-    a shortest path to the sink.  Augmenting paths are found by a depth-first
-    search with per-node arc pointers that restarts from the source after
-    every augmentation.  Inside a phase usable arcs only disappear, so a node
-    dropped by either pruning is one the search would have entered and left
-    as a dead end: pruning changes the running time, not the flow.
-    """
-    total = 0
-    size = len(adj)
-    # a flow saturating every source or every sink arc is maximum already
-    limit = min(len(adj[source]), len(adj[sink]))
-    while total < limit:
-        level = [-1] * size
-        level[source] = 0
-        queue = [source]
-        for v in queue:
-            next_level = level[v] + 1
-            for eid in adj[v]:
-                if caps[eid]:
-                    head = heads[eid]
-                    if level[head] < 0:
-                        level[head] = next_level
-                        queue.append(head)
-            if level[sink] >= 0:
-                break
-        if level[sink] < 0:
-            return total
-        # keep the labels of nodes on shortest source-sink paths only; the
-        # search below would reach every other node as a dead end
-        rank = [-1] * size
-        rank[sink] = level[sink]
-        queue = [sink]
-        for w in queue:
-            want = level[w] - 1
-            for eid in adj[w]:
-                tail = heads[eid]
-                if rank[tail] < 0 and level[tail] == want and caps[eid ^ 1]:
-                    rank[tail] = want
-                    queue.append(tail)
-
-        progress = [0] * size
-        stack = [source]
-        path: list[int] = []
-        while True:
-            v = stack[-1]
-            if v == sink:
-                for eid in path:
-                    caps[eid] -= 1
-                    caps[eid ^ 1] += 1
-                total += 1
-                del stack[1:]
-                path.clear()
-                continue
-            arcs = adj[v]
-            i = progress[v]
-            want = rank[v] + 1
-            while i < len(arcs):
-                eid = arcs[i]
-                if caps[eid] and rank[heads[eid]] == want:
-                    break
-                i += 1
-            progress[v] = i
-            if i < len(arcs):
-                stack.append(heads[eid])
-                path.append(eid)
-            elif v == source:
-                break
-            else:
-                stack.pop()
-                path.pop()
-                progress[stack[-1]] += 1
-    return total
+    first_state, last_state = m, m + n
+    paths: list[tuple[MdgVertex, ...]] = []
+    for layer, blocks in enumerate(mdg._blocks_at):
+        start = mdg._layer_base[layer]
+        for vid in range(start, start + blocks * m):
+            path = [vid]
+            while match[path[-1]] >= 0:
+                path.append(match[path[-1]])
+            if first_state <= path[-1] < last_state:
+                paths.append(tuple(mdg._vertex(v) for v in path))
+    # a maximum matching holds one match per path and one per state copy
+    # above layer 0
+    inner = n * sum(mdg._blocks_at[1:])
+    if len(paths) != len(adj) - match.count(-1) - inner:
+        raise AssertionError("linking size differs from the matching size")
+    return Linking(paths=tuple(paths))
 
 
 def linking_determinant_expansion(mdg: Mdg, realization: Realization,

@@ -98,7 +98,7 @@ class StructuredMatrix:
             columns[c].append(r)
         # built with the pattern, not on first use: built lazily, these
         # long-lived tuples land among one op's transient objects, and the
-        # layered-graph flows run after them were measured about 20% slower
+        # layered-graph linkings run after them were measured about 20% slower
         object.__setattr__(self, "columns", tuple(tuple(sorted(col)) for col in columns))
 
     @property

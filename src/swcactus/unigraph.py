@@ -37,10 +37,12 @@ keeps ``_out_edges`` (built on its first call), and
 first round reads that kept matching when every state is reachable, and
 ``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
 
-Matching.  :func:`max_independent_edges` is Hopcroft-Karp (SIAM J. Comput.
-1973) on the rows, with an explicit stack in place of recursion, so an
-augmenting path may run through every state.  Heads outside
-``allowed_heads`` are held by a sentinel row that no search may displace.
+Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
+1973) is the one augmenting-path loop of the package, with an explicit
+stack in place of recursion, so an augmenting path may run through every
+state.  It has two callers: :func:`max_independent_edges` runs it on the
+rows, with heads outside ``allowed_heads`` held by a sentinel row that no
+search may displace, and ``mdg.max_linking`` runs it on the layered graph.
 Rows and heads are tried in the same order as a recursive search would, so
 the matching is fully determined by the graph.
 """
@@ -341,10 +343,8 @@ def max_independent_edges(g: UnionGraph,
 
 def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
                   ) -> tuple[ColoredEdge, ...]:
-    adj = g._adj
-    size = len(adj)
-    # a head outside allowed_heads is held by the sentinel left ``size``,
-    # whose layer never qualifies, so no phase can take it
+    size = len(g._adj)
+    # a head outside allowed_heads is held by the sentinel left ``size``
     if allowed_heads is None:
         match_right = [-1] * g.n
     else:
@@ -352,10 +352,33 @@ def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
         for h in allowed_heads:
             if 0 <= h < g.n:
                 match_right[h] = -1
+    match_left = hopcroft_karp(g._adj, match_right)
+
+    # rows are in (color, tail) order, so the edges come out sorted
+    rows = g._rows
+    chosen: list[ColoredEdge] = []
+    for idx, head in enumerate(match_left):
+        if head >= 0:
+            tail, color = g._row_tail(rows[idx])
+            chosen.append(ColoredEdge(tail, head, color))
+    return tuple(chosen)
+
+
+def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[int]:
+    """Maximum bipartite matching; the head of every left, or ``-1``.
+
+    ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
+    ``match_right[h]`` is the left holding head ``h``: ``-1`` if it is
+    free, and ``len(adj)`` for a sentinel that no search may displace.  It
+    is updated in place.  Lefts and heads are tried in the same order as a
+    recursive search would, so the matching is fully determined by ``adj``.
+    """
+    size = len(adj)
     match_left = [-1] * size
     inf = size + 1
     while True:
-        # breadth-first layers from every free row
+        # breadth-first layers from every free left; the sentinel's layer
+        # never qualifies
         dist = [inf if m >= 0 else 0 for m in match_left]
         dist.append(-2)
         queue = [idx for idx in range(size) if match_left[idx] < 0]
@@ -370,10 +393,10 @@ def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
                     dist[other] = layer
                     queue.append(other)
         if not found:
-            break
-        # one depth-first augmenting search per free row, on an explicit
-        # stack: path[j] is a row and pos[j] the position after the head
-        # it is trying, so heads are tried in row order as in a recursion
+            return match_left
+        # one depth-first augmenting search per free left, on an explicit
+        # stack: path[j] is a left and pos[j] the position after the head
+        # it is trying, so heads are tried in order as in a recursion
         for root in range(size):
             if match_left[root] >= 0:
                 continue
@@ -404,15 +427,6 @@ def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
                     break
                 path.append(other)
                 pos.append(0)
-
-    # rows are in (color, tail) order, so the edges come out sorted
-    rows = g._rows
-    chosen: list[ColoredEdge] = []
-    for idx, head in enumerate(match_left):
-        if head >= 0:
-            tail, color = g._row_tail(rows[idx])
-            chosen.append(ColoredEdge(tail, head, color))
-    return tuple(chosen)
 
 
 def generic_rank(g: UnionGraph) -> int:

@@ -314,6 +314,15 @@ def brute_reachable_space_dim(structure: SwitchedStructure,
     return len(reducer.basis), layers
 
 
+def _wide_a(rng: random.Random, n: int, rows) -> StructuredMatrix:
+    return StructuredMatrix(n, n, frozenset(
+        (r, c) for c in range(n) for r in rng.sample(rows, 2)))
+
+
+def _input_at(n: int, rows) -> StructuredMatrix:
+    return StructuredMatrix(n, 1, frozenset((r, 0) for r in rows))
+
+
 def wide_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
     """The benchmark's wide family: every column of every ``A_i`` gets two
     distinct random rows, and every ``B_i`` one column with two.  Same draws
@@ -321,11 +330,40 @@ def wide_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
     rng = random.Random(seed)
     subsystems = []
     for _ in range(modes):
-        b = StructuredMatrix(n, 1, frozenset((r, 0) for r in rng.sample(range(n), 2)))
-        a = StructuredMatrix(n, n, frozenset(
-            (r, c) for c in range(n) for r in rng.sample(range(n), 2)))
-        subsystems.append((a, b))
+        b = _input_at(n, rng.sample(range(n), 2))
+        subsystems.append((_wide_a(rng, n, range(n)), b))
     return SwitchedStructure(n=n, subsystems=tuple(subsystems))
+
+
+def gapped_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
+    """The benchmark's gapped family: wide ``A_i`` patterns over all rows
+    but two gap rows, and one input, in mode 1, feeding both gap rows.  Same
+    draws as ``gapped(random.Random(seed), n, modes)`` in
+    ``perfbench/families.py``."""
+    rng = random.Random(seed)
+    gap = rng.sample(range(n), 2)
+    rest = [r for r in range(n) if r not in gap]
+    subsystems = []
+    for i in range(modes):
+        b = _input_at(n, gap) if i == 0 else StructuredMatrix(n, 0)
+        subsystems.append((_wide_a(rng, n, rest), b))
+    return SwitchedStructure(n=n, subsystems=tuple(subsystems))
+
+
+def pinched_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
+    """The benchmark's pinched family: wide ``A_i`` patterns plus a
+    Hamiltonian path from the one input, in mode 1, with every step in a
+    random mode.  Same draws as ``pinched(random.Random(seed), n, modes)``
+    in ``perfbench/families.py``."""
+    rng = random.Random(seed)
+    a = [set(_wide_a(rng, n, range(n)).nonzeros) for _ in range(modes)]
+    order = rng.sample(range(n), n)
+    for tail, head in zip(order, order[1:]):
+        a[rng.randrange(modes)].add((head, tail))
+    return SwitchedStructure(n=n, subsystems=tuple(
+        (StructuredMatrix(n, n, frozenset(a[i])),
+         _input_at(n, [order[0]]) if i == 0 else StructuredMatrix(n, 0))
+        for i in range(modes)))
 
 
 def chain_document(n: int) -> dict:

@@ -45,6 +45,10 @@ CASES = [
     # a 57-state mixed cover, and a matching of 59 of its 366 edges
     ("cactus_wide60.json", ["cactus", "probe/wide60.json"], 0),
     ("grank_wide60.json", ["grank", "probe/wide60.json"], 0),
+    # gapped6 is perfbench/families.py gapped(random.Random(0), 6, 3): a
+    # linking of 5 out of 2548 layered vertices, where the matching leaves
+    # chains that stop short of layer 0
+    ("mdg_gapped6.json", ["mdg", "probe/gapped6.json"], 0),
 ]
 
 

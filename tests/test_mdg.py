@@ -1,4 +1,7 @@
+import json
+import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from swcactus import (
     InputVertex,
     MdgSizeError,
     ModelError,
+    StructuredMatrix,
+    SwitchedStructure,
     build_mdg,
     build_union_graph,
     layered_product_columns,
@@ -196,14 +201,9 @@ def _split_graph(nx, mdg):
     return g
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 9))
-def test_linking_matches_networkx_max_flow(nx, seed):
-    rng = np.random.default_rng(seed)
-    s = helpers.random_structure(rng, max_n=6, max_colors=3)
-    depth = s.n - input_rank(build_union_graph(s))
-    mdg = build_mdg(s, depth)
-    linking = max_linking(mdg)
+def _assert_max_linking(nx, mdg, linking):
+    """``linking`` has the max-flow size, starts at input copies, ends on
+    layer 0, follows edges and is vertex-disjoint."""
     assert linking.size == nx.maximum_flow_value(
         _split_graph(nx, mdg), "source", "sink")
 
@@ -216,6 +216,66 @@ def test_linking_matches_networkx_max_flow(nx, seed):
             assert head in [h for h, _ in mdg.edges_from(tail)]
         assert used.isdisjoint(path)
         used.update(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_linking_matches_networkx_max_flow(nx, seed):
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=6, max_colors=3)
+    depth = s.n - input_rank(build_union_graph(s))
+    mdg = build_mdg(s, depth)
+    _assert_max_linking(nx, mdg, max_linking(mdg))
+
+
+@pytest.mark.parametrize("family", [helpers.gapped_structure,
+                                    helpers.pinched_structure])
+@pytest.mark.parametrize("seed", range(3))
+def test_benchmark_families_match_networkx_max_flow(nx, family, seed):
+    # the deep workload's families at n=6 and 3 modes: one input, so the
+    # unrolling runs to depth n - 1 (2,548 layered vertices)
+    s = family(seed, 6, 3)
+    mdg = build_mdg(s, s.n - 1)
+    _assert_max_linking(nx, mdg, max_linking(mdg))
+
+
+def test_family_helpers_draw_like_the_benchmark(monkeypatch):
+    monkeypatch.syspath_prepend(str(helpers.DATA_DIR.parents[1] / "perfbench"))
+    families = pytest.importorskip("families")
+    for name in ("wide", "gapped", "pinched"):
+        build = getattr(helpers, f"{name}_structure")
+        for seed in range(3):
+            doc = getattr(families, name)(random.Random(seed), 7, 3)
+            assert parse_system(json.dumps(doc)) == build(seed, 7, 3)
+
+
+def test_linking_memory_per_layered_vertex():
+    # one head tuple per vertex plus the matching's arrays: about 260 B per
+    # layered vertex here, where a flow network with one arc list per split
+    # node takes about 760 B
+    mdg = build_mdg(helpers.gapped_structure(5, 8, 3), 7)
+    assert mdg.vertex_count == 29_520
+    tracemalloc.start()
+    try:
+        max_linking(mdg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * mdg.vertex_count
+
+
+def test_long_path_linking_is_fast():
+    # one mode, B = e_1 and A the path x1 -> x2 -> ... -> xn, unrolled to
+    # 360,600 vertices: the one maximum linking has a path from every
+    # layer, n paths of n different lengths
+    n = 600
+    a = StructuredMatrix(n, n, frozenset((j + 1, j) for j in range(n - 1)))
+    s = SwitchedStructure(n=n, subsystems=(
+        (a, StructuredMatrix(n, 1, frozenset({(0, 0)}))),))
+    start = time.perf_counter()
+    linking = max_linking(build_mdg(s, n - 1))
+    assert linking.size == n
+    assert time.perf_counter() - start < 4.0
 
 
 def test_huge_depth_fails_fast():
