@@ -152,7 +152,8 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
                 dropped=[edge_to_dict(e) for e in certificate.dropped],
             )
 
-    probe = controllable_dim(structure, seed=seed, trials=trials, prime=prime)
+    probe = controllable_dim(structure, seed=seed, trials=trials, prime=prime,
+                             graph=g)
     if controllable and probe.dim != n:
         raise _inconsistent(
             "graph criteria say controllable but the rank probe disagrees",

@@ -43,6 +43,7 @@ from .unigraph import (
     format_vertex,
     generic_rank,
     reachable_states,
+    term_rank_ceiling,
 )
 
 _EDGE_STYLES = ("solid", "dashed", "dotted")
@@ -236,10 +237,13 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ModelError(f"need at least one trial, got {args.trials}")
     # the realizations of controllable_dim, drawn once and shared with the
-    # mixing loop; probe_dim is that probe's maximum over them
+    # mixing loop; probe_dim is that probe's maximum over them, each trial
+    # stopped at the same ceiling
     realizations = [sample_realization(structure, seed=args.seed + t, prime=args.prime)
                     for t in range(args.trials)]
-    probe_dim = max(reachable_space_dim(structure, r)[0] for r in realizations)
+    ceiling = term_rank_ceiling(build_union_graph(structure))
+    probe_dim = max(reachable_space_dim(structure, r, ceiling)[0]
+                    for r in realizations)
     rng = np.random.default_rng(args.seed & ((1 << 64) - 1))
     max_rank = 0
     for realization in realizations:

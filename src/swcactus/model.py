@@ -81,25 +81,23 @@ class StructuredMatrix:
     columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = frozenset((int(r), int(c)) for r, c in self.nonzeros)
-        object.__setattr__(self, "nonzeros", entries)
         if self.rows < 1:
             raise ModelError(f"matrix needs at least one row, got {self.rows}")
         if self.cols < 0:
             raise ModelError(f"matrix column count may not be negative, got {self.cols}")
-        rows, cols = self.rows, self.cols
-        columns: list[list[int]] = [[] for _ in range(cols)]
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ModelError(
-                    f"nonzero position ({r + 1}, {c + 1}) lies outside a "
-                    f"{rows}x{cols} matrix"
-                )
-            columns[c].append(r)
+        entries = self.nonzeros
+        # a frozenset of plain int pairs, as the parser builds it, is kept;
+        # any other collection or entry type is rebuilt as one first
+        columns = (_column_rows(entries, self.rows, self.cols)
+                   if type(entries) is frozenset else None)
+        if columns is None:
+            entries = frozenset((int(r), int(c)) for r, c in entries)
+            object.__setattr__(self, "nonzeros", entries)
+            columns = _column_rows(entries, self.rows, self.cols)
         # built with the pattern, not on first use: built lazily, these
         # long-lived tuples land among one op's transient objects, and the
         # layered-graph linkings run after them were measured about 20% slower
-        object.__setattr__(self, "columns", tuple(tuple(sorted(col)) for col in columns))
+        object.__setattr__(self, "columns", columns)
 
     @property
     def nnz(self) -> int:
@@ -111,6 +109,23 @@ class StructuredMatrix:
     def column_rows(self, col: int) -> tuple[int, ...]:
         """Row indices of the nonzeros in one column, ascending."""
         return self.columns[col]
+
+
+def _column_rows(entries: Iterable, rows: int, cols: int
+                 ) -> tuple[tuple[int, ...], ...] | None:
+    """Ascending row indices of every column's entries, or None as soon as
+    an entry is not a pair of plain ints."""
+    columns: list[list[int]] = [[] for _ in range(cols)]
+    for r, c in entries:
+        if type(r) is not int or type(c) is not int:
+            return None
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ModelError(
+                f"nonzero position ({r + 1}, {c + 1}) lies outside a "
+                f"{rows}x{cols} matrix"
+            )
+        columns[c].append(r)
+    return tuple(tuple(sorted(col)) for col in columns)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,18 @@ elimination in ``ColumnReducer`` packs a whole column into one integer, a
 fixed-width slot per row, so one pivot step is one big-integer multiply-add
 (Kronecker substitution).  The Krylov loop of ``reachable_space_dim`` applies
 the ``A_i`` only to the columns the previous round added.
+
+The loop also stops once the rank reaches a ceiling that no realization can
+exceed: c = min(|R|, nu), with ``R`` the reachable states of the union graph
+and nu the term rank of ``[B_1 .. B_N, A_1[:, R] .. A_N[:, R]]``
+(``unigraph.term_rank_ceiling``).  Proof:
+  1. the reachable space V lies in span(e_R), and V = sum im B_i + sum A_i V;
+  2. a column ``j`` in ``R`` of any ``A_i`` has nonzeros only in ``R``, so V
+     lies in the column space of that stack;
+  3. a rank is at most the term rank, over any field, so dim V <= nu.
+Once the rank reaches c every further column is dependent, so stopping there
+returns the same dimension; the round that reached c absorbed a column, so
+``layers_used`` counts it either way.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from .model import (
     realized_dense,
     sample_realization,
 )
+from .unigraph import UnionGraph, build_union_graph, term_rank_ceiling
 
 _REAL_RANK_REL_TOL = 1e-9
 
@@ -150,40 +163,57 @@ def _input_columns(structure: SwitchedStructure, realization: Realization) -> li
     return cols
 
 
-def reachable_space_dim(structure: SwitchedStructure,
-                        realization: Realization) -> tuple[int, int]:
+def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
+                        ceiling: int | None = None) -> tuple[int, int]:
     """Dimension of the smallest A-invariant space containing all B columns.
 
     Returns ``(dim, layers_used)`` where ``layers_used`` is the first depth at
     which adding another round of products stops growing the span.  For this
     realization, ``dim`` is the rank of the full controllability stack.
+
+    Over GF(p) the loop stops as soon as the rank reaches ``ceiling`` (``n``
+    when None), also in the middle of a round.  Pass a ceiling that no
+    realization can exceed, such as ``unigraph.term_rank_ceiling``: every
+    later column would then be dependent, so the result is the same as
+    without it.  A real realization ignores ``ceiling``.
     """
     if realization.kind == "real":
         return _reachable_space_dim_real(structure, realization)
     n, p = structure.n, realization.prime
     assert p is not None
+    top = n if ceiling is None else ceiling
     a_sparse = _realized_columns(structure, realization, "A")
     reducer = ColumnReducer(n, p)
     # S_{k+1} = S_k + sum_i A_i S_k, and A_i S_{k-1} already lies in S_k, so
-    # each round needs the products of the previous round's new columns only
-    frontier = [col for col in _input_columns(structure, realization) if reducer.add(col)]
+    # round k + 1 needs the products of the columns round k absorbed only.
+    # ``absorbed`` holds (round, column) in the order they were absorbed, so
+    # reading it front to back visits the rounds in turn.
+    absorbed: list[tuple[int, list[int]]] = []
+    for col in _input_columns(structure, realization):
+        if reducer.add(col):
+            if reducer.rank == top:
+                return top, 0
+            absorbed.append((0, col))
     layers = 0
-    while reducer.rank < n:
-        absorbed = []
-        for col in frontier:
-            for entries in a_sparse:
-                prod = _apply_sparse(entries, col, n, p)
-                if reducer.add(prod):
-                    absorbed.append(prod)
-        if not absorbed:
-            break
-        frontier = absorbed
-        layers += 1
+    for layer, col in absorbed:  # grows while it is read
+        for entries in a_sparse:
+            prod = _apply_sparse(entries, col, n, p)
+            if reducer.add(prod):
+                layers = layer + 1
+                if reducer.rank == top:
+                    return top, layers
+                absorbed.append((layers, prod))
     return reducer.rank, layers
 
 
 def _reachable_space_dim_real(structure: SwitchedStructure,
                               realization: Realization) -> tuple[int, int]:
+    """``reachable_space_dim`` over the reals, for demonstration.
+
+    Grows the dense stack round by round until a round adds no rank.  It
+    takes no ceiling: its rank is a numerical rank under a tolerance, not
+    an exact one, so the ceiling's proof does not cover it.
+    """
     n = structure.n
     a_mats = [np.array(realized_dense(structure, realization, i, "A"), dtype=float)
               for i in range(structure.subsystem_count)]
@@ -237,22 +267,27 @@ class ControllabilityProbe:
 
 
 def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
-                     trials: int = 3, prime: int = DEFAULT_PRIME) -> ControllabilityProbe:
+                     trials: int = 3, prime: int = DEFAULT_PRIME,
+                     graph: UnionGraph | None = None) -> ControllabilityProbe:
     """Probe the generic controllable-subspace dimension.
 
     Runs ``trials`` independent realizations seeded ``seed, seed+1, ...`` and
     keeps the maximum dimension.  A result of ``n`` certifies structural
     controllability up to the (astronomically small) chance that every trial
-    landed on the degenerate variety.
+    landed on the degenerate variety.  Every trial stops at the term-rank
+    ceiling of ``graph``, the structure's union graph, built here when not
+    given.
     """
     if trials < 1:
         raise ModelError(f"need at least one trial, got {trials}")
+    g = graph if graph is not None else build_union_graph(structure)
+    ceiling = term_rank_ceiling(g)
     dims: list[int] = []
     layer_counts: list[int] = []
     for t in range(trials):
         realization = sample_realization(structure, field_kind="finite",
                                          seed=seed + t, prime=prime)
-        dim, layers = reachable_space_dim(structure, realization)
+        dim, layers = reachable_space_dim(structure, realization, ceiling)
         dims.append(dim)
         layer_counts.append(layers)
     best = max(dims)

@@ -33,7 +33,8 @@ function and its arguments: :func:`reachable_states` keeps ``_reachable``,
 :func:`restrict_to_color` keeps ``_color_slice`` per color, ``edges_from``
 keeps ``_out_edges`` (built on its first call), and
 :func:`max_independent_edges` without ``allowed_heads`` keeps
-``_max_matching``.  The cactus module keeps ``_cover_fixpoint``, whose
+``_max_matching``, and :func:`term_rank_ceiling` keeps
+``_term_rank_ceiling``.  The cactus module keeps ``_cover_fixpoint``, whose
 first round reads that kept matching when every state is reachable, and
 ``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
 
@@ -427,6 +428,30 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[
                     break
                 path.append(other)
                 pos.append(0)
+
+
+def term_rank_ceiling(g: UnionGraph) -> int:
+    """Term rank of ``[B_1 .. B_N, A_1[:, R] .. A_N[:, R]]``, with ``R`` the
+    reachable states: a ceiling on the generic controllable dimension.
+
+    The reachable subspace lies in the span of every ``B_i`` column and of
+    the ``A_i`` columns in ``R``, so its dimension is at most that stack's
+    term rank (Hosoe, IEEE TAC 1980).  Every head of such a column lies in
+    ``R``, so the value is also at most ``|R|``.  Computed once per graph.
+    """
+    return g._once(_term_rank_ceiling)
+
+
+def _term_rank_ceiling(g: UnionGraph) -> int:
+    reach = reachable_states(g)
+    if len(reach) == g.n:
+        return len(max_independent_edges(g))
+    width, m = g._width, g._inputs
+    # rows whose tail is an input or a reachable state; their heads are all
+    # reachable, so no head needs filtering
+    adj = [heads for row, heads in zip(g._rows, g._adj)
+           if row % width < m or row % width - m in reach]
+    return sum(head >= 0 for head in hopcroft_karp(adj, [-1] * g.n))
 
 
 def generic_rank(g: UnionGraph) -> int:

@@ -79,7 +79,7 @@ def test_input_rank(example1, chain10):
 
 
 def test_consistency_error_carries_instance(example1, monkeypatch):
-    def broken(structure, *, seed, trials, prime):
+    def broken(structure, *, seed, trials, prime, graph):
         return ControllabilityProbe(
             dim=1, layers_used=1, trial_dims=(1,) * trials,
             trial_layers=(1,) * trials, seed=seed, prime=prime)
@@ -94,7 +94,7 @@ def test_consistency_error_carries_instance(example1, monkeypatch):
 
 
 def test_consistency_error_on_impossible_dim(chain10, monkeypatch):
-    def inflated(structure, *, seed, trials, prime):
+    def inflated(structure, *, seed, trials, prime, graph):
         return ControllabilityProbe(
             dim=10, layers_used=9, trial_dims=(10,) * trials,
             trial_layers=(9,) * trials, seed=seed, prime=prime)

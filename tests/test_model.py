@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,24 @@ def test_structured_matrix_bounds():
         StructuredMatrix(2, 2, frozenset({(0, -1)}))
     with pytest.raises(ModelError):
         StructuredMatrix(0, 2)
+
+
+def test_structured_matrix_entries_are_plain_int_pairs():
+    kept = frozenset({(0, 0), (1, 2)})
+    assert StructuredMatrix(2, 3, kept).nonzeros is kept
+    inputs = ([(0, 0), [1, 2], (1, 2)],
+              frozenset({(np.int64(0), np.int64(0)), (np.int32(1), 2)}),
+              [(np.int64(0), 0), (True, 2)])
+    for entries in inputs:
+        m = StructuredMatrix(2, 3, entries)
+        assert type(m.nonzeros) is frozenset and m.nonzeros == kept
+        assert all(type(r) is int and type(c) is int for r, c in m.nonzeros)
+        assert m.columns == ((0,), (), (1,))
+    message = "nonzero position (3, 1) lies outside a 2x2 matrix"
+    for entries in (frozenset({(2, 0)}), [(2, 0)], [[2, 0]],
+                    frozenset({(np.int64(2), np.int64(0))})):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            StructuredMatrix(2, 2, entries)
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,6 +19,7 @@ from swcactus import (
 )
 from swcactus.model import StructuredMatrix, SwitchedStructure
 from swcactus.rankcore import ColumnReducer, det_ff, rank_ff
+from swcactus.unigraph import _term_rank_ceiling, term_rank_ceiling
 
 P = DEFAULT_PRIME
 # a prime just past the probe's 2**31 floor, the default, the largest 64-bit
@@ -211,24 +212,31 @@ def test_averaged_pair_rank_full_when_single_mode(boost):
     assert averaged_pair_rank(single, r, [5]) == 2
 
 
-def _count_adds(mp: pytest.MonkeyPatch) -> list[int]:
-    calls = [0]
+def _record_adds(mp: pytest.MonkeyPatch) -> list[bool]:
+    results: list[bool] = []
     original = ColumnReducer.add
 
     def add(self, column):
-        calls[0] += 1
-        return original(self, column)
+        results.append(original(self, column))
+        return results[-1]
     mp.setattr(ColumnReducer, "add", add)
-    return calls
+    return results
 
 
 def _probe_against_all_basis_loop(s, r) -> None:
-    with pytest.MonkeyPatch.context() as mp:
-        adds = _count_adds(mp)
-        dim, layers = reachable_space_dim(s, r)
-    assert (dim, layers) == helpers.brute_reachable_space_dim(s, r)
-    # each input column once, then each absorbed column times every A_i once
-    assert adds[0] <= s.total_inputs + s.subsystem_count * dim
+    expected = helpers.brute_reachable_space_dim(s, r)
+    ceiling = term_rank_ceiling(build_union_graph(s))
+    for top in (None, ceiling):
+        with pytest.MonkeyPatch.context() as mp:
+            adds = _record_adds(mp)
+            dim, layers = reachable_space_dim(s, r, top)
+        assert (dim, layers) == expected
+        # each input column once, then each absorbed column times every A_i once
+        assert len(adds) <= s.total_inputs + s.subsystem_count * dim
+    assert dim <= ceiling
+    # a probe that reaches its ceiling stops on the add that reached it
+    if dim == ceiling > 0:
+        assert adds[-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,3 +265,55 @@ def test_dim_is_rank_of_full_stack(seed):
     dim, _ = reachable_space_dim(s, r)
     cols, _ = layered_product_columns(s, r, s.n - 1)
     assert helpers.brute_rank_ff(cols, s.n, P) == dim
+
+
+def _round_loop_adds(s, r) -> tuple[int, int, int]:
+    """``(dim, layers, adds)`` of a Krylov loop over the previous round's
+    new columns that tests its stop condition only between rounds."""
+    n, p = s.n, r.prime
+    dense = [[[r.values.get((i, "A", row, c), 0) for c in range(n)] for row in range(n)]
+             for i in range(s.subsystem_count)]
+    red = helpers.BruteReducer(n, p)
+    adds = 0
+    frontier = []
+    for i, (_, b) in enumerate(s.subsystems):
+        for q in range(b.cols):
+            adds += 1
+            col = [r.values.get((i, "B", row, q), 0) for row in range(n)]
+            if red.add(col):
+                frontier.append(col)
+    layers = 0
+    while len(red.basis) < n:
+        absorbed = []
+        for col in frontier:
+            for mat in dense:
+                adds += 1
+                prod = [sum(x * y for x, y in zip(row, col)) % p for row in mat]
+                if red.add(prod):
+                    absorbed.append(prod)
+        if not absorbed:
+            break
+        frontier = absorbed
+        layers += 1
+    return len(red.basis), layers, adds
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_ceiling_stops_mid_round(seed):
+    # controllable at seed 1 (c = n = 40), uncontrollable at seed 11 (c = 39)
+    s = helpers.wide_structure(seed, 40, 3)
+    r = sample_realization(s, seed=seed)
+    ceiling = term_rank_ceiling(build_union_graph(s))
+    with pytest.MonkeyPatch.context() as mp:
+        adds = _record_adds(mp)
+        probe = reachable_space_dim(s, r, ceiling)
+    dim, layers, round_adds = _round_loop_adds(s, r)
+    assert probe == (dim, layers) and dim == ceiling
+    assert adds[-1]
+    assert len(adds) < round_adds
+
+
+def test_probe_reads_ceiling_from_graph(chain10):
+    g = build_union_graph(chain10)
+    assert controllable_dim(chain10, graph=g) == controllable_dim(chain10)
+    assert (_term_rank_ceiling,) in g._memo

@@ -16,9 +16,16 @@ from swcactus import (
     max_independent_edges,
     reachable_states,
     restrict_to_color,
+    sample_realization,
     walk_violations,
 )
-from swcactus.unigraph import UnionGraph, edge_sort_key, format_vertex
+from swcactus.unigraph import (
+    UnionGraph,
+    _term_rank_ceiling,
+    edge_sort_key,
+    format_vertex,
+    term_rank_ceiling,
+)
 
 
 def _pattern_edges(s):
@@ -228,6 +235,8 @@ def test_derived_results_are_kept(chain10):
     g = build_union_graph(chain10)
     assert reachable_states(g) is reachable_states(g)
     assert restrict_to_color(g, 1) is restrict_to_color(g, 1)
+    term_rank_ceiling(g)
+    assert (_term_rank_ceiling,) in g._memo
     sub = restrict_to_color(g, 1)
     assert list(sub.edges) == [e for e in g.edges if e.color == 1]
 
@@ -299,3 +308,42 @@ def test_color_slices_share_pattern_columns(chain10):
             mat = b if isinstance(tail, InputVertex) else a
             assert row_color == color
             assert heads is mat.columns[tail.index]
+
+
+def _ceiling_case(seed):
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=9,
+                                 density=float(rng.uniform(0.05, 0.45)))
+    g = build_union_graph(s)
+    return s, g, reachable_states(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_term_rank_ceiling_equals_reference(seed):
+    # the edges whose tail is an input or a reachable state, matched by the
+    # reference; capped at |R| as in the bound's definition
+    s, g, reach = _ceiling_case(seed)
+    kept = [e for e in g.edges
+            if isinstance(e.tail, InputVertex) or e.tail.index in reach]
+    sub = UnionGraph(s.n, s.input_counts, kept)
+    expected = min(len(reach), len(helpers.ref_max_independent_edges(sub)))
+    assert term_rank_ceiling(g) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_term_rank_ceiling_bounds_realized_stack(seed):
+    # the realized B columns and the A_i columns of reachable states span
+    # the reachable space; no realization gives them rank above the ceiling
+    s, g, reach = _ceiling_case(seed)
+    r = sample_realization(s, seed=seed)
+    cols = []
+    for idx, (a, b) in enumerate(s.subsystems):
+        for which, mat, picked in (("B", b, range(b.cols)), ("A", a, sorted(reach))):
+            for c in picked:
+                col = [0] * s.n
+                for row in mat.columns[c]:
+                    col[row] = r.values[(idx, which, row, c)]
+                cols.append(col)
+    assert term_rank_ceiling(g) >= helpers.brute_rank_ff(cols, s.n, r.prime)
