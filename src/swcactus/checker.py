@@ -32,6 +32,7 @@ from .unigraph import (
     input_edges_only,
     max_independent_edges,
     reachable_states,
+    term_rank_ceiling,
 )
 
 DEFAULT_SEED = 1729
@@ -100,7 +101,9 @@ def _bounds(structure: SwitchedStructure, g: UnionGraph, cover: CactusCover,
         except MdgSizeError:
             pass
         else:
-            linking = max_linking(mdg)
+            # the linking stops once it reaches the ceiling, which no depth
+            # exceeds; ``check`` already computed it for the probe
+            linking = max_linking(mdg, term_rank_ceiling(g))
             return DimBounds(lower=lower, upper=min(reachable_count, linking.size),
                              used_linking_bound=True, linking_layers=depth_needed)
     return DimBounds(lower=lower, upper=reachable_count,

@@ -39,6 +39,19 @@ graph's Hopcroft-Karp loop: one row per vertex id, listing its heads, with
 every state copy above layer 0 listing itself first so that it can stay
 off every path.  The matching, followed down from each input copy, gives
 the paths; a chain that stops short of layer 0 is dropped.
+
+Given a ceiling c that no depth can exceed, the linking unrolls only as
+far as it needs: it matches layers ``0..d`` for the depths d met by halving
+the full depth (rounding up) down to 1, shallowest first, starts each run
+from the previous run's matching, and stops once the linking size reaches
+c.  Ids run layer by layer, so the rows of layers ``0..d`` are the first
+rows of the full list and a shallower matching is a matching of every
+deeper graph.  With c the term-rank ceiling
+``unigraph.term_rank_ceiling`` and l_d the linking size at depth d:
+  1. l_d' <= l_d for d' <= d, since layers ``0..d'`` are an induced subgraph;
+  2. l_d <= c, since the paths' last edges are independent union-graph edges
+     from inputs or states in R (layer-1 block k holds color k);
+  3. so l_d' = c gives l_d = c, and the shallow paths are a maximum linking.
 """
 
 from __future__ import annotations
@@ -282,7 +295,34 @@ class Linking:
         return tuple(path[-1][4] for path in self.paths)
 
 
-def max_linking(mdg: Mdg) -> Linking:
+def _append_rows(mdg: Mdg, layer: int, adj: list[tuple[int, ...]]) -> None:
+    """Append the matching rows of every vertex of ``layer``, in id order.
+
+    An input copy lists its ``B`` column's state copies in its own block; a
+    state copy above layer 0 lists itself, then its ``A_k`` column heads in
+    the block below; a layer-0 state lists nothing.
+    """
+    n, m = mdg.n, mdg.total_inputs
+    blocks = mdg._blocks_at[layer]
+    # id of the layer's first state copy; its input copies come before
+    states = mdg._layer_base[layer] + blocks * m
+    for block in range(blocks):
+        base = states + block * n
+        for l, q in mdg._input_slots:
+            adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
+    if layer == 0:
+        adj += [()] * n
+        return
+    below = mdg._layer_base[layer - 1] + mdg._blocks_at[layer - 1] * m
+    for block in range(blocks):
+        k, t = mdg._block_of(layer, block)
+        # block (k, t) feeds block t of the layer below
+        base = below + t * n
+        for rows in mdg._a_cols[k]:
+            adj.append((len(adj), *[base + r for r in rows]))
+
+
+def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
     """Maximum vertex-disjoint linking from all input copies to layer 0.
 
     A linking is a matching in disguise (Ingleton and Piff 1973).  Every
@@ -296,42 +336,59 @@ def max_linking(mdg: Mdg) -> Linking:
     is dropped.  Rows are built in vertex-id order, heads sorted after the
     self entry, so equal inputs always produce the identical linking.
     Paths are listed by tail id.
-    """
-    n, m = mdg.n, mdg.total_inputs
-    adj: list[tuple[int, ...]] = []
-    for layer, blocks in enumerate(mdg._blocks_at):
-        # id of the layer's first state copy; its input copies come before
-        states = mdg._layer_base[layer] + blocks * m
-        for block in range(blocks):
-            base = states + block * n
-            for l, q in mdg._input_slots:
-                adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
-        if layer == 0:
-            adj += [()] * n
-        else:
-            for block in range(blocks):
-                k, t = mdg._block_of(layer, block)
-                # block (k, t) feeds block t of the layer below
-                base = below + t * n
-                for rows in mdg._a_cols[k]:
-                    adj.append((len(adj), *[base + r for r in rows]))
-        below = states
-    match = hopcroft_karp(adj, [-1] * len(adj))
 
-    first_state, last_state = m, m + n
+    With ``ceiling`` None the matching runs once, on the full depth.  With
+    a ceiling it runs on layers ``0..d`` for d = ..., ceil(D/4), ceil(D/2),
+    D, where D is ``mdg.depth`` halved (rounding up) down to 1, each run
+    started from the previous one's matching (the rows of layers ``0..d``
+    are the first rows of the full list), and returns as soon as the
+    linking size reaches ``ceiling``.  Halving from the full depth keeps
+    the last run before it at about half of it, so the schedule costs
+    little when the ceiling is reached late or never.  Pass a ceiling that
+    no depth can exceed, such as ``unigraph.term_rank_ceiling`` of the
+    structure's union graph; with l_d the linking size at depth d and c
+    that ceiling:
+      1. l_d' <= l_d for d' <= d: layers ``0..d'`` are an induced subgraph
+         with the same vertex ids;
+      2. l_d <= c: every path's last edge enters a distinct layer-0 state
+         from a layer-0 input copy (a distinct ``B`` column) or from a
+         layer-1 copy of a reachable state (block k means color k, so a
+         distinct ``A_k`` column), an independent edge set of the union
+         graph whose tails are inputs or states in R;
+      3. so l_d' = c gives l_d = c, and the shallow paths are a maximum
+         linking of the full-depth graph.
+    """
+    n = mdg.n
+    adj: list[tuple[int, ...]] = []
+    match_right: list[int] = []
+    # the full depth halved, rounding up, down to 1; run shallowest first
+    depths = [mdg.depth]
+    while ceiling is not None and depths[-1] > 1:
+        depths.append((depths[-1] + 1) // 2)
+    built = 0  # layers whose rows are in adj
+    for depth in reversed(depths):
+        for layer in range(built, depth + 1):
+            _append_rows(mdg, layer, adj)
+        built = depth + 1
+        match_right += [-1] * (len(adj) - len(match_right))
+        match = hopcroft_karp(adj, match_right)
+        # a maximum matching holds one match per path and one per state
+        # copy above layer 0
+        size = len(adj) - match.count(-1) - n * sum(mdg._blocks_at[1:depth + 1])
+        if size == ceiling:
+            break
+
+    first_state, last_state = mdg.total_inputs, mdg.total_inputs + n
     paths: list[tuple[MdgVertex, ...]] = []
-    for layer, blocks in enumerate(mdg._blocks_at):
+    for layer in range(depth + 1):
         start = mdg._layer_base[layer]
-        for vid in range(start, start + blocks * m):
+        for vid in range(start, start + mdg._blocks_at[layer] * mdg.total_inputs):
             path = [vid]
             while match[path[-1]] >= 0:
                 path.append(match[path[-1]])
             if first_state <= path[-1] < last_state:
                 paths.append(tuple(mdg._vertex(v) for v in path))
-    # a maximum matching holds one match per path and one per state copy
-    # above layer 0
-    inner = n * sum(mdg._blocks_at[1:])
-    if len(paths) != len(adj) - match.count(-1) - inner:
+    if len(paths) != size:
         raise AssertionError("linking size differs from the matching size")
     return Linking(paths=tuple(paths))
 

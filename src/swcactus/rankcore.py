@@ -86,16 +86,21 @@ class ColumnReducer:
             factor = (acc >> shift & mask) % p
             if factor:
                 acc += factor * neg
-        col = [(acc >> (row * w) & mask) % p for row in range(self.n)]
-        for row, value in enumerate(col):
+        # the pivot is the first slot nonzero mod p; read slot by slot, so
+        # an independent column is unpacked only once its pivot is known
+        for row in range(self.n):
+            value = (acc >> row * w & mask) % p
             if value:
-                inv = pow(value, p - 2, p)
-                neg = 0
-                for v in reversed(col):
-                    neg = neg << w | -v * inv % p
-                self._basis.append((row * w, neg))
-                return True
-        return False
+                break
+        else:
+            return False
+        # slots below the pivot are zero mod p, so only the rest is packed
+        inv = pow(value, p - 2, p)
+        neg = 0
+        for r in range(self.n - 1, row - 1, -1):
+            neg = neg << w | -((acc >> r * w & mask) % p) * inv % p
+        self._basis.append((row * w, neg << row * w))
+        return True
 
 
 def rank_ff(columns: Iterable[Sequence[int]], n: int, prime: int = DEFAULT_PRIME) -> int:

@@ -45,7 +45,11 @@ state.  It has two callers: :func:`max_independent_edges` runs it on the
 rows, with heads outside ``allowed_heads`` held by a sentinel row that no
 search may displace, and ``mdg.max_linking`` runs it on the layered graph.
 Rows and heads are tried in the same order as a recursive search would, so
-the matching is fully determined by the graph.
+the matching is fully determined by the graph.  A warm start is read from
+``match_right``: an entry naming a row ``0 <= i < len(adj)`` is kept as a
+match and only grown by augmenting paths.  Only the ceiling-stopped
+``max_linking`` passes one, the matching of the previous, shallower depth;
+every other call starts from free heads and sentinels alone.
 """
 
 from __future__ import annotations
@@ -370,12 +374,21 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[
 
     ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
     ``match_right[h]`` is the left holding head ``h``: ``-1`` if it is
-    free, and ``len(adj)`` for a sentinel that no search may displace.  It
-    is updated in place.  Lefts and heads are tried in the same order as a
-    recursive search would, so the matching is fully determined by ``adj``.
+    free, ``len(adj)`` for a sentinel that no search may displace, and any
+    other left ``i`` for a matching to start from, which must pair ``h``
+    with a head in ``adj[i]`` and hold each left at most once.  It is
+    updated in place.  Lefts and heads are tried in the same order as a
+    recursive search would, so the matching is fully determined by ``adj``
+    and the starting matching.
     """
     size = len(adj)
     match_left = [-1] * size
+    # entries other than free heads and sentinels are a matching to start
+    # from; the counts skip the scan when there are none
+    if match_right.count(-1) + match_right.count(size) < len(match_right):
+        for head, left in enumerate(match_right):
+            if 0 <= left < size:
+                match_left[left] = head
     inf = size + 1
     while True:
         # breadth-first layers from every free left; the sentinel's layer

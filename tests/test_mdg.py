@@ -28,6 +28,7 @@ from swcactus import (
 from swcactus.checker import input_rank
 from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import det_ff, rank_ff
+from swcactus.unigraph import term_rank_ceiling
 
 P = DEFAULT_PRIME
 
@@ -218,14 +219,27 @@ def _assert_max_linking(nx, mdg, linking):
         used.update(path)
 
 
+def _assert_linkings_match_networkx(nx, s):
+    """At depth ``n`` minus the input rank, the linking with and without the
+    ceiling is maximum; below it, linking sizes never fall with depth and
+    never pass the ceiling, which is what makes stopping there exact."""
+    g = build_union_graph(s)
+    ceiling = term_rank_ceiling(g)
+    depth = s.n - input_rank(g)
+    mdg = build_mdg(s, depth)
+    _assert_max_linking(nx, mdg, max_linking(mdg))
+    _assert_max_linking(nx, mdg, max_linking(mdg, ceiling))
+    sizes = [max_linking(build_mdg(s, d)).size for d in range(depth + 1)]
+    assert sizes == sorted(sizes)
+    assert sizes[-1] <= ceiling
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_linking_matches_networkx_max_flow(nx, seed):
     rng = np.random.default_rng(seed)
-    s = helpers.random_structure(rng, max_n=6, max_colors=3)
-    depth = s.n - input_rank(build_union_graph(s))
-    mdg = build_mdg(s, depth)
-    _assert_max_linking(nx, mdg, max_linking(mdg))
+    _assert_linkings_match_networkx(
+        nx, helpers.random_structure(rng, max_n=6, max_colors=3))
 
 
 @pytest.mark.parametrize("family", [helpers.gapped_structure,
@@ -234,9 +248,19 @@ def test_linking_matches_networkx_max_flow(nx, seed):
 def test_benchmark_families_match_networkx_max_flow(nx, family, seed):
     # the deep workload's families at n=6 and 3 modes: one input, so the
     # unrolling runs to depth n - 1 (2,548 layered vertices)
-    s = family(seed, 6, 3)
-    mdg = build_mdg(s, s.n - 1)
-    _assert_max_linking(nx, mdg, max_linking(mdg))
+    _assert_linkings_match_networkx(nx, family(seed, 6, 3))
+
+
+def test_ceiling_stops_at_a_shallow_layer():
+    # 873,810 layered vertices at depth 8, but the linking reaches the
+    # ceiling of 8 at depth 2: no path may touch a deeper layer
+    s = helpers.gapped_structure(1, 9, 4)
+    g = build_union_graph(s)
+    mdg = build_mdg(s, s.n - input_rank(g))
+    assert mdg.vertex_count == 873_810
+    linking = max_linking(mdg, term_rank_ceiling(g))
+    assert linking.size == 8
+    assert max(v[1] for path in linking.paths for v in path) <= 2
 
 
 def test_family_helpers_draw_like_the_benchmark(monkeypatch):

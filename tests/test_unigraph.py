@@ -24,6 +24,7 @@ from swcactus.unigraph import (
     _term_rank_ceiling,
     edge_sort_key,
     format_vertex,
+    hopcroft_karp,
     term_rank_ceiling,
 )
 
@@ -347,3 +348,34 @@ def test_term_rank_ceiling_bounds_realized_stack(seed):
                     col[row] = r.values[(idx, which, row, c)]
                 cols.append(col)
     assert term_rank_ceiling(g) >= helpers.brute_rank_ff(cols, s.n, r.prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+def test_hopcroft_karp_warm_start(seed, density):
+    # start from a random valid partial matching, with some heads held by
+    # the sentinel: the result is a valid maximum matching that keeps them
+    rng = np.random.default_rng(seed)
+    g = build_union_graph(helpers.random_structure(rng, max_n=12, density=density))
+    size = len(g._adj)
+    held = {h for h in range(g.n) if rng.random() < 0.2}
+    cold = [size if h in held else -1 for h in range(g.n)]
+    warm = list(cold)
+    for row in rng.permutation(size):
+        free = [h for h in g._adj[row] if warm[h] == -1]
+        if free and rng.random() < 0.6:
+            warm[free[int(rng.integers(len(free)))]] = int(row)
+    started = {h: left for h, left in enumerate(warm) if 0 <= left < size}
+
+    match_left = hopcroft_karp(g._adj, warm)
+    assert all(warm[h] == size for h in held)
+    assert {h: left for h, left in enumerate(warm) if 0 <= left < size} == {
+        h: left for left, h in enumerate(match_left) if h >= 0}
+    assert all(h in g._adj[left] for left, h in enumerate(match_left) if h >= 0)
+    # an augmenting path never unmatches a left
+    assert all(match_left[left] >= 0 for left in started.values())
+    matched = sum(h >= 0 for h in match_left)
+    assert matched == sum(h >= 0 for h in hopcroft_karp(g._adj, cold))
+    allowed = [h for h in range(g.n) if h not in held]
+    assert matched == len(helpers.ref_max_independent_edges(g, allowed_heads=allowed))
