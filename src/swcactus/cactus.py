@@ -210,9 +210,13 @@ def best_cactus_cover(g: UnionGraph) -> CactusCover:
     always a more coverable one.  Comparing with the best single-color cover
     makes the result at least as large as any per-subsystem cover; ties
     prefer the all-color run, then the lowest color.  Every fixpoint runs
-    once per graph, however often the covers are asked for.
+    once per graph, however often the covers are asked for.  A single-color
+    cover lies inside the reachable states, so when the all-color cover
+    holds all of them it wins the tie and the per-color runs are skipped.
     """
     mixed = CactusCover(g._once(_cover_fixpoint), None)
+    if len(mixed.covered) == len(reachable_states(g)):
+        return mixed
     single = conventional_cactus_cover(g)
     return single if len(single.covered) > len(mixed.covered) else mixed
 

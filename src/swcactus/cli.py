@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from .cactus import Decomposition, best_cactus_cover, conventional_cactus_cover
 from .checker import (
@@ -244,11 +243,11 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     ceiling = term_rank_ceiling(build_union_graph(structure))
     probe_dim = max(reachable_space_dim(structure, r, ceiling)[0]
                     for r in realizations)
-    rng = np.random.default_rng(args.seed & ((1 << 64) - 1))
+    rng = random.Random(args.seed & ((1 << 64) - 1))
     max_rank = 0
     for realization in realizations:
         for _ in range(args.samples):
-            weights = [int(rng.integers(1, args.prime))
+            weights = [rng.randrange(1, args.prime)
                        for _ in range(structure.subsystem_count)]
             max_rank = max(max_rank,
                            averaged_pair_rank(structure, realization, weights))

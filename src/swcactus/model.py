@@ -3,7 +3,10 @@
 A system is stored purely as zero/nonzero patterns: one pattern pair
 ``(A_i, B_i)`` per operating mode (subsystem).  Realizations assign concrete
 scalars, drawn from a large prime field or from the reals, to the nonzero
-positions so that generic rank properties can be probed numerically.
+positions so that generic rank properties can be probed numerically.  The
+draws come from the standard library's ``random.Random``: the generic
+dimensions depend on the pattern alone, so any fixed seeded stream serves,
+and this one needs no numpy.
 
 Indices are 0-based internally and 1-based in every serialized document and
 error message.
@@ -12,18 +15,18 @@ error message.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Mapping
-
-import numpy as np
 
 DEFAULT_PRIME = (1 << 61) - 1
 # Realization values must stay exact; primes this large force Python-int
 # arithmetic downstream (int64 products would overflow).
 _MIN_PRIME_EXCLUSIVE = 1 << 31
-# The sampler draws field values as int64 integers, so the prime must stay
-# below 2**63; ``is_prime`` is exact on that whole range.
+# The supported prime range, as documented for ``--prime``: it lies inside the
+# 64-bit range on which ``is_prime`` is exact, so every accepted prime is
+# proven prime.
 _MAX_PRIME_EXCLUSIVE = 1 << 63
 
 _UINT64_MASK = (1 << 64) - 1
@@ -324,10 +327,13 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
                        seed: int = 0, prime: int = DEFAULT_PRIME) -> Realization:
     """Draw one realization, deterministically from ``seed``.
 
-    Finite-field values are uniform on ``[1, prime - 1]``; zero is excluded so
-    that the realized pattern matches the structural pattern exactly.  Real
-    values are uniform on ``[-1, 1]`` with zero rejected.  Positions are
-    visited in sorted order, so equal seeds give identical value maps.
+    Values come from the standard library's ``random.Random`` seeded with
+    ``seed`` modulo 2**64.  Finite-field values are uniform on
+    ``[1, prime - 1]``; zero is excluded so that the realized pattern matches
+    the structural pattern exactly.  Real values are uniform on ``[-1, 1]``
+    with zero rejected.  Positions are visited matrix by matrix, column by
+    column, rows ascending (``StructuredMatrix.columns``), so equal seeds give
+    identical value maps.
     """
     if field_kind not in ("finite", "real"):
         raise ModelError(f"unknown field kind {field_kind!r}; expected 'finite' or 'real'")
@@ -337,20 +343,21 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
         if p <= _MIN_PRIME_EXCLUSIVE:
             raise ModelError(f"prime must exceed 2**31 for reliable generic ranks, got {p}")
         if p >= _MAX_PRIME_EXCLUSIVE:
-            raise ModelError(f"prime must be below 2**63, the sampler's int64 bound, got {p}")
+            raise ModelError(f"prime must be below 2**63, the supported range, got {p}")
         if not is_prime(p):
             raise ModelError(f"{p} is not prime")
     seed = int(seed) & _UINT64_MASK
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     values: dict[tuple[int, str, int, int], Any] = {}
     for idx, (a, b) in enumerate(structure.subsystems):
         for tag, mat in (("A", a), ("B", b)):
-            for r, c in sorted(mat.nonzeros):
-                if field_kind == "finite":
-                    values[(idx, tag, r, c)] = int(rng.integers(1, p))
-                else:
-                    x = float(rng.uniform(-1.0, 1.0))
-                    while x == 0.0:
-                        x = float(rng.uniform(-1.0, 1.0))
-                    values[(idx, tag, r, c)] = x
+            for c, rows in enumerate(mat.columns):
+                for r in rows:
+                    if field_kind == "finite":
+                        values[(idx, tag, r, c)] = rng.randrange(1, p)
+                    else:
+                        x = rng.uniform(-1.0, 1.0)
+                        while x == 0.0:
+                            x = rng.uniform(-1.0, 1.0)
+                        values[(idx, tag, r, c)] = x
     return Realization(kind=field_kind, prime=p, seed=seed, values=values)

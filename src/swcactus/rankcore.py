@@ -7,11 +7,13 @@ probability that a trial undershoots is at most ``degree / p``; with the
 default 61-bit prime and a handful of trials the failure odds are negligible,
 and taking the maximum over trials only ever helps.
 
-The finite-field path uses Python integers, which hold any prime.  The
-elimination in ``ColumnReducer`` packs a whole column into one integer, a
-fixed-width slot per row, so one pivot step is one big-integer multiply-add
-(Kronecker substitution).  The Krylov loop of ``reachable_space_dim`` applies
-the ``A_i`` only to the columns the previous round added.
+The finite-field path uses Python integers, which hold any prime.  Only the
+real-field paths import numpy, when they run, so checking a structure never
+loads it.  The elimination in ``ColumnReducer`` packs a whole column into
+one integer, a fixed-width slot per row, so one pivot step is one
+big-integer multiply-add (Kronecker substitution).  The Krylov loop of
+``reachable_space_dim`` applies the ``A_i`` only to the columns the
+previous round added.
 
 The loop also stops once the rank reaches a ceiling that no realization can
 exceed: c = min(|R|, nu), with ``R`` the reachable states of the union graph
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .model import (
     DEFAULT_PRIME,
@@ -95,7 +95,7 @@ class ColumnReducer:
         else:
             return False
         # slots below the pivot are zero mod p, so only the rest is packed
-        inv = pow(value, p - 2, p)
+        inv = pow(value, -1, p)
         neg = 0
         for r in range(self.n - 1, row - 1, -1):
             neg = neg << w | -((acc >> r * w & mask) % p) * inv % p
@@ -125,7 +125,7 @@ def det_ff(columns: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME) -> int:
         if pivot_col != i:
             mat[i], mat[pivot_col] = mat[pivot_col], mat[i]
             det = prime - det
-        inv = pow(mat[i][i], prime - 2, prime)
+        inv = pow(mat[i][i], -1, prime)
         det = det * mat[i][i] % prime
         for j in range(i + 1, n):
             factor = mat[j][i] * inv % prime
@@ -219,6 +219,8 @@ def _reachable_space_dim_real(structure: SwitchedStructure,
     takes no ceiling: its rank is a numerical rank under a tolerance, not
     an exact one, so the ceiling's proof does not cover it.
     """
+    import numpy as np
+
     n = structure.n
     a_mats = [np.array(realized_dense(structure, realization, i, "A"), dtype=float)
               for i in range(structure.subsystem_count)]
@@ -369,6 +371,8 @@ def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,
         cols = [[mixed_a[r][c] for r in range(n)] for c in range(n)]
         cols += [[mixed_b[r][c] for r in range(n)] for c in range(max_m)]
         return rank_ff(cols, n, p)
+    import numpy as np
+
     w = [float(x) for x in weights]
     mixed_a = np.zeros((n, n))
     mixed_b = np.zeros((n, max_m))

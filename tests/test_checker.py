@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import swcactus.cactus as cactus_mod
 import swcactus.checker as checker_mod
 import swcactus.unigraph as unigraph_mod
 from swcactus import (
@@ -33,6 +34,22 @@ def test_check_example1(example1):
     assert report.bounds.lower == 3 and report.bounds.upper == 3
     assert report.certificate is not None
     assert report.certificate.covered == frozenset({0, 1, 2})
+
+
+@pytest.mark.parametrize("name", ["example1", "boost"])
+def test_full_cover_skips_per_color_fixpoints(monkeypatch, name):
+    # the all-color cover holds every reachable state, so no single-color
+    # cover can beat it
+    calls = []
+    original = cactus_mod._cover_fixpoint
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+    monkeypatch.setattr(cactus_mod, "_cover_fixpoint", counted)
+    report = check(helpers.load_system(name))
+    assert report.cover.restricted_color is None
+    assert len(calls) == 1
 
 
 def test_check_boost(boost):

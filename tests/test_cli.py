@@ -137,8 +137,8 @@ def test_long_augmenting_path(capsys, monkeypatch, command):
 @pytest.mark.parametrize("prime", ["18446744073709551557",
                                    "318665857834031151167461"])
 def test_prime_beyond_sampler_exit_2(capsys, monkeypatch, prime):
-    # the first is prime but past the int64 sampler, the second a composite
-    # that the 12-base Miller-Rabin test passes
+    # the first is prime but past the supported range, the second a
+    # composite that the 12-base Miller-Rabin test passes
     monkeypatch.setattr("sys.stdin", io.StringIO(Path(EX1).read_text()))
     code, out, err = run(capsys, "check", "-", "--prime", prime)
     assert code == 2 and out == ""
@@ -198,6 +198,36 @@ def test_oversize_layers_exit_2(layers):
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "cap" in lines[0]
     assert len(lines[0]) < 200
+
+
+# run in a fresh interpreter, where nothing has loaded numpy yet
+_NUMPY_FREE_SCRIPT = """
+import os, sys
+import swcactus
+from swcactus.cli import main
+assert "numpy" not in sys.modules, "import swcactus"
+ex1 = sys.argv[1]
+for argv in (["check", ex1], ["bounds", ex1], ["cactus", ex1], ["mdg", ex1],
+             ["grank", ex1], ["realize", ex1], ["realize", ex1, "--field", "real"],
+             ["counterexample", ex1, "--samples", "5"]):
+    assert main([*argv, "-o", os.devnull]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+system = swcactus.parse_system(open(ex1).read())
+real = swcactus.sample_realization(system, field_kind="real", seed=4)
+assert swcactus.reachable_space_dim(system, real) == (3, 1)
+assert "numpy" in sys.modules
+"""
+
+
+def test_check_path_leaves_numpy_unloaded():
+    env = dict(os.environ)
+    src = str(Path(swcactus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT, EX1],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_mdg_values(capsys):

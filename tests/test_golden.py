@@ -37,6 +37,9 @@ CASES = [
     ("check_chain10.dot", ["check", "chain10.json", "--format", "dot"], 1),
     ("counterexample_boost.json", ["counterexample", "boost.json"], 0),
     ("counterexample_example1.json", ["counterexample", "example1.json"], 0),
+    # the realized values pin the sampler's stream: random.Random per seed
+    ("realize_example1.json", ["realize", "example1.json"], 0),
+    ("realize_example1_real.json", ["realize", "example1.json", "--field", "real"], 0),
     # wide60 is perfbench/families.py wide(random.Random(11), 60, 3), the
     # first uncontrollable draw: the rank probe runs three rounds that grow
     # the span and one that does not.  It sits in a subdirectory because the
