@@ -237,12 +237,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         raise ModelError(f"need at least one trial, got {args.trials}")
     # the realizations of controllable_dim, drawn once and shared with the
     # mixing loop; probe_dim is that probe's maximum over them, each trial
-    # stopped at the same ceiling
+    # stopped at the same ceiling and the trials at the first that reaches it
     realizations = [sample_realization(structure, seed=args.seed + t, prime=args.prime)
                     for t in range(args.trials)]
     ceiling = term_rank_ceiling(build_union_graph(structure))
-    probe_dim = max(reachable_space_dim(structure, r, ceiling)[0]
-                    for r in realizations)
+    probe_dim = 0
+    for realization in realizations:
+        dim, _ = reachable_space_dim(structure, realization, ceiling)
+        probe_dim = max(probe_dim, dim)
+        if dim == ceiling:
+            break
     rng = random.Random(args.seed & ((1 << 64) - 1))
     max_rank = 0
     for realization in realizations:
@@ -286,7 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="decide structural controllability")
     _add_common(p, fmt=True, seeded=True, layered=True)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="at most this many realizations; the probe stops at "
+                        "the first that reaches the ceiling")
     p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("grank", help="generic rank of the stacked patterns")
@@ -315,7 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("counterexample",
                         help="rank lost by mixing all modes into one pair")
     _add_common(p, seeded=True)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="realizations to mix (at least 1); the probe stops at "
+                        "the first that reaches the ceiling")
     p.add_argument("--samples", type=int, default=100,
                    help="weight vectors per realization (at least 1)")
     p.set_defaults(func=_cmd_counterexample)

@@ -25,7 +25,9 @@ and nu the term rank of ``[B_1 .. B_N, A_1[:, R] .. A_N[:, R]]``
   3. a rank is at most the term rank, over any field, so dim V <= nu.
 Once the rank reaches c every further column is dependent, so stopping there
 returns the same dimension; the round that reached c absorbed a column, so
-``layers_used`` counts it either way.
+``layers_used`` counts it either way.  The proof holds for every realization,
+so no trial exceeds c either: ``controllable_dim`` stops its trials at the
+first one that reaches c, since later trials could not raise the maximum.
 """
 
 from __future__ import annotations
@@ -258,7 +260,9 @@ class ControllabilityProbe:
     ``dim`` is the best (largest) reachable-space dimension seen; undershoot
     is possible only on a vanishing-variety draw, so the maximum over trials
     is the right aggregate.  ``layers_used`` comes from the first trial that
-    attained ``dim``.
+    attained ``dim``.  ``trial_dims`` and ``trial_layers`` hold only the
+    trials that ran, and ``trials`` counts them: every dim but the last is
+    below the term-rank ceiling.
     """
 
     dim: int
@@ -278,12 +282,14 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
                      graph: UnionGraph | None = None) -> ControllabilityProbe:
     """Probe the generic controllable-subspace dimension.
 
-    Runs ``trials`` independent realizations seeded ``seed, seed+1, ...`` and
-    keeps the maximum dimension.  A result of ``n`` certifies structural
-    controllability up to the (astronomically small) chance that every trial
-    landed on the degenerate variety.  Every trial stops at the term-rank
-    ceiling of ``graph``, the structure's union graph, built here when not
-    given.
+    Runs at most ``trials`` independent realizations seeded ``seed, seed+1,
+    ...`` and keeps the maximum dimension.  A result of ``n`` certifies
+    structural controllability up to the (astronomically small) chance that
+    every trial landed on the degenerate variety.  Every trial stops at the
+    term-rank ceiling of ``graph``, the structure's union graph, built here
+    when not given, and the first trial that reaches the ceiling is the
+    last: no realization exceeds it, so later trials could not change the
+    result.  A trial that undershoots is followed by the next.
     """
     if trials < 1:
         raise ModelError(f"need at least one trial, got {trials}")
@@ -297,6 +303,8 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
         dim, layers = reachable_space_dim(structure, realization, ceiling)
         dims.append(dim)
         layer_counts.append(layers)
+        if dim == ceiling:
+            break
     best = max(dims)
     first = dims.index(best)
     return ControllabilityProbe(

@@ -170,6 +170,25 @@ def test_counterexample_draws_each_realization_once(capsys, monkeypatch):
     assert sorted(calls) == [1729, 1730, 1731]
 
 
+@pytest.mark.parametrize("path,probe_dim,calls", [(EX1, 3, 1), (FIG3A, 8, 3)])
+def test_counterexample_probe_stops_at_ceiling(capsys, monkeypatch, path,
+                                               probe_dim, calls):
+    # example1 reaches its ceiling c = 3 on the first realization; chain10
+    # never does (c = 9 > dim = 8), so every realization is probed
+    dims = []
+    original = cli_mod.reachable_space_dim
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        dims.append(result[0])
+        return result
+    monkeypatch.setattr(cli_mod, "reachable_space_dim", counted)
+    code, out, _ = run(capsys, "counterexample", path, "--samples", "2")
+    assert code == 0
+    assert json.loads(out)["probe_dim"] == probe_dim
+    assert dims == [probe_dim] * calls
+
+
 def test_counterexample_rejects_zero_trials(capsys):
     code, out, err = run(capsys, "counterexample", EX1, "--trials", "0")
     assert code == 2 and out == ""

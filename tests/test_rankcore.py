@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -6,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import swcactus.rankcore as rankcore_mod
 from swcactus import (
     DEFAULT_PRIME,
+    ConsistencyError,
     ModelError,
     averaged_pair_rank,
     build_union_graph,
+    check,
     controllable_dim,
     input_rank,
     layered_product_columns,
@@ -137,9 +142,10 @@ def test_zero_input_structure():
 
 
 def test_probe_fields(example1):
+    # the first trial reaches the ceiling c = 3, so it is the only one run
     probe = controllable_dim(example1, seed=5, trials=4)
-    assert probe.trials == 4
-    assert probe.trial_dims == (3, 3, 3, 3)
+    assert probe.trials == 1
+    assert probe.trial_dims == (3,)
     assert probe.dim == 3 and probe.layers_used == 1
     assert probe.seed == 5 and probe.prime == P
     with pytest.raises(ModelError):
@@ -147,9 +153,71 @@ def test_probe_fields(example1):
 
 
 def test_probe_chain10(chain10):
+    # dim 8 is below the ceiling c = 9, so every trial runs
     probe = controllable_dim(chain10, seed=1729)
     assert probe.dim == 8
-    assert all(d == 8 for d in probe.trial_dims)
+    assert probe.trial_dims == (8, 8, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=4))
+def test_trials_stop_at_ceiling(seed, trials):
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=8, max_colors=3,
+                                 density=float(rng.uniform(0.05, 0.4)))
+    ceiling = term_rank_ceiling(build_union_graph(s))
+    # every trial, each run without a ceiling
+    full = [reachable_space_dim(s, sample_realization(s, seed=seed + t))
+            for t in range(trials)]
+    dims = [d for d, _ in full]
+    best = max(dims)
+    probe = controllable_dim(s, seed=seed, trials=trials)
+    assert probe.dim == best
+    assert probe.layers_used == full[dims.index(best)][1]
+    ran = dims.index(ceiling) + 1 if ceiling in dims else trials
+    assert probe.trial_dims == tuple(dims[:ran])
+    assert probe.trial_layers == tuple(layers for _, layers in full[:ran])
+    assert all(d < ceiling for d in probe.trial_dims[:-1])
+
+
+@pytest.mark.parametrize("name,draws", [("example1", 1), ("chain10", 3)])
+def test_check_draws_until_ceiling(request, monkeypatch, name, draws):
+    seeds = []
+    original = rankcore_mod.sample_realization
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(rankcore_mod, "sample_realization", counted)
+    check(request.getfixturevalue(name), seed=7)
+    assert seeds == list(range(7, 7 + draws))
+
+
+def _undershoot(monkeypatch, calls: float) -> None:
+    """Make the first ``calls`` probe trials return one below their ceiling."""
+    original = rankcore_mod.reachable_space_dim
+    count = itertools.count(1)
+
+    def short(structure, realization, ceiling=None):
+        dim, layers = original(structure, realization, ceiling)
+        return (ceiling - 1, layers) if next(count) <= calls else (dim, layers)
+    monkeypatch.setattr(rankcore_mod, "reachable_space_dim", short)
+
+
+def test_undershoot_runs_next_trial(example1, monkeypatch):
+    _undershoot(monkeypatch, 1)
+    probe = controllable_dim(example1, seed=3, trials=3)
+    assert probe.trial_dims == (2, 3)
+    assert probe.dim == 3 and probe.layers_used == 1
+
+
+def test_undershoot_every_trial(example1, monkeypatch):
+    _undershoot(monkeypatch, math.inf)
+    probe = controllable_dim(example1, seed=3, trials=4)
+    assert probe.trial_dims == (2, 2, 2, 2)
+    assert probe.dim == 2
+    with pytest.raises(ConsistencyError):
+        check(example1)
 
 
 def test_layered_product_offsets(example1):
