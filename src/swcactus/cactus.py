@@ -31,9 +31,10 @@ from .unigraph import (
     StateVertex,
     UnionGraph,
     edge_sort_key,
-    max_independent_edges,
+    max_independent_edges,  # noqa: F401  (patched by name by the benchmark tracer)
     reachable_states,
     restrict_to_color,
+    row_matching,
 )
 
 DEFAULT_MAX_LOOPS = 3
@@ -75,28 +76,35 @@ def decompose(edges, reachable: frozenset[int]) -> Decomposition:
     """
     edges = tuple(sorted(edges, key=edge_sort_key))
     _check_independent(edges)
-    # edges are handled by their position in the sorted tuple, so every
-    # piece below is put in order by sorting integers
-    heads = [e.head for e in edges]
     tails = [-1 if isinstance(e.tail, InputVertex) else e.tail.index
              for e in edges]
+    pieces = _pieces(tails, [e.head for e in edges], reachable)
+    return _assemble(edges.__getitem__, *pieces)
 
-    by_state_tail: dict[int, list[int]] = {}
+
+def _pieces(tails: list[int], heads: list[int], reachable: frozenset[int]
+            ) -> tuple[list[int], list[list[int]], list[int]]:
+    """The decomposition of an independent edge set given by position.
+
+    ``tails[i]`` is the tail state of edge ``i``, or ``-1`` for an input,
+    and ``heads[i]`` its head; positions follow ``edge_sort_key``.  Returns
+    the positions of the stems, of each cycle group and of the dropped
+    edges, each ascending and the groups by their first position, which is
+    the order :class:`Decomposition` lists edges in.
+    """
+    out: dict[int, list[int]] = {}
     stems: list[int] = []
-    absorbed = bytearray(len(edges))
     for i, t in enumerate(tails):
         if t < 0:
             stems.append(i)
-            absorbed[i] = 1
         else:
-            by_state_tail.setdefault(t, []).append(i)
+            out.setdefault(t, []).append(i)
+    # heads are distinct, so each state's out-edges are absorbed at most
+    # once, and what stays in ``out`` is the remainder
     for i in stems:  # grows while it is read: breadth-first
-        for j in by_state_tail.get(heads[i], ()):
-            if not absorbed[j]:
-                absorbed[j] = 1
-                stems.append(j)
+        stems += out.pop(heads[i], ())
 
-    remainder = [i for i in range(len(edges)) if not absorbed[i]]
+    remainder = sorted(i for group in out.values() for i in group)
     cycle_groups: list[list[int]] = []
     dropped: list[int] = []
     for comp in _weak_components(remainder, tails, heads):
@@ -106,38 +114,48 @@ def decompose(edges, reachable: frozenset[int]) -> Decomposition:
             cycle_groups.append(comp)
         else:
             dropped += comp
+    stems.sort()
+    dropped.sort()
+    return stems, cycle_groups, dropped
 
+
+def _assemble(edge, stems: list[int], cycle_groups: list[list[int]],
+              dropped: list[int]) -> Decomposition:
+    """A decomposition from the positions of :func:`_pieces`, with
+    ``edge(i)`` the edge at position ``i``."""
     return Decomposition(
-        stems=tuple(edges[i] for i in sorted(stems)),
-        cycle_groups=tuple(tuple(edges[i] for i in comp)
-                           for comp in sorted(cycle_groups)),
-        dropped=tuple(edges[i] for i in sorted(dropped)),
+        stems=tuple(map(edge, stems)),
+        cycle_groups=tuple(tuple(map(edge, comp)) for comp in cycle_groups),
+        dropped=tuple(map(edge, dropped)),
     )
 
 
 def _weak_components(positions: list[int], tails: list[int],
                      heads: list[int]) -> list[list[int]]:
     """Group edge positions (state tails only) by shared endpoints; each
-    group stays in position order."""
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    group stays in position order, and the groups are in the order of their
+    first position."""
+    if not positions:
+        return []
+    # union-find over the states, halving paths as it goes
+    parent = list(range(1 + max(max(tails), max(heads))))
     for i in positions:
-        t, h = tails[i], heads[i]
-        parent.setdefault(t, t)
-        parent.setdefault(h, h)
-        a, b = find(t), find(h)
+        a, b = tails[i], heads[i]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
         if a != b:
             parent[max(a, b)] = min(a, b)
 
     groups: dict[int, list[int]] = {}
     for i in positions:
-        groups.setdefault(find(heads[i]), []).append(i)
+        root = heads[i]
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(i)
     return list(groups.values())
 
 
@@ -190,16 +208,30 @@ def _cover_fixpoint(g: UnionGraph) -> Decomposition:
     its edges elsewhere.  The allowed set shrinks every round, so this
     terminates.  A round that allows every head reads the graph's kept
     unrestricted matching, which is the same matching.
+
+    The rounds work on :func:`row_matching` and :func:`_pieces`, the integer
+    forms of :func:`max_independent_edges` and :func:`decompose`: the
+    matched rows ascend in ``edge_sort_key`` order, and each row names its
+    tail.  Edge objects are built only for the pieces of the last round.
     """
     reachable = reachable_states(g)
     allowed = set(reachable)
+    width, m = g._width, g._inputs
+    row_tails = [-1 if t < m else t - m for t in (row % width for row in g._rows)]
     while True:
-        edges = max_independent_edges(
-            g, allowed_heads=None if len(allowed) == g.n else allowed)
-        decomp = decompose(edges, reachable)
-        if not decomp.dropped:
-            return decomp
-        allowed -= {e.head for e in decomp.dropped}
+        match = row_matching(g, None if len(allowed) == g.n else allowed)
+        matched = [i for i, head in enumerate(match) if head >= 0]
+        heads = [match[i] for i in matched]
+        stems, cycle_groups, dropped = _pieces(
+            [row_tails[i] for i in matched], heads, reachable)
+        if not dropped:
+            break
+        allowed.difference_update(heads[i] for i in dropped)
+
+    def edge(i: int) -> ColoredEdge:
+        tail, color = g._row_tail(g._rows[matched[i]])
+        return ColoredEdge(tail, heads[i], color)
+    return _assemble(edge, stems, cycle_groups, dropped)
 
 
 def best_cactus_cover(g: UnionGraph) -> CactusCover:

@@ -35,7 +35,7 @@ from .model import (
     realization_to_dict,
     sample_realization,
 )
-from .rankcore import averaged_pair_rank, reachable_space_dim
+from .rankcore import averaged_pair_rank, probe_trials, trial_realizations
 from .unigraph import (
     UnionGraph,
     build_union_graph,
@@ -236,17 +236,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ModelError(f"need at least one trial, got {args.trials}")
     # the realizations of controllable_dim, drawn once and shared with the
-    # mixing loop; probe_dim is that probe's maximum over them, each trial
-    # stopped at the same ceiling and the trials at the first that reaches it
-    realizations = [sample_realization(structure, seed=args.seed + t, prime=args.prime)
-                    for t in range(args.trials)]
-    ceiling = term_rank_ceiling(build_union_graph(structure))
-    probe_dim = 0
-    for realization in realizations:
-        dim, _ = reachable_space_dim(structure, realization, ceiling)
-        probe_dim = max(probe_dim, dim)
-        if dim == ceiling:
-            break
+    # mixing loop; probe_dim is that probe's maximum over them
+    realizations = list(trial_realizations(structure, args.seed, args.trials,
+                                           args.prime))
+    dims, _ = probe_trials(structure, realizations,
+                           term_rank_ceiling(build_union_graph(structure)))
+    probe_dim = max(dims)
     rng = random.Random(args.seed & ((1 << 64) - 1))
     max_rank = 0
     for realization in realizations:

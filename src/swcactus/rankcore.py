@@ -33,7 +33,7 @@ first one that reaches c, since later trials could not raise the maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     DEFAULT_PRIME,
@@ -287,24 +287,15 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
     structural controllability up to the (astronomically small) chance that
     every trial landed on the degenerate variety.  Every trial stops at the
     term-rank ceiling of ``graph``, the structure's union graph, built here
-    when not given, and the first trial that reaches the ceiling is the
-    last: no realization exceeds it, so later trials could not change the
-    result.  A trial that undershoots is followed by the next.
+    when not given, and the trials stop as :func:`probe_trials` says.  Each
+    realization is drawn only when its trial runs.
     """
     if trials < 1:
         raise ModelError(f"need at least one trial, got {trials}")
     g = graph if graph is not None else build_union_graph(structure)
-    ceiling = term_rank_ceiling(g)
-    dims: list[int] = []
-    layer_counts: list[int] = []
-    for t in range(trials):
-        realization = sample_realization(structure, field_kind="finite",
-                                         seed=seed + t, prime=prime)
-        dim, layers = reachable_space_dim(structure, realization, ceiling)
-        dims.append(dim)
-        layer_counts.append(layers)
-        if dim == ceiling:
-            break
+    dims, layer_counts = probe_trials(
+        structure, trial_realizations(structure, seed, trials, prime),
+        term_rank_ceiling(g))
     best = max(dims)
     first = dims.index(best)
     return ControllabilityProbe(
@@ -315,6 +306,36 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
         seed=seed,
         prime=prime,
     )
+
+
+def trial_realizations(structure: SwitchedStructure, seed: int, trials: int,
+                       prime: int) -> Iterator[Realization]:
+    """The probe's finite-field realizations, seeded ``seed .. seed +
+    trials - 1``, each drawn when it is read."""
+    for t in range(trials):
+        yield sample_realization(structure, field_kind="finite",
+                                 seed=seed + t, prime=prime)
+
+
+def probe_trials(structure: SwitchedStructure,
+                 realizations: Iterable[Realization],
+                 ceiling: int) -> tuple[list[int], list[int]]:
+    """``reachable_space_dim`` of each realization in turn, stopped at
+    ``ceiling``, as its dims and its ``layers_used``.
+
+    The first trial that reaches the ceiling is the last: no realization
+    exceeds it, so later trials could not raise the maximum.  A trial that
+    undershoots is followed by the next.
+    """
+    dims: list[int] = []
+    layer_counts: list[int] = []
+    for realization in realizations:
+        dim, layers = reachable_space_dim(structure, realization, ceiling)
+        dims.append(dim)
+        layer_counts.append(layers)
+        if dim == ceiling:
+            break
+    return dims, layer_counts
 
 
 def layered_product_columns(structure: SwitchedStructure, realization: Realization,

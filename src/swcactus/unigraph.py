@@ -31,25 +31,30 @@ Memo.  A graph never changes, so results derived from it are computed
 once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
 function and its arguments: :func:`reachable_states` keeps ``_reachable``,
 :func:`restrict_to_color` keeps ``_color_slice`` per color, ``edges_from``
-keeps ``_out_edges`` (built on its first call), and
-:func:`max_independent_edges` without ``allowed_heads`` keeps
-``_max_matching``, and :func:`term_rank_ceiling` keeps
-``_term_rank_ceiling``.  The cactus module keeps ``_cover_fixpoint``, whose
-first round reads that kept matching when every state is reachable, and
-``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
+keeps ``_out_edges`` (built on its first call), :func:`row_matching`
+without ``allowed_heads`` keeps ``_row_matching``, the unrestricted
+matching as one head (or ``-1``) per row, and :func:`term_rank_ceiling`
+keeps ``_term_rank_ceiling``.  :func:`max_independent_edges`, the
+ceiling and the first round of a cover fixpoint all read that one row
+matching, so each graph runs one unrestricted matching.  The cactus module
+keeps ``_cover_fixpoint``, whose rounds run on row matchings and build
+edges only for the cover they return, and ``shortest_walk_tree`` for its
+walks.  A graph is dropped with its memo.
 
 Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
 1973) is the one augmenting-path loop of the package, with an explicit
 stack in place of recursion, so an augmenting path may run through every
-state.  It has two callers: :func:`max_independent_edges` runs it on the
-rows, with heads outside ``allowed_heads`` held by a sentinel row that no
-search may displace, and ``mdg.max_linking`` runs it on the layered graph.
-Rows and heads are tried in the same order as a recursive search would, so
-the matching is fully determined by the graph.  A warm start is read from
+state.  It has two callers: :func:`row_matching` runs it on the rows, with
+heads outside ``allowed_heads`` held by a sentinel row that no search may
+displace, and ``mdg.max_linking`` runs it on the layered graph.  Rows and
+heads are tried in the same order as a recursive search would, so the
+matching is fully determined by the graph.  A warm start is read from
 ``match_right``: an entry naming a row ``0 <= i < len(adj)`` is kept as a
 match and only grown by augmenting paths.  Only the ceiling-stopped
 ``max_linking`` passes one, the matching of the previous, shallower depth;
-every other call starts from free heads and sentinels alone.
+every other call starts cold, from free heads and sentinels alone.  On a
+cold start every left sits on layer 0 of the first phase, so that phase's
+search is a plain loop: each left, in order, takes its first free head.
 """
 
 from __future__ import annotations
@@ -339,15 +344,33 @@ def max_independent_edges(g: UnionGraph,
     the generic rank of ``[A_1 .. A_N, B_1 .. B_N]`` (restricted to
     ``allowed_heads`` when given).  Fully deterministic: ties are broken by
     color, then input tails before state tails, then tail and head order.
-    The matching without ``allowed_heads`` is computed once per graph.
+    The edges are those of :func:`row_matching`, in ``edge_sort_key`` order.
+    """
+    rows = g._rows
+    chosen: list[ColoredEdge] = []
+    for idx, head in enumerate(row_matching(g, allowed_heads)):
+        if head >= 0:
+            tail, color = g._row_tail(rows[idx])
+            chosen.append(ColoredEdge(tail, head, color))
+    return tuple(chosen)
+
+
+def row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
+                 ) -> Sequence[int]:
+    """The matching of :func:`max_independent_edges` by row: the head
+    matched to each row of ``g``, or ``-1``.
+
+    Rows ascend in ``edge_sort_key`` order and hold one (tail, color) pair
+    each, so the matched rows list the edges in that order.  The matching
+    without ``allowed_heads`` is computed once per graph and kept.
     """
     if allowed_heads is None:
-        return g._once(_max_matching)
-    return _max_matching(g, allowed_heads)
+        return g._once(_row_matching)
+    return _row_matching(g, allowed_heads)
 
 
-def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
-                  ) -> tuple[ColoredEdge, ...]:
+def _row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
+                  ) -> tuple[int, ...]:
     size = len(g._adj)
     # a head outside allowed_heads is held by the sentinel left ``size``
     if allowed_heads is None:
@@ -357,16 +380,7 @@ def _max_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
         for h in allowed_heads:
             if 0 <= h < g.n:
                 match_right[h] = -1
-    match_left = hopcroft_karp(g._adj, match_right)
-
-    # rows are in (color, tail) order, so the edges come out sorted
-    rows = g._rows
-    chosen: list[ColoredEdge] = []
-    for idx, head in enumerate(match_left):
-        if head >= 0:
-            tail, color = g._row_tail(rows[idx])
-            chosen.append(ColoredEdge(tail, head, color))
-    return tuple(chosen)
+    return tuple(hopcroft_karp(g._adj, match_right))
 
 
 def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[int]:
@@ -389,6 +403,16 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[
         for head, left in enumerate(match_right):
             if 0 <= left < size:
                 match_left[left] = head
+    else:
+        # a cold start puts every left on layer 0, where no augmenting path
+        # runs through a matched left, so the first phase's search is each
+        # left, in order, taking its first free head
+        for idx, heads in enumerate(adj):
+            for head in heads:
+                if match_right[head] < 0:
+                    match_left[idx] = head
+                    match_right[head] = idx
+                    break
     inf = size + 1
     while True:
         # breadth-first layers from every free left; the sentinel's layer
@@ -458,7 +482,7 @@ def term_rank_ceiling(g: UnionGraph) -> int:
 def _term_rank_ceiling(g: UnionGraph) -> int:
     reach = reachable_states(g)
     if len(reach) == g.n:
-        return len(max_independent_edges(g))
+        return generic_rank(g)
     width, m = g._width, g._inputs
     # rows whose tail is an input or a reachable state; their heads are all
     # reachable, so no head needs filtering
@@ -469,7 +493,7 @@ def _term_rank_ceiling(g: UnionGraph) -> int:
 
 def generic_rank(g: UnionGraph) -> int:
     """Generic rank of the row-concatenation of all system matrices."""
-    return len(max_independent_edges(g))
+    return sum(head >= 0 for head in row_matching(g))
 
 
 @dataclass(frozen=True)

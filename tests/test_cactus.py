@@ -21,7 +21,7 @@ from swcactus import (
 from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
 from swcactus.mdg import mdg_path_vertices
 from swcactus.rankcore import controllable_dim
-from swcactus.unigraph import ColoredEdge, InputVertex, restrict_to_color
+from swcactus.unigraph import ColoredEdge, InputVertex, UnionGraph, restrict_to_color
 
 
 def test_decompose_example1_all_stems(example1):
@@ -268,3 +268,48 @@ def test_walking_builds_one_walk_tree(boost, monkeypatch):
     assert calls == [g]
     # the public function still hands out fresh dicts
     assert original(g)[0] is not original(g)[0]
+
+
+def _edge_level_fixpoint(g):
+    """The cover fixpoint on edge objects: match, decompose, ban the heads
+    of the dropped edges, until nothing is dropped."""
+    reachable = reachable_states(g)
+    allowed = set(reachable)
+    while True:
+        edges = max_independent_edges(
+            g, allowed_heads=None if len(allowed) == g.n else allowed)
+        decomp = decompose(edges, reachable)
+        if not decomp.dropped:
+            return decomp
+        allowed -= {e.head for e in decomp.dropped}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from([0.1, 0.2, 0.3]))
+def test_fixpoint_equals_edge_level_loop(seed, density):
+    # about one fixpoint in five takes two or more rounds on this draw
+    rng = np.random.default_rng(seed)
+    g = build_union_graph(helpers.random_structure(rng, max_n=12, density=density))
+    for graph in (g, *(restrict_to_color(g, c) for c in range(g.colors))):
+        assert cactus_mod._cover_fixpoint(graph) == _edge_level_fixpoint(graph)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cover_builds_edges_only_for_fixpoint_covers(seed, monkeypatch):
+    # seed 1 is covered by the all-color fixpoint alone; seed 2 also runs
+    # the three per-color fixpoints, over several rounds each
+    g = build_union_graph(helpers.wide_structure(seed, 300, 3))
+    calls = []
+    original = UnionGraph._row_tail
+
+    def counted(self, row):
+        calls.append(row)
+        return original(self, row)
+    monkeypatch.setattr(UnionGraph, "_row_tail", counted)
+    best_cactus_cover(g)
+    monkeypatch.undo()
+    graphs = (g, *(restrict_to_color(g, c) for c in range(g.colors)))
+    covers = [graph._memo[key] for graph in graphs
+              for key in [(cactus_mod._cover_fixpoint,)] if key in graph._memo]
+    assert len(calls) == sum(len(d.covered) for d in covers)

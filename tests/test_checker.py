@@ -184,14 +184,16 @@ def test_mid_scale_views_agree(seed, n, colors):
 def test_check_runs_one_unrestricted_matching_per_graph(name, monkeypatch):
     # a mask that allows every head gives the unrestricted matching again,
     # so it counts as one; the graphs are kept alive as counter keys
+    # (the verdict, the cover fixpoint's first round and the ceiling all
+    # read the kept row matching)
     counts: Counter = Counter()
-    original = unigraph_mod._max_matching
+    original = unigraph_mod._row_matching
 
     def counted(g, allowed_heads=None):
         if allowed_heads is None or set(allowed_heads) >= set(range(g.n)):
             counts[g] += 1
         return original(g, allowed_heads)
-    monkeypatch.setattr(unigraph_mod, "_max_matching", counted)
+    monkeypatch.setattr(unigraph_mod, "_row_matching", counted)
     report = check(helpers.load_system(name))
     assert counts[report.graph] == 1
     assert set(counts.values()) == {1}

@@ -176,13 +176,13 @@ def test_counterexample_probe_stops_at_ceiling(capsys, monkeypatch, path,
     # example1 reaches its ceiling c = 3 on the first realization; chain10
     # never does (c = 9 > dim = 8), so every realization is probed
     dims = []
-    original = cli_mod.reachable_space_dim
+    original = rankcore_mod.reachable_space_dim
 
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
         dims.append(result[0])
         return result
-    monkeypatch.setattr(cli_mod, "reachable_space_dim", counted)
+    monkeypatch.setattr(rankcore_mod, "reachable_space_dim", counted)
     code, out, _ = run(capsys, "counterexample", path, "--samples", "2")
     assert code == 0
     assert json.loads(out)["probe_dim"] == probe_dim

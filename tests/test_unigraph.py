@@ -379,3 +379,85 @@ def test_hopcroft_karp_warm_start(seed, density):
     assert matched == sum(h >= 0 for h in hopcroft_karp(g._adj, cold))
     allowed = [h for h in range(g.n) if h not in held]
     assert matched == len(helpers.ref_max_independent_edges(g, allowed_heads=allowed))
+
+
+def _layered_hopcroft_karp(adj, match_right):
+    """Every phase of ``hopcroft_karp`` run as layered search, the cold
+    first one too: the reference its greedy first phase must reproduce."""
+    size = len(adj)
+    match_left = [-1] * size
+    for head, left in enumerate(match_right):
+        if 0 <= left < size:
+            match_left[left] = head
+    inf = size + 1
+    while True:
+        dist = [inf if m >= 0 else 0 for m in match_left]
+        dist.append(-2)
+        queue = [idx for idx in range(size) if match_left[idx] < 0]
+        found = False
+        for idx in queue:
+            layer = dist[idx] + 1
+            for head in adj[idx]:
+                other = match_right[head]
+                if other < 0:
+                    found = True
+                elif dist[other] == inf:
+                    dist[other] = layer
+                    queue.append(other)
+        if not found:
+            return match_left
+        for root in range(size):
+            if match_left[root] >= 0:
+                continue
+            path = [root]
+            pos = [0]
+            while path:
+                idx = path[-1]
+                heads = adj[idx]
+                p = pos[-1]
+                layer = dist[idx] + 1
+                end = len(heads)
+                while p < end:
+                    other = match_right[heads[p]]
+                    p += 1
+                    if other < 0 or dist[other] == layer:
+                        break
+                else:
+                    dist[idx] = inf
+                    path.pop()
+                    pos.pop()
+                    continue
+                pos[-1] = p
+                if other < 0:
+                    for left, q in zip(path, pos):
+                        head = adj[left][q - 1]
+                        match_left[left] = head
+                        match_right[head] = left
+                    break
+                path.append(other)
+                pos.append(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["cold", "sentinels", "warm"]))
+def test_hopcroft_karp_equals_layered_search(seed, start):
+    # random lefts with heads in random order, so the greedy phase cannot
+    # lean on sorted rows
+    rng = np.random.default_rng(seed)
+    heads = int(rng.integers(1, 13))
+    adj = [tuple(int(h) for h in rng.permutation(heads)[:int(rng.integers(0, heads + 1))])
+           for _ in range(int(rng.integers(0, 16)))]
+    size = len(adj)
+    match_right = [-1] * heads
+    if start != "cold":
+        match_right = [size if rng.random() < 0.25 else -1 for _ in range(heads)]
+    if start == "warm":
+        for left in rng.permutation(size):
+            free = [h for h in adj[left] if match_right[h] == -1]
+            if free and rng.random() < 0.5:
+                match_right[free[int(rng.integers(len(free)))]] = int(left)
+    expected_right = list(match_right)
+    expected_left = _layered_hopcroft_karp(adj, expected_right)
+    assert hopcroft_karp(adj, match_right) == expected_left
+    assert match_right == expected_right
