@@ -7,7 +7,9 @@ randomized rank probe over a prime field, a stem/cycle cover certificate,
 and linking-based dimension bounds.  The three views are provably equivalent,
 so any disagreement means a bug, a malformed input, or an astronomically
 unlucky random draw; it is reported loudly as :class:`ConsistencyError` with
-the full instance attached rather than silently reconciled.
+the full instance attached rather than silently reconciled.  Nothing is
+computed twice: the certificate is the all-color cover's first round, and
+:func:`dim_bounds` is the one bounds computation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .unigraph import (
     UnionGraph,
     build_union_graph,
     format_vertex,
+    generic_rank,
     input_edges_only,
     max_independent_edges,
     reachable_states,
@@ -85,13 +88,23 @@ def _inconsistent(message: str, structure: SwitchedStructure, **facts) -> Consis
 
 def input_rank(g: UnionGraph) -> int:
     """Generic rank of the stacked input patterns alone."""
-    return len(max_independent_edges(input_edges_only(g)))
+    return generic_rank(input_edges_only(g))
 
 
-def _bounds(structure: SwitchedStructure, g: UnionGraph, cover: CactusCover,
-            reachable_count: int, layer_cap: int, vertex_cap: int) -> DimBounds:
-    """The one bounds computation behind :func:`check` and :func:`dim_bounds`."""
+def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
+               layer_cap: int = DEFAULT_LAYER_CAP,
+               vertex_cap: int = DEFAULT_VERTEX_CAP,
+               graph: UnionGraph | None = None) -> DimBounds:
+    """The one bounds computation: cover and linking bounds on the dimension.
+
+    With ``conventional=True`` the lower bound only uses covers drawn inside
+    a single subsystem, which is how a per-mode analysis would bound the
+    dimension; the default may mix colors and is never smaller.
+    """
+    g = graph if graph is not None else build_union_graph(structure)
+    cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
     lower = len(cover.covered)
+    reachable_count = len(reachable_states(g))
     depth_needed = structure.n - input_rank(g)
     # a shallower linking can undershoot the true dimension, so it is not a
     # sound upper bound; past either cap, fall back to reachability alone
@@ -110,22 +123,6 @@ def _bounds(structure: SwitchedStructure, g: UnionGraph, cover: CactusCover,
                      used_linking_bound=False, linking_layers=None)
 
 
-def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
-               layer_cap: int = DEFAULT_LAYER_CAP,
-               vertex_cap: int = DEFAULT_VERTEX_CAP,
-               graph: UnionGraph | None = None) -> DimBounds:
-    """Cover and linking bounds on the generic dimension.
-
-    With ``conventional=True`` the lower bound only uses covers drawn inside
-    a single subsystem, which is how a per-mode analysis would bound the
-    dimension; the default may mix colors and is never smaller.
-    """
-    g = graph if graph is not None else build_union_graph(structure)
-    cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
-    return _bounds(structure, g, cover, len(reachable_states(g)),
-                   layer_cap, vertex_cap)
-
-
 def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
           trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME,
           layer_cap: int = DEFAULT_LAYER_CAP,
@@ -135,25 +132,25 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
     The verdict comes from reachability plus generic rank.  The rank probe,
     the cover certificate, and the dimension bounds must all agree with it;
     a contradiction raises :class:`ConsistencyError` carrying the instance.
+    The certificate is the all-color cover: total exactly when its first
+    round, the split of the full independent edge set, drops nothing.
     """
     n = structure.n
     g = build_union_graph(structure)
     reachable = reachable_states(g)
-    independent = max_independent_edges(g)
-    grank = len(independent)
+    grank = generic_rank(g)
     controllable = len(reachable) == n and grank == n
+    cover = best_cactus_cover(g)
 
-    certificate: Decomposition | None = None
-    if controllable:
-        certificate = decompose(independent, reachable)
-        if certificate.dropped or certificate.covered != frozenset(range(n)):
-            raise _inconsistent(
-                "verdict says controllable but the full independent set "
-                "does not decompose into a total cover",
-                structure,
-                covered=sorted(v + 1 for v in certificate.covered),
-                dropped=[edge_to_dict(e) for e in certificate.dropped],
-            )
+    total = cover.restricted_color is None and len(cover.covered) == n
+    if controllable and not total:
+        found = decompose(max_independent_edges(g), reachable)
+        raise _inconsistent(
+            "verdict says controllable but the full independent set "
+            "does not decompose into a total cover",
+            structure, covered=sorted(v + 1 for v in found.covered),
+            dropped=[edge_to_dict(e) for e in found.dropped])
+    certificate = cover.decomposition if controllable else None
 
     probe = controllable_dim(structure, seed=seed, trials=trials, prime=prime,
                              graph=g)
@@ -169,8 +166,8 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
             structure, reachable=sorted(v + 1 for v in reachable),
             generic_rank=grank, seed=seed, prime=prime)
 
-    cover = best_cactus_cover(g)
-    bounds = _bounds(structure, g, cover, len(reachable), layer_cap, vertex_cap)
+    bounds = dim_bounds(structure, layer_cap=layer_cap, vertex_cap=vertex_cap,
+                        graph=g)
 
     if not bounds.lower <= probe.dim <= bounds.upper:
         raise _inconsistent(
@@ -213,9 +210,18 @@ def decomposition_to_dict(decomposition: Decomposition) -> dict:
     }
 
 
+def cover_to_dict(cover: CactusCover) -> dict:
+    """JSON-ready view of a cover, 1-based like :func:`report_to_dict`."""
+    return {
+        "restricted_color": (None if cover.restricted_color is None
+                             else cover.restricted_color + 1),
+        **decomposition_to_dict(cover.decomposition),
+    }
+
+
 def report_to_dict(report: CheckReport) -> dict:
     """JSON-ready view of a check, 1-based and fully deterministic."""
-    out = {
+    return {
         "n": report.structure.n,
         "subsystems": report.structure.subsystem_count,
         "reachable": sorted(v + 1 for v in report.reachable),
@@ -234,12 +240,7 @@ def report_to_dict(report: CheckReport) -> dict:
             "used_linking_bound": report.bounds.used_linking_bound,
             "linking_layers": report.bounds.linking_layers,
         },
-        "cover": {
-            "restricted_color": (None if report.cover.restricted_color is None
-                                 else report.cover.restricted_color + 1),
-            **decomposition_to_dict(report.cover.decomposition),
-        },
+        "cover": cover_to_dict(report.cover),
         "certificate": (None if report.certificate is None
                         else decomposition_to_dict(report.certificate)),
     }
-    return out

@@ -21,7 +21,7 @@ from .checker import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     check,
-    decomposition_to_dict,
+    cover_to_dict,
     dim_bounds,
     input_rank,
     report_to_dict,
@@ -182,12 +182,7 @@ def _cmd_cactus(args: argparse.Namespace) -> int:
     g = build_union_graph(structure)
     cover = best_cactus_cover(g)
     if args.format == "json":
-        doc = {
-            "restricted_color": (None if cover.restricted_color is None
-                                 else cover.restricted_color + 1),
-            **decomposition_to_dict(cover.decomposition),
-        }
-        _emit(_json(doc), args.output)
+        _emit(_json(cover_to_dict(cover)), args.output)
     else:
         _emit(_union_dot(g, cover.decomposition), args.output)
     return 0

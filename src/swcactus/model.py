@@ -247,11 +247,11 @@ def parse_system(text: str | bytes) -> SwitchedStructure:
     The schema is ``{"n": int, "subsystems": [{"A": [[r, c], ...],
     "B": {"cols": int, "nonzeros": [[r, c], ...]}}, ...]}`` with 1-based
     positions.  Raises :class:`ModelError` with the offending position on any
-    schema violation.
+    schema violation or JSON decoding failure (including deep nesting).
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"input is not valid JSON: {exc}") from exc
     return system_from_dict(doc)
 

@@ -34,12 +34,13 @@ function and its arguments: :func:`reachable_states` keeps ``_reachable``,
 keeps ``_out_edges`` (built on its first call), :func:`row_matching`
 without ``allowed_heads`` keeps ``_row_matching``, the unrestricted
 matching as one head (or ``-1``) per row, and :func:`term_rank_ceiling`
-keeps ``_term_rank_ceiling``.  :func:`max_independent_edges`, the
-ceiling and the first round of a cover fixpoint all read that one row
-matching, so each graph runs one unrestricted matching.  The cactus module
-keeps ``_cover_fixpoint``, whose rounds run on row matchings and build
-edges only for the cover they return, and ``shortest_walk_tree`` for its
-walks.  A graph is dropped with its memo.
+keeps ``_term_rank_ceiling``.  :func:`generic_rank`, the ceiling, a cover
+fixpoint's first round and :func:`max_independent_edges` all read that one
+row matching, so each graph runs one unrestricted matching; the input rank
+and a ceiling below full reachability are :func:`generic_rank` of a row
+slice, not kept.  The cactus module keeps ``_cover_fixpoint``, whose rounds
+run on row matchings and build edges only for the cover they return, and
+``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
 
 Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
 1973) is the one augmenting-path loop of the package, with an explicit
@@ -302,9 +303,14 @@ def _color_slice(g: UnionGraph, color: int) -> UnionGraph:
 
 
 def input_edges_only(g: UnionGraph) -> UnionGraph:
+    return _row_slice(g, lambda t: t < g._inputs)
+
+
+def _row_slice(g: UnionGraph, keep: Callable[[int], bool]) -> UnionGraph:
+    """Subgraph of the rows whose tail's vertex id ``keep`` accepts."""
     sub = UnionGraph._blank(g.n, g.input_counts)
-    width, m = g._width, g._inputs
-    kept = [k for k, row in enumerate(g._rows) if row % width < m]
+    width = g._width
+    kept = [k for k, row in enumerate(g._rows) if keep(row % width)]
     sub._set_rows([g._rows[k] for k in kept], [g._adj[k] for k in kept])
     return sub
 
@@ -483,12 +489,10 @@ def _term_rank_ceiling(g: UnionGraph) -> int:
     reach = reachable_states(g)
     if len(reach) == g.n:
         return generic_rank(g)
-    width, m = g._width, g._inputs
+    m = g._inputs
     # rows whose tail is an input or a reachable state; their heads are all
     # reachable, so no head needs filtering
-    adj = [heads for row, heads in zip(g._rows, g._adj)
-           if row % width < m or row % width - m in reach]
-    return sum(head >= 0 for head in hopcroft_karp(adj, [-1] * g.n))
+    return generic_rank(_row_slice(g, lambda t: t < m or t - m in reach))
 
 
 def generic_rank(g: UnionGraph) -> int:

@@ -22,7 +22,10 @@ from swcactus import (
     input_rank,
     report_to_dict,
 )
+from swcactus.cactus import decompose
+from swcactus.checker import edge_to_dict
 from swcactus.rankcore import ControllabilityProbe
+from swcactus.unigraph import UnionGraph, max_independent_edges, reachable_states
 
 
 def test_check_example1(example1):
@@ -197,3 +200,74 @@ def test_check_runs_one_unrestricted_matching_per_graph(name, monkeypatch):
     report = check(helpers.load_system(name))
     assert counts[report.graph] == 1
     assert set(counts.values()) == {1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from([0.2, 0.3, 0.5]))
+def test_certificate_is_decomposed_independent_set(seed, density):
+    # the reference: the full independent edge set, split into its pieces;
+    # about two draws in three are controllable
+    s = helpers.random_structure(np.random.default_rng(seed), max_n=8,
+                                 density=density)
+    report = check(s)
+    if report.controllable:
+        g = build_union_graph(s)
+        assert report.certificate == decompose(max_independent_edges(g),
+                                               reachable_states(g))
+
+
+@pytest.mark.parametrize("name", ["example1", "boost", "chain10"])
+def test_check_decomposes_nothing_on_success(name, monkeypatch):
+    # the certificate is read off the cover; only a failed cross-check
+    # rebuilds the independent set to report what it dropped
+    def refused(*args, **kwargs):
+        raise AssertionError("called on the success path")
+    monkeypatch.setattr(checker_mod, "decompose", refused)
+    monkeypatch.setattr(checker_mod, "max_independent_edges", refused)
+    report = check(helpers.load_system(name))
+    assert report.controllable == (name != "chain10")
+
+
+@pytest.mark.parametrize("name", ["example1", "boost"])
+def test_check_builds_edges_only_for_the_cover(name, monkeypatch):
+    # every rank is counted on row matchings, so the only edges built are
+    # those of the cover the fixpoint returns
+    calls = []
+    original = UnionGraph._row_tail
+
+    def counted(self, row):
+        calls.append(row)
+        return original(self, row)
+    monkeypatch.setattr(UnionGraph, "_row_tail", counted)
+    report = check(helpers.load_system(name))
+    monkeypatch.undo()
+    d = report.cover.decomposition
+    assert len(calls) == (len(d.stems) + sum(map(len, d.cycle_groups))
+                          + len(d.dropped))
+
+
+def test_certificate_check_reports_dropped_edges(example1, monkeypatch):
+    # a decomposition core that drops the first stem edge leaves no total
+    # cover of a controllable structure
+    certificate = check(example1).certificate
+    first = certificate.stems[0]
+    original = cactus_mod._pieces
+
+    def dropping(tails, heads, reachable):
+        stems, cycle_groups, dropped = original(tails, heads, reachable)
+        if stems:
+            dropped = sorted(dropped + stems[:1])
+            stems = stems[1:]
+        return stems, cycle_groups, dropped
+    monkeypatch.setattr(cactus_mod, "_pieces", dropping)
+    with pytest.raises(ConsistencyError) as err:
+        check(example1)
+    message, dump = str(err.value).split("\n", 1)
+    assert message == ("verdict says controllable but the full independent "
+                       "set does not decompose into a total cover")
+    facts = json.loads(dump)["facts"]
+    assert facts == {
+        "covered": sorted(v + 1 for v in certificate.covered - {first.head}),
+        "dropped": [edge_to_dict(first)],
+    }

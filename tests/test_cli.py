@@ -49,6 +49,20 @@ def test_bad_json(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["check", "grank"])
+@pytest.mark.parametrize("content", [b"[" * 200000, b'{"n": 1\xc3\x28}'],
+                         ids=["nested", "not_utf8"])
+def test_undecodable_input_exits_two(tmp_path, capsys, command, content):
+    # nesting past the decoder's recursion limit and bytes that are not
+    # UTF-8 are bad input, not a "not controllable" verdict
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input is not valid JSON: ")
+
+
 def test_bad_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "subsystems": [{"A": [[0, 1]],
