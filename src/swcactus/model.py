@@ -346,15 +346,23 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
             raise ModelError(f"prime must be below 2**63, the supported range, got {p}")
         if not is_prime(p):
             raise ModelError(f"{p} is not prime")
+        # the draws below are rng.randrange(1, p) inlined: the same
+        # getrandbits(k) calls with the same rejection, so the same values
+        width = p - 1
+        k = width.bit_length()
     seed = int(seed) & _UINT64_MASK
     rng = random.Random(seed)
     values: dict[tuple[int, str, int, int], Any] = {}
+    getrandbits = rng.getrandbits
     for idx, (a, b) in enumerate(structure.subsystems):
         for tag, mat in (("A", a), ("B", b)):
             for c, rows in enumerate(mat.columns):
                 for r in rows:
                     if field_kind == "finite":
-                        values[(idx, tag, r, c)] = rng.randrange(1, p)
+                        x = getrandbits(k)
+                        while x >= width:
+                            x = getrandbits(k)
+                        values[(idx, tag, r, c)] = 1 + x
                     else:
                         x = rng.uniform(-1.0, 1.0)
                         while x == 0.0:

@@ -11,7 +11,13 @@ The finite-field path uses Python integers, which hold any prime.  Only the
 real-field paths import numpy, when they run, so checking a structure never
 loads it.  The elimination in ``ColumnReducer`` packs a whole column into
 one integer, a fixed-width slot per row, so one pivot step is one
-big-integer multiply-add (Kronecker substitution).  The Krylov loop of
+big-integer multiply-add (Kronecker substitution).  Each step covers only
+the rows from its pivot up, and a column stops at its first free row with a
+nonzero residue.  Slots are reduced mod p lazily, as in delayed reduction
+(Dumas, Giorgi and Pernet, ACM TOMS 2008): a stored column is only folded,
+every slot at once, back below a fixed bound (slot-wise folding,
+Hasenplaugh, Gaubatz and Gopal, ARITH 2007), and a slot is taken mod p only
+where its residue is read.  The Krylov loop of
 ``reachable_space_dim`` applies the ``A_i`` only to the columns the
 previous round added.
 
@@ -32,7 +38,9 @@ first one that reaches c, since later trials could not raise the maximum.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
@@ -48,6 +56,27 @@ from .unigraph import UnionGraph, build_union_graph, term_rank_ceiling
 _REAL_RANK_REL_TOL = 1e-9
 
 
+@lru_cache(maxsize=32)
+def _slot_layout(n: int, prime: int) -> tuple[int, int, int, int, int, int, int]:
+    """``(w, mask, c, radix, folds, lo, hi)`` of ``ColumnReducer(n, prime)``:
+    the slot width and one slot's bits; the fold shift and ``2**c mod p``;
+    the number of folds an absorbed column takes; and the masks of the low
+    ``c`` and the high ``w - c`` bits of every slot."""
+    b = prime.bit_length()
+    c = b + b // 2
+    w = 2 * b + b // 2 + n.bit_length() + 3
+    radix = (1 << c) % prime
+    top = 1 << (c + 1)
+    x = prime - 1 + n * (prime - 1) * (top - 1)  # the largest candidate slot
+    folds = 0
+    while x >= top:
+        x = (x >> c) * radix + (1 << c) - 1
+        folds += 1
+    ones = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+    return (w, (1 << w) - 1, c, radix, folds,
+            ones * ((1 << c) - 1), ones * ((1 << (w - c)) - 1))
+
+
 class ColumnReducer:
     """Incremental column-echelon basis over GF(p), on packed integers.
 
@@ -55,54 +84,90 @@ class ColumnReducer:
     independent.  A column is one Python int with a fixed-width slot per row
     (row ``i`` in bits ``i*w`` to ``(i+1)*w - 1``), so eliminating one pivot
     is a single big-integer multiply-add rather than ``n`` scalar steps.
-    Basis columns are stored normalized and negated: every slot holds a value
-    in ``[0, p)`` and the pivot slot ``p - 1``.  Adding ``f`` times such a
-    column, with ``f`` the candidate's pivot entry mod p, clears that entry
-    mod p; every term is non-negative, so no borrow crosses a slot.  A slot
-    grows by less than ``p**2`` per pivot, and the width
-    ``2 * bitlen(p) + bitlen(n) + 2`` holds ``n`` pivots, so slots are
-    reduced mod p only once, after the last pivot.
+    Every term is non-negative, so no borrow crosses a slot.
+
+    The basis is sorted by pivot row.  Invariant: a basis column with pivot
+    ``q`` is zero mod p in every row below ``q``.  It is stored from row
+    ``q`` up, so its slot 0 is the pivot, beside ``ninv = -1/pivot mod p``.
+
+    A candidate is reduced against the pivots in ascending order, on a
+    shrinking tail: before pivot ``q`` the settled rows below ``q`` are
+    shifted out, so the multiply-add by the factor ``(slot 0 mod p) * ninv
+    mod p`` covers rows ``q..n-1`` only.  No later pivot touches a row below
+    its own, so the rows between two pivots are final once the lower pivot
+    is passed.  The first such free row with a nonzero residue is the
+    candidate's pivot, and the reduction stops there: the column is zero
+    mod p below that row, as the invariant asks, and need not be reduced at
+    the pivots above it.  Whether a column is independent depends only on
+    the span, so ``add`` answers as any other elimination would.
+
+    Stored slots are folded, not normalized: with ``b = bitlen(p)`` and ``c
+    = b + b//2``, a fold maps every slot ``x`` to ``(x >> c) * (2**c mod p)
+    + (x mod 2**c)``, which is congruent to ``x`` mod p.  With ``w = 2b +
+    b//2 + bitlen(n) + 3``:
+      1. A candidate slot starts below p and takes at most one product per
+         basis column, at most ``n`` of them, each a factor below p times a
+         stored slot below ``2**(c+1)``.  So it stays below ``p * (1 + n *
+         2**(c+1)) < 2**(b + c + 1 + bitlen(n)) = 2**(w - 2)``.
+      2. A fold of a slot below ``2**w`` stays below ``2**(w - c + b) +
+         2**c <= 2**w``, since ``c - b = b//2 >= 1``: it carries into no
+         other slot, so two masks fold every slot at once.
+      3. A fold maps ``x >= 2**(c+1)`` to at most ``x * p / 2**c + 2**c <
+         x``, and ``x < 2**(c+1)`` to below ``p + 2**c <= 2**(c+1)``.  So a
+         fixed number of folds, counted per ``(n, p)`` from the bound of
+         item 1 by ``_slot_layout``, brings every slot of an absorbed column
+         below ``2**(c+1)``, as item 1 assumes.  The default prime needs 2.
     """
 
     def __init__(self, n: int, prime: int) -> None:
         self.n = n
         self.prime = prime
-        self._width = 2 * prime.bit_length() + n.bit_length() + 2
-        self._mask = (1 << self._width) - 1
-        # (pivot slot shift, packed negated normalized column), in pivot order
-        self._basis: list[tuple[int, int]] = []
+        self._layout = _slot_layout(n, prime)
+        # (pivot row, packed column from the pivot row up, -1/pivot mod p),
+        # sorted by pivot row
+        self._basis: list[tuple[int, int, int]] = []
 
     @property
     def rank(self) -> int:
         return len(self._basis)
 
     def add(self, column: Sequence[int]) -> bool:
-        p, w, mask = self.prime, self._width, self._mask
-        col = [int(v) % p for v in column]
-        if len(col) != self.n:
-            raise ModelError(f"column length {len(col)} does not match n={self.n}")
-        acc = 0
-        for value in reversed(col):
-            acc = acc << w | value
-        for shift, neg in self._basis:
-            factor = (acc >> shift & mask) % p
-            if factor:
-                acc += factor * neg
-        # the pivot is the first slot nonzero mod p; read slot by slot, so
-        # an independent column is unpacked only once its pivot is known
-        for row in range(self.n):
-            value = (acc >> row * w & mask) % p
+        p = self.prime
+        w, mask = self._layout[:2]
+        if len(column) != self.n:
+            raise ModelError(f"column length {len(column)} does not match n={self.n}")
+        acc = shift = 0
+        for value in column:
             if value:
-                break
-        else:
-            return False
-        # slots below the pivot are zero mod p, so only the rest is packed
-        inv = pow(value, -1, p)
-        neg = 0
-        for r in range(self.n - 1, row - 1, -1):
-            neg = neg << w | -((acc >> r * w & mask) % p) * inv % p
-        self._basis.append((row * w, neg << row * w))
-        return True
+                acc |= (int(value) % p) << shift
+            shift += w
+        pos = free = 0  # slot 0 of acc is row pos; rows below free are zero
+        for q, stored, ninv in self._basis:
+            if free < q:
+                gap = (acc & ((1 << (q - pos) * w) - 1)) >> (free - pos) * w
+                if gap:
+                    for r in range(free, q):
+                        if (gap >> (r - free) * w & mask) % p:
+                            self._absorb(acc >> (r - pos) * w, r)
+                            return True
+            acc >>= (q - pos) * w
+            factor = (acc & mask) % p * ninv % p
+            if factor:
+                acc += factor * stored
+            pos, free = q, q + 1
+        for r in range(free, self.n):
+            if (acc >> (r - pos) * w & mask) % p:
+                self._absorb(acc >> (r - pos) * w, r)
+                return True
+        return False
+
+    def _absorb(self, tail: int, row: int) -> None:
+        """Store the reduced ``tail``, whose slot 0 is the nonzero ``row``."""
+        p = self.prime
+        _, mask, c, radix, folds, lo, hi = self._layout
+        for _ in range(folds):
+            tail = (tail >> c & hi) * radix + (tail & lo)
+        insort(self._basis, (row, tail, p - pow((tail & mask) % p, -1, p)))
 
 
 def rank_ff(columns: Iterable[Sequence[int]], n: int, prime: int = DEFAULT_PRIME) -> int:

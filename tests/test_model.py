@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import numpy as np
@@ -230,3 +231,23 @@ def test_realization_to_dict(example1):
 def test_seed_mask_accepts_any(seed):
     import helpers
     sample_realization(helpers.load_system("example1"), seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1 << 31) + 11, DEFAULT_PRIME, (1 << 63) - 25]),
+       st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       st.integers(min_value=0, max_value=10 ** 9))
+def test_finite_draws_are_randrange(prime, seed, shape):
+    # the finite draws inline rng.randrange(1, p): the same values, in
+    # StructuredMatrix.columns order, for any seed
+    import helpers
+    s = helpers.random_structure(np.random.default_rng(shape), max_n=6, density=0.5)
+    rng = random.Random(seed & (2 ** 64 - 1))
+    expected = {}
+    for idx, (a, b) in enumerate(s.subsystems):
+        for tag, mat in (("A", a), ("B", b)):
+            for c, rows in enumerate(mat.columns):
+                for r in rows:
+                    expected[(idx, tag, r, c)] = rng.randrange(1, prime)
+    values = sample_realization(s, seed=seed, prime=prime).values
+    assert list(values.items()) == list(expected.items())

@@ -23,7 +23,7 @@ from swcactus import (
     sample_realization,
 )
 from swcactus.model import StructuredMatrix, SwitchedStructure
-from swcactus.rankcore import ColumnReducer, det_ff, rank_ff
+from swcactus.rankcore import ColumnReducer, _slot_layout, det_ff, rank_ff
 from swcactus.unigraph import _term_rank_ceiling, term_rank_ceiling
 
 P = DEFAULT_PRIME
@@ -54,24 +54,50 @@ def _low_rank_columns(rng: random.Random, n: int, prime: int) -> list[list[int]]
                            for _ in range(rng.randint(0, 2 * n + 2)))]
 
 
+def _sparse_columns(rng: random.Random, n: int, prime: int) -> list[list[int]]:
+    # 1-3 nonzero rows placed at random, so pivots arrive out of row order and
+    # a column's first nonzero free row often lies below existing pivots; an
+    # entry may be a multiple of p, nonzero but zero mod p
+    cols = []
+    for _ in range(rng.randint(1, 2 * n + 2)):
+        col = [0] * n
+        for row in rng.sample(range(n), rng.randint(1, min(3, n))):
+            col[row] = rng.choice((1, -1, prime, rng.randrange(-3 * prime, 3 * prime)))
+        cols.append(col)
+    return cols
+
+
+def _assert_folded(red: ColumnReducer) -> None:
+    """Every stored slot is below ``2**(c + 1)``, no bits lie past row n - 1,
+    and each column's ``ninv`` is minus the inverse of its slot 0."""
+    w, mask, c = _slot_layout(red.n, red.prime)[:3]
+    for row, stored, ninv in red._basis:
+        slots = [stored >> i * w & mask for i in range(red.n - row)]
+        assert stored >> (red.n - row) * w == 0
+        assert max(slots) < 1 << (c + 1)
+        assert slots[0] * ninv % red.prime == red.prime - 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=10),
-       st.integers(min_value=0, max_value=2 ** 32))
-def test_column_reducer_matches_plain_elimination(prime, n, seed):
-    cols = _low_rank_columns(random.Random(seed), n, prime)
+       st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from((_low_rank_columns, _sparse_columns)))
+def test_column_reducer_matches_plain_elimination(prime, n, seed, draw):
+    cols = draw(random.Random(seed), n, prime)
     red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
-    assert [red.add(c) for c in cols] == [brute.add(c) for c in cols]
+    for c in cols:
+        assert red.add(c) == brute.add(c)
+        _assert_folded(red)
     assert red.rank == rank_ff(cols, n, prime) == helpers.brute_rank_ff(cols, n, prime)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
 def test_column_reducer_largest_slot_sum(prime, n):
-    # basis e_k + e_last for every row k but the last: each stored negated
-    # column holds p - 1 in its pivot row and in the last row.  Minus their
-    # sum makes every factor p - 1, so the last row, which no pivot reads,
-    # takes n - 1 products (p - 1)**2 on top of its entry before it is
-    # reduced; a narrower slot would carry out of it and break the rejection
+    # basis e_k + e_last for every row k but the last, and a candidate that
+    # it reduces to zero: the last row, which no pivot reads, takes n - 1
+    # products on top of its entry before it is read; a narrower slot would
+    # carry out of it and break the rejection
     red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
     for k in range(n - 1):
         col = [0] * n
@@ -81,6 +107,33 @@ def test_column_reducer_largest_slot_sum(prime, n):
     assert not red.add(candidate) and not brute.add(candidate)
     assert red.add([0] * (n - 1) + [1])
     assert red.rank == n
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
+def test_column_reducer_folded_extreme(prime, n):
+    # the basis e_k + e_last for every row k but the last, stored by hand
+    # with every slot at its folded maximum: the largest value below
+    # 2**(c + 1) in its class mod p.  Candidates of ones make every factor
+    # p - 1, so the last row takes n - 1 of the largest products the slot
+    # width must hold before it is read; a carry out of any slot would break
+    # the rejection, and the accepted column is folded from that extreme
+    w, _, c = _slot_layout(n, prime)[:3]
+    top = (1 << (c + 1)) - 1
+    red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
+    for k in range(n - 1):
+        col = [0] * n
+        col[k] = col[n - 1] = 1
+        assert brute.add(col)
+        slots = [top - (top - v) % prime for v in col[k:]]
+        red._basis.append((k, sum(v << i * w for i, v in enumerate(slots)), prime - 1))
+    _assert_folded(red)
+    candidate = [1] * (n - 1) + [n - 1]
+    assert not red.add(candidate) and not brute.add(candidate)
+    candidate[-1] = n
+    assert red.add(candidate) and brute.add(candidate)
+    assert red.rank == n
+    _assert_folded(red)
 
 
 def test_rank_ff_known():
