@@ -6,7 +6,10 @@ scalars, drawn from a large prime field or from the reals, to the nonzero
 positions so that generic rank properties can be probed numerically.  The
 draws come from the standard library's ``random.Random``: the generic
 dimensions depend on the pattern alone, so any fixed seeded stream serves,
-and this one needs no numpy.
+and this one needs no numpy.  A realization is stored in the patterns' own
+column layout, each column its ``(row, value)`` pairs, so the rank probe
+reads it as drawn; the keyed map ``Realization.values`` is derived from it
+only when read.
 
 Indices are 0-based internally and 1-based in every serialized document and
 error message.
@@ -17,8 +20,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Any, Iterable
 
 DEFAULT_PRIME = (1 << 61) - 1
 # Realization values must stay exact; primes this large force Python-int
@@ -75,7 +78,8 @@ class StructuredMatrix:
     Only the positions of the structurally nonzero entries are stored; the
     entries themselves are free parameters.  ``columns`` holds the ascending
     row indices of every column's nonzeros, the one column layout that the
-    union graph, the layered graph and the rank probe share.
+    union graph, the layered graph, the rank probe and every
+    :class:`Realization` share.
     """
 
     rows: int
@@ -278,15 +282,29 @@ def serialize_system(structure: SwitchedStructure) -> str:
 class Realization:
     """Concrete values for every structural nonzero of one system.
 
-    ``values`` maps ``(subsystem, "A"|"B", row, col)`` to a scalar: an integer
-    in ``[1, prime - 1]`` for the finite-field kind, a nonzero float in
-    ``[-1, 1]`` for the real kind.
+    Each value is an integer in ``[1, prime - 1]`` for the finite-field
+    kind, a nonzero float in ``[-1, 1]`` for the real kind.  ``columns[i]``
+    is ``(A_i columns, B_i columns)``, and each column is a tuple of
+    ``(row, value)`` pairs, rows ascending, exactly as
+    ``StructuredMatrix.columns`` lists the rows.  Equality compares
+    ``columns``.
+
+    ``values`` is derived: it maps ``(subsystem, "A"|"B", row, col)`` to the
+    value, in draw order, and is built on first read.
     """
 
     kind: str
     prime: int | None
     seed: int
-    values: Mapping[tuple[int, str, int, int], Any]
+    columns: tuple[tuple[tuple[tuple[tuple[int, Any], ...], ...], ...], ...]
+
+    @cached_property
+    def values(self) -> dict[tuple[int, str, int, int], Any]:
+        return {(idx, tag, r, c): v
+                for idx, pair in enumerate(self.columns)
+                for tag, cols in zip("AB", pair)
+                for c, col in enumerate(cols)
+                for r, v in col}
 
     def value(self, subsystem: int, which: str, row: int, col: int, default: Any = 0) -> Any:
         return self.values.get((subsystem, which, row, col), default)
@@ -295,12 +313,12 @@ class Realization:
 def realized_dense(structure: SwitchedStructure, realization: Realization,
                    subsystem: int, which: str) -> list[list[Any]]:
     """Materialize one realized matrix as nested lists (zeros filled in)."""
-    a, b = structure.subsystems[subsystem]
-    mat = a if which == "A" else b
+    t = 0 if which == "A" else 1
     zero = 0 if realization.kind == "finite" else 0.0
-    out = [[zero] * mat.cols for _ in range(mat.rows)]
-    for r, c in mat.nonzeros:
-        out[r][c] = realization.values[(subsystem, which, r, c)]
+    out = [[zero] * structure.subsystems[subsystem][t].cols for _ in range(structure.n)]
+    for c, col in enumerate(realization.columns[subsystem][t]):
+        for r, v in col:
+            out[r][c] = v
     return out
 
 
@@ -332,8 +350,8 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
     ``[1, prime - 1]``; zero is excluded so that the realized pattern matches
     the structural pattern exactly.  Real values are uniform on ``[-1, 1]``
     with zero rejected.  Positions are visited matrix by matrix, column by
-    column, rows ascending (``StructuredMatrix.columns``), so equal seeds give
-    identical value maps.
+    column, rows ascending (``StructuredMatrix.columns``), and stored in that
+    layout, so equal seeds give identical realizations.
     """
     if field_kind not in ("finite", "real"):
         raise ModelError(f"unknown field kind {field_kind!r}; expected 'finite' or 'real'")
@@ -352,20 +370,26 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
         k = width.bit_length()
     seed = int(seed) & _UINT64_MASK
     rng = random.Random(seed)
-    values: dict[tuple[int, str, int, int], Any] = {}
     getrandbits = rng.getrandbits
-    for idx, (a, b) in enumerate(structure.subsystems):
-        for tag, mat in (("A", a), ("B", b)):
-            for c, rows in enumerate(mat.columns):
+    columns = []
+    for pair in structure.subsystems:
+        blocks = []
+        for mat in pair:
+            cols = []
+            for rows in mat.columns:
+                col = []
                 for r in rows:
                     if field_kind == "finite":
                         x = getrandbits(k)
                         while x >= width:
                             x = getrandbits(k)
-                        values[(idx, tag, r, c)] = 1 + x
+                        col.append((r, 1 + x))
                     else:
                         x = rng.uniform(-1.0, 1.0)
                         while x == 0.0:
                             x = rng.uniform(-1.0, 1.0)
-                        values[(idx, tag, r, c)] = x
-    return Realization(kind=field_kind, prime=p, seed=seed, values=values)
+                        col.append((r, x))
+                cols.append(tuple(col))
+            blocks.append(tuple(cols))
+        columns.append(tuple(blocks))
+    return Realization(kind=field_kind, prime=p, seed=seed, columns=tuple(columns))

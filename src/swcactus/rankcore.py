@@ -201,20 +201,7 @@ def det_ff(columns: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME) -> int:
     return det
 
 
-def _realized_columns(structure: SwitchedStructure, realization: Realization,
-                      which: str) -> list[list[list[tuple[int, int]]]]:
-    """Per subsystem, every column of its realized ``A`` or ``B`` as
-    ``(row, value)`` pairs, rows ascending."""
-    values = realization.values
-    out = []
-    for idx, (a, b) in enumerate(structure.subsystems):
-        mat = a if which == "A" else b
-        out.append([[(r, values[(idx, which, r, c)]) for r in rows]
-                    for c, rows in enumerate(mat.columns)])
-    return out
-
-
-def _apply_sparse(columns: list[list[tuple[int, int]]], vector: Sequence[int],
+def _apply_sparse(columns: Sequence[Sequence[tuple[int, int]]], vector: Sequence[int],
                   n: int, prime: int) -> list[int]:
     out = [0] * n
     for entries, x in zip(columns, vector):
@@ -226,8 +213,8 @@ def _apply_sparse(columns: list[list[tuple[int, int]]], vector: Sequence[int],
 
 def _input_columns(structure: SwitchedStructure, realization: Realization) -> list[list[int]]:
     cols = []
-    for columns in _realized_columns(structure, realization, "B"):
-        for entries in columns:
+    for _, b_cols in realization.columns:
+        for entries in b_cols:
             col = [0] * structure.n
             for r, v in entries:
                 col[r] = v
@@ -254,7 +241,7 @@ def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
     n, p = structure.n, realization.prime
     assert p is not None
     top = n if ceiling is None else ceiling
-    a_sparse = _realized_columns(structure, realization, "A")
+    a_sparse = [a_cols for a_cols, _ in realization.columns]
     reducer = ColumnReducer(n, p)
     # S_{k+1} = S_k + sum_i A_i S_k, and A_i S_{k-1} already lies in S_k, so
     # round k + 1 needs the products of the columns round k absorbed only.
@@ -296,26 +283,27 @@ def _reachable_space_dim_real(structure: SwitchedStructure,
     stack = np.hstack([b for b in b_cols if b.size] or [np.zeros((n, 0))])
     if stack.size == 0:
         return 0, 0
-
-    def rank_of(mat: np.ndarray) -> int:
-        if mat.size == 0:
-            return 0
-        norms = np.linalg.norm(mat, axis=0)
-        top = norms.max()
-        if top == 0.0:
-            return 0
-        return int(np.linalg.matrix_rank(mat, tol=_REAL_RANK_REL_TOL * top))
-
-    rank = rank_of(stack)
+    rank = _real_rank(stack)
     layers = 0
     while rank < n:
         grown = np.hstack([stack] + [a @ stack for a in a_mats])
-        new_rank = rank_of(grown)
+        new_rank = _real_rank(grown)
         if new_rank == rank:
             break
         stack, rank = grown, new_rank
         layers += 1
     return rank, layers
+
+
+def _real_rank(mat) -> int:
+    """Numerical rank of a nonempty float matrix, its tolerance relative
+    to the largest column norm."""
+    import numpy as np
+
+    top = np.linalg.norm(mat, axis=0).max()
+    if top == 0.0:
+        return 0
+    return int(np.linalg.matrix_rank(mat, tol=_REAL_RANK_REL_TOL * top))
 
 
 @dataclass(frozen=True)
@@ -420,7 +408,7 @@ def layered_product_columns(structure: SwitchedStructure, realization: Realizati
         raise ModelError("layered product columns require a finite-field realization")
     n, p = structure.n, realization.prime
     assert p is not None
-    a_sparse = _realized_columns(structure, realization, "A")
+    a_sparse = [a_cols for a_cols, _ in realization.columns]
     current = _input_columns(structure, realization)
     columns: list[list[int]] = list(current)
     offsets = [0, len(current)]
@@ -442,42 +430,24 @@ def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,
     column ``k`` is the weighted sum of column ``k`` of every ``B_i`` that
     has one.  Structures can be controllable under switching while every
     such mixed pair is rank deficient, and this function measures exactly
-    that deficit.
+    that deficit.  One assembly serves both fields: column ``k`` of
+    ``[A | B]`` mixes column ``k`` of every ``A_i``, column ``n + k`` column
+    ``k`` of every ``B_i``, read from ``realization.columns``.  The stack
+    then takes ``rank_ff`` over GF(p), or a numerical rank over the reals.
     """
     if len(weights) != structure.subsystem_count:
         raise ModelError(
             f"need {structure.subsystem_count} weights, got {len(weights)}")
-    n = structure.n
-    max_m = max(structure.input_counts, default=0)
-    if realization.kind == "finite":
-        p = realization.prime
-        assert p is not None
-        w = [int(x) % p for x in weights]
-        mixed_a = [[0] * n for _ in range(n)]
-        mixed_b = [[0] * max_m for _ in range(n)]
-        for idx, (a, b) in enumerate(structure.subsystems):
-            for r, c in a.nonzeros:
-                mixed_a[r][c] = (mixed_a[r][c]
-                                 + w[idx] * realization.values[(idx, "A", r, c)]) % p
-            for r, c in b.nonzeros:
-                mixed_b[r][c] = (mixed_b[r][c]
-                                 + w[idx] * realization.values[(idx, "B", r, c)]) % p
-        cols = [[mixed_a[r][c] for r in range(n)] for c in range(n)]
-        cols += [[mixed_b[r][c] for r in range(n)] for c in range(max_m)]
+    n, p = structure.n, realization.prime
+    finite = realization.kind == "finite"
+    w = [int(x) % p if finite else float(x) for x in weights]
+    cols = [[0] * n for _ in range(n + max(structure.input_counts))]
+    for wi, (a_cols, b_cols) in zip(w, realization.columns):
+        for col, entries in zip(cols, a_cols + b_cols):
+            for r, v in entries:
+                col[r] += wi * v
+    if finite:
         return rank_ff(cols, n, p)
     import numpy as np
 
-    w = [float(x) for x in weights]
-    mixed_a = np.zeros((n, n))
-    mixed_b = np.zeros((n, max_m))
-    for idx in range(structure.subsystem_count):
-        mixed_a += w[idx] * np.array(realized_dense(structure, realization, idx, "A"),
-                                     dtype=float)
-        dense_b = np.array(realized_dense(structure, realization, idx, "B"), dtype=float)
-        if dense_b.size:
-            mixed_b[:, :dense_b.shape[1]] += w[idx] * dense_b
-    stacked = np.hstack([mixed_a, mixed_b])
-    top = np.linalg.norm(stacked, axis=0).max()
-    if top == 0.0:
-        return 0
-    return int(np.linalg.matrix_rank(stacked, tol=_REAL_RANK_REL_TOL * top))
+    return _real_rank(np.array(cols, dtype=float).T)

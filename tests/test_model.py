@@ -159,6 +159,8 @@ def test_sample_realization_deterministic(example1):
     r3 = sample_realization(example1, seed=8)
     assert r1.values == r2.values
     assert r1.values != r3.values
+    assert r1 == r2
+    assert r1 != r3
     assert set(r1.values) == {(0, "A", 1, 0), (0, "B", 0, 0), (1, "A", 2, 0)}
     for v in r1.values.values():
         assert 1 <= v < DEFAULT_PRIME
@@ -249,5 +251,13 @@ def test_finite_draws_are_randrange(prime, seed, shape):
             for c, rows in enumerate(mat.columns):
                 for r in rows:
                     expected[(idx, tag, r, c)] = rng.randrange(1, prime)
-    values = sample_realization(s, seed=seed, prime=prime).values
-    assert list(values.items()) == list(expected.items())
+    r = sample_realization(s, seed=seed, prime=prime)
+    assert list(r.values.items()) == list(expected.items())
+    # stored per pattern column: the rows are the pattern's, the values the
+    # draws in that order
+    drawn = []
+    for pair, blocks in zip(s.subsystems, r.columns):
+        for mat, cols in zip(pair, blocks):
+            assert [tuple(row for row, _ in col) for col in cols] == list(mat.columns)
+            drawn.extend(v for col in cols for _, v in col)
+    assert drawn == list(expected.values())

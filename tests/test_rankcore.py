@@ -333,6 +333,62 @@ def test_averaged_pair_rank_full_when_single_mode(boost):
     assert averaged_pair_rank(single, r, [5]) == 2
 
 
+def _mixed_stack_from_values(s, r, weights) -> list[list]:
+    """Columns of the mixed ``[A | B]``, read entry by entry from the keyed
+    ``r.values``."""
+    n = s.n
+    cols = []
+    for c in range(n + max(s.input_counts)):
+        tag, col = ("A", c) if c < n else ("B", c - n)
+        cols.append([sum(w * r.values.get((i, tag, row, col), 0)
+                         for i, w in enumerate(weights))
+                     for row in range(n)])
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_averaged_pair_rank_matches_dense_oracle(seed):
+    # modes with different input counts, one of them without inputs
+    rng = np.random.default_rng(seed)
+    s = helpers.random_structure(rng, max_n=6, density=0.4)
+    while 0 not in s.input_counts or len(set(s.input_counts)) < 2:
+        s = helpers.random_structure(rng, max_n=6, density=0.4)
+    modes = s.subsystem_count
+    # a zero weight drops its mode from the mix
+    dropped = rng.random(modes) < 0.3
+    r = sample_realization(s, seed=seed)
+    weights = [0 if drop else int(rng.integers(1, P)) for drop in dropped]
+    cols = _mixed_stack_from_values(s, r, weights)
+    assert averaged_pair_rank(s, r, weights) == helpers.brute_rank_ff(cols, s.n, P)
+    real = sample_realization(s, field_kind="real", seed=seed)
+    weights = [0.0 if drop else float(rng.uniform(-1.0, 1.0)) for drop in dropped]
+    stack = np.array(_mixed_stack_from_values(s, real, weights), dtype=float).T
+    top = np.linalg.norm(stack, axis=0).max()
+    expected = (int(np.linalg.matrix_rank(stack, tol=rankcore_mod._REAL_RANK_REL_TOL * top))
+                if top else 0)
+    assert averaged_pair_rank(s, real, weights) == expected
+
+
+def test_probe_and_mixing_never_read_the_keyed_values(monkeypatch, example1,
+                                                      boost, chain10, tmp_path):
+    # the probe, the mixing rank and the product stack read
+    # Realization.columns as drawn; the keyed map is for realize only
+    from swcactus import cli
+    from swcactus.model import Realization
+
+    def values(self):
+        raise AssertionError("Realization.values was read")
+    monkeypatch.setattr(Realization, "values", property(values))
+    for s in (example1, boost, chain10):
+        check(s)
+    doc = helpers.DATA_DIR / "example1.json"
+    assert cli.main(["counterexample", str(doc), "--samples", "3",
+                     "-o", str(tmp_path / "out.json")]) == 0
+    cols, _ = layered_product_columns(boost, sample_realization(boost, seed=1), 2)
+    assert cols
+
+
 def _record_adds(mp: pytest.MonkeyPatch) -> list[bool]:
     results: list[bool] = []
     original = ColumnReducer.add
