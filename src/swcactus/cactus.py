@@ -15,22 +15,28 @@ input-reachable.  The covered states lower-bound the generic dimension of
 the controllable subspace; the walk machinery at the bottom of this module
 turns a cover into concrete input-to-state walks whose layered-graph paths
 can be made vertex-disjoint, which is the shape of that bound's witness.
+Stem walks follow the stem edges back to an input; a cycle group's walks
+reach its entry vertex along the shortest walk tree, the parent rows of the
+union graph's breadth-first search from the inputs, wind round the cycle
+and leave along the group's edges.  One helper follows all these
+predecessor chains.  Two walks' layered paths are tested for a shared
+vertex by the exact suffix test of :func:`mdg.walks_provably_disjoint`, so
+no layered path is built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .mdg import mdg_path_vertices, walks_provably_disjoint
+from .mdg import walks_provably_disjoint
 from .model import ModelError
 from .unigraph import (
     ColoredEdge,
     InputStateWalk,
     InputVertex,
-    StateVertex,
     UnionGraph,
     edge_sort_key,
+    input_search,
     max_independent_edges,  # noqa: F401  (patched by name by the benchmark tracer)
     reachable_states,
     restrict_to_color,
@@ -172,14 +178,8 @@ def component_cycle(group) -> tuple[ColoredEdge, ...]:
         if v not in pred:
             raise ModelError(f"no cycle: vertex x{v + 1} has no incoming edge")
         v = pred[v].tail.index
-    backward = []
-    w = v
-    while True:
-        backward.append(pred[w])
-        w = pred[w].tail.index
-        if w == v:
-            break
-    cycle = tuple(reversed(backward))
+    # v is on the cycle: the chain from v back into its predecessor, closed
+    cycle = tuple(_back(pred, pred[v].tail.index, v)) + (pred[v],)
     low = min(range(len(cycle)), key=lambda i: cycle[i].tail.index)
     return cycle[low:] + cycle[:low]
 
@@ -263,24 +263,34 @@ def conventional_cactus_cover(g: UnionGraph) -> CactusCover:
 
 
 def shortest_walk_tree(g: UnionGraph) -> tuple[dict[int, ColoredEdge], dict[int, int]]:
-    """Deterministic BFS parents and distances from the input vertices."""
+    """Deterministic BFS parents and distances from the input vertices.
+
+    The search is :func:`unigraph.input_search`, the one behind
+    :func:`reachable_states`; its parent rows become edges here.
+    """
+    order, parent_rows = input_search(g)
     parents: dict[int, ColoredEdge] = {}
     dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for u in g.input_vertices:
-        for e in g.edges_from(u):
-            if e.head not in parents:
-                parents[e.head] = e
-                dist[e.head] = 1
-                queue.append(e.head)
-    while queue:
-        v = queue.popleft()
-        for e in g.edges_from(StateVertex(v)):
-            if e.head not in parents:
-                parents[e.head] = e
-                dist[e.head] = dist[v] + 1
-                queue.append(e.head)
+    for v in order:
+        tail, color = g._row_tail(g._rows[parent_rows[v]])
+        parents[v] = ColoredEdge(tail, v, color)
+        dist[v] = 1 if isinstance(tail, InputVertex) else dist[tail.index] + 1
     return parents, dist
+
+
+def _back(pred: dict[int, ColoredEdge], v: int, stop: int | None = None
+          ) -> list[ColoredEdge]:
+    """The chain of ``pred`` edges into ``v``, in walk order, from an input
+    tail or, when it comes first, from ``stop``."""
+    chain: list[ColoredEdge] = []
+    while v != stop:
+        e = pred[v]
+        chain.append(e)
+        if isinstance(e.tail, InputVertex):
+            break
+        v = e.tail.index
+    chain.reverse()
+    return chain
 
 
 def _chain_to_walk(chain: list[ColoredEdge]) -> InputStateWalk:
@@ -296,18 +306,7 @@ def _chain_to_walk(chain: list[ColoredEdge]) -> InputStateWalk:
 def cactus_walks_for_stem(decomposition: Decomposition) -> dict[int, InputStateWalk]:
     """One walk per stem-covered state, along the stem edges themselves."""
     pred = {e.head: e for e in decomposition.stems}
-    walks: dict[int, InputStateWalk] = {}
-    for head in sorted(pred):
-        chain: list[ColoredEdge] = []
-        v = head
-        while True:
-            e = pred[v]
-            chain.append(e)
-            if isinstance(e.tail, InputVertex):
-                break
-            v = e.tail.index
-        walks[head] = _chain_to_walk(list(reversed(chain)))
-    return walks
+    return {head: _chain_to_walk(_back(pred, head)) for head in sorted(pred)}
 
 
 def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputStateWalk]:
@@ -327,32 +326,14 @@ def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputSta
             raise ModelError(f"cycle vertex x{v + 1} is not input-reachable")
     entry = min(cycle_tails, key=lambda v: (dist[v], v))
 
-    prefix: list[ColoredEdge] = []
-    v = entry
-    while True:
-        e = parents[v]
-        prefix.append(e)
-        if isinstance(e.tail, InputVertex):
-            break
-        v = e.tail.index
-    prefix.reverse()
-
+    prefix = _back(parents, entry)
     at = cycle_tails.index(entry)
     rotation = cycle[at:] + cycle[:at]
     pred = {e.head: e for e in group}
-
-    walks: dict[int, InputStateWalk] = {}
+    loop = list(rotation) * loops
     targets = sorted({e.head for e in group} | {e.tail.index for e in group})
-    for target in targets:
-        tail_path: list[ColoredEdge] = []
-        v = target
-        while v != entry:
-            e = pred[v]
-            tail_path.append(e)
-            v = e.tail.index
-        tail_path.reverse()
-        walks[target] = _chain_to_walk(prefix + list(rotation) * loops + tail_path)
-    return walks
+    return {target: _chain_to_walk(prefix + loop + _back(pred, target, entry))
+            for target in targets}
 
 
 def verify_cactus_walking(cover: CactusCover, g: UnionGraph, *,
@@ -361,11 +342,12 @@ def verify_cactus_walking(cover: CactusCover, g: UnionGraph, *,
                           ) -> tuple[InputStateWalk, ...] | None:
     """Search for one walk per covered state with pairwise disjoint paths.
 
-    Disjointness is in the layered graph, checked exactly on the materialized
-    path vertex sets; the cheap suffix test prunes first.  Stem walks are
-    fixed, cycle-group walks may take 0..``max_loops`` extra turns around
-    their cycle, and the search backtracks over those choices.  Returns the
-    walk family, or None when no combination under the length cap works.
+    Disjointness is in the layered graph, decided exactly for each pair of
+    walks by :func:`mdg.walks_provably_disjoint` without building any layered
+    vertex.  Stem walks are fixed, cycle-group walks may take
+    0..``max_loops`` extra turns around their cycle, and the search
+    backtracks over those choices.  Returns the walk family, or None when no
+    combination under the length cap works.
     """
     decomp = cover.decomposition
     options: list[list[InputStateWalk]] = []
@@ -386,28 +368,16 @@ def verify_cactus_walking(cover: CactusCover, g: UnionGraph, *,
             options.append(per_target[target])
 
     chosen: list[InputStateWalk] = []
-    chosen_paths: list[frozenset] = []
-
-    def disjoint(walk: InputStateWalk, path: frozenset) -> bool:
-        for other, other_path in zip(chosen, chosen_paths):
-            if walks_provably_disjoint(walk, other) is True:
-                continue
-            if path & other_path:
-                return False
-        return True
 
     def search(idx: int) -> bool:
         if idx == len(options):
             return True
         for walk in options[idx]:
-            path = frozenset(mdg_path_vertices(walk, g.colors))
-            if disjoint(walk, path):
+            if all(walks_provably_disjoint(walk, other) for other in chosen):
                 chosen.append(walk)
-                chosen_paths.append(path)
                 if search(idx + 1):
                     return True
                 chosen.pop()
-                chosen_paths.pop()
         return False
 
     if not search(0):

@@ -54,7 +54,8 @@ def _style(color: int) -> str:
 
 def _load(path: str) -> SwitchedStructure:
     if path == "-":
-        return parse_system(sys.stdin.read())
+        # bytes, so that bad UTF-8 fails in the JSON parser as in a file
+        return parse_system(getattr(sys.stdin, "buffer", sys.stdin).read())
     with open(path, "rb") as fh:
         return parse_system(fh.read())
 

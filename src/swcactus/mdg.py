@@ -113,10 +113,11 @@ def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | No
     walk ends, and then only if the color sequences covering that distance
     agree.  Scanning from the ends, the first place the underlying walks
     occupy the same vertex decides everything: differing color suffixes
-    there rule out a collision at every later distance as well.  Returns
-    ``True`` when the layered paths are provably vertex-disjoint and
-    ``None`` when they are not (the caller confirms with materialized
-    paths).
+    there rule out a collision at every later distance as well, and
+    agreeing ones make that place a shared vertex.  The test is therefore
+    exact: it returns ``True`` when the layered paths are vertex-disjoint
+    and ``None`` when they share a vertex, and no caller confirms it on
+    materialized paths.
     """
     k1, k2 = w1.length, w2.length
 

@@ -30,17 +30,21 @@ read), ``edges_from``, ``edges_into`` and returned matchings.
 Memo.  A graph never changes, so results derived from it are computed
 once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
 function and its arguments: :func:`reachable_states` keeps ``_reachable``,
-:func:`restrict_to_color` keeps ``_color_slice`` per color, ``edges_from``
-keeps ``_out_edges`` (built on its first call), :func:`row_matching`
-without ``allowed_heads`` keeps ``_row_matching``, the unrestricted
-matching as one head (or ``-1``) per row, and :func:`term_rank_ceiling`
-keeps ``_term_rank_ceiling``.  :func:`generic_rank`, the ceiling, a cover
-fixpoint's first round and :func:`max_independent_edges` all read that one
-row matching, so each graph runs one unrestricted matching; the input rank
-and a ceiling below full reachability are :func:`generic_rank` of a row
-slice, not kept.  The cactus module keeps ``_cover_fixpoint``, whose rounds
-run on row matchings and build edges only for the cover they return, and
-``shortest_walk_tree`` for its walks.  A graph is dropped with its memo.
+the state set of the one breadth-first search, :func:`input_search`;
+:func:`restrict_to_color` keeps ``_color_slice`` per color;
+:func:`row_matching` without ``allowed_heads`` keeps ``_row_matching``, the
+unrestricted matching as one head (or ``-1``) per row; and
+:func:`term_rank_ceiling` keeps ``_term_rank_ceiling``.
+:func:`generic_rank`, the ceiling, a cover fixpoint's first round and
+:func:`max_independent_edges` all read that one row matching, so each
+graph runs one unrestricted matching; the input rank and a ceiling below
+full reachability are :func:`generic_rank` of a row slice, not kept.  The
+cactus module keeps ``_cover_fixpoint``, whose rounds run on row matchings
+and build edges only for the cover they return, and ``shortest_walk_tree``,
+which reads its parents off :func:`input_search` and so runs the same
+search again on the graphs whose walks it builds.  ``edges_from`` keeps
+nothing: it finds the vertex's rows by bisection.  A graph is dropped with
+its memo.
 
 Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
 1973) is the one augmenting-path loop of the package, with an explicit
@@ -63,6 +67,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
 from .model import ModelError, SwitchedStructure
@@ -218,10 +223,18 @@ class UnionGraph:
                      for i, m in enumerate(self.input_counts) for k in range(m))
 
     def edges_from(self, vertex: Vertex) -> tuple[ColoredEdge, ...]:
+        """The vertex's out-edges in ``edge_sort_key`` order, read off its
+        rows, one per color."""
         t = self._vertex_id(vertex)
         if t is None:
             return ()
-        return self._once(_out_edges)[t]
+        rows = self._rows
+        out: list[ColoredEdge] = []
+        for row in range(t, self.colors * self._width, self._width):
+            k = bisect_left(rows, row)
+            if k < len(rows) and rows[k] == row:
+                out += self._row_edges(row, self._adj[k])
+        return tuple(out)
 
     def edges_into(self, head: int) -> tuple[ColoredEdge, ...]:
         tails = [self._row_tail(row) for row, heads in zip(self._rows, self._adj)
@@ -257,14 +270,6 @@ class EdgeView(Sequence):
         g = self._graph
         for row, heads in zip(g._rows, g._adj):
             yield from g._row_edges(row, heads)
-
-
-def _out_edges(g: UnionGraph) -> list[tuple[ColoredEdge, ...]]:
-    """Every vertex's out-edges in ``edge_sort_key`` order, by vertex id."""
-    out: list[list[ColoredEdge]] = [[] for _ in range(g._width)]
-    for row, heads in zip(g._rows, g._adj):
-        out[row % g._width] += g._row_edges(row, heads)
-    return [tuple(edges) for edges in out]
 
 
 def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
@@ -321,23 +326,32 @@ def reachable_states(g: UnionGraph) -> frozenset[int]:
 
 
 def _reachable(g: UnionGraph) -> frozenset[int]:
-    width, m = g._width, g._inputs
-    succ: list[list[int]] = [[] for _ in range(width)]
-    for row, heads in zip(g._rows, g._adj):
-        succ[row % width] += heads
-    seen = bytearray(g.n)
+    return frozenset(input_search(g)[0])
+
+
+def input_search(g: UnionGraph) -> tuple[list[int], list[int]]:
+    """Breadth-first search from the input vertices, over every color.
+
+    Tails are searched in vertex-id order for the inputs, then in the order
+    their states are reached; a tail's rows ascend (color-major) and each
+    row's heads ascend.  Returns the reached states in that order and, per
+    state, the position in ``g._rows`` of the row that reached it first
+    (``-1`` for a state not reached).  Nothing is kept.
+    """
+    width, m, adj = g._width, g._inputs, g._adj
+    out: list[list[int]] = [[] for _ in range(width)]
+    for k, row in enumerate(g._rows):
+        out[row % width].append(k)
+    parent = [-1] * g.n
     order: list[int] = []
-    for t in range(m):
-        for h in succ[t]:
-            if not seen[h]:
-                seen[h] = 1
-                order.append(h)
-    for k in order:  # grows while it is read: breadth-first
-        for h in succ[m + k]:
-            if not seen[h]:
-                seen[h] = 1
-                order.append(h)
-    return frozenset(order)
+    # ``order`` grows while it is read: breadth-first
+    for t in chain(range(m), (m + v for v in order)):
+        for k in out[t]:
+            for h in adj[k]:
+                if parent[h] < 0:
+                    parent[h] = k
+                    order.append(h)
+    return order, parent
 
 
 def max_independent_edges(g: UnionGraph,

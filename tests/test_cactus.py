@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,56 @@ def test_walking_builds_one_walk_tree(boost, monkeypatch):
     assert calls == [g]
     # the public function still hands out fresh dicts
     assert original(g)[0] is not original(g)[0]
+
+
+def _deque_walk_tree(g):
+    """Breadth-first parents and distances over ``edges_from``: inputs in
+    order, then states as they are reached, each tail's edges in
+    ``edge_sort_key`` order."""
+    parents, dist = {}, {}
+    queue = deque()
+    for u in g.input_vertices:
+        for e in g.edges_from(u):
+            if e.head not in parents:
+                parents[e.head] = e
+                dist[e.head] = 1
+                queue.append(e.head)
+    while queue:
+        v = queue.popleft()
+        for e in g.edges_from(StateVertex(v)):
+            if e.head not in parents:
+                parents[e.head] = e
+                dist[e.head] = dist[v] + 1
+                queue.append(e.head)
+    return parents, dist
+
+
+def test_walk_tree_equals_edge_level_search():
+    rng = np.random.default_rng(31)
+    partial = 0
+    for _ in range(300):
+        s = helpers.random_structure(
+            rng, max_n=7, density=float(rng.choice([0.1, 0.2, 0.35])))
+        g = build_union_graph(s)
+        parents, dist = cactus_mod.shortest_walk_tree(g)
+        ref_parents, ref_dist = _deque_walk_tree(g)
+        assert parents == ref_parents and dist == ref_dist
+        assert list(parents) == list(ref_parents)  # same visiting order
+        assert set(parents) == reachable_states(g)
+        partial += 0 < len(parents) < g.n
+    assert partial >= 30
+
+
+def test_walking_reads_no_edge_table(example1, boost, chain10, monkeypatch):
+    # the walks come from the union graph's rows; no out-edge list is built
+    def refuse(self, vertex):
+        raise AssertionError("edges_from called")
+    monkeypatch.setattr(UnionGraph, "edges_from", refuse)
+    for s in (example1, boost, chain10):
+        g = build_union_graph(s)
+        cover = best_cactus_cover(g)
+        walks = verify_cactus_walking(cover, g)
+        assert walks is not None and len(walks) == len(cover.covered)
 
 
 def _edge_level_fixpoint(g):

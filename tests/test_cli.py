@@ -63,6 +63,18 @@ def test_undecodable_input_exits_two(tmp_path, capsys, command, content):
     assert err.startswith("error: input is not valid JSON: ")
 
 
+def test_undecodable_stdin_exits_two(capsys, monkeypatch):
+    # a strict UTF-8 stdin must hand its bytes to the parser, not raise
+    # while decoding them
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"n": 1\xc3\x28}'),
+                             encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "check", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input is not valid JSON: ")
+
+
 def test_bad_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "subsystems": [{"A": [[0, 1]],

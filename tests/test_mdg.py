@@ -15,6 +15,7 @@ from swcactus import (
     InputVertex,
     MdgSizeError,
     ModelError,
+    StateVertex,
     StructuredMatrix,
     SwitchedStructure,
     build_mdg,
@@ -78,6 +79,41 @@ def test_disjointness_is_exact():
     w3 = InputStateWalk(InputVertex(0, 0), (1,), (0,))
     w4 = InputStateWalk(InputVertex(1, 0), (2,), (1,))
     assert walks_provably_disjoint(w3, w4) is True
+
+
+def _random_walk(rng, g, source):
+    """A valid walk of 1-6 edges from ``source``, each edge drawn from the
+    out-edges of the current tail; it ends early at a tail without any."""
+    tail, states, colors = source, [], []
+    for _ in range(int(rng.integers(1, 7))):
+        out = g.edges_from(tail)
+        if not out:
+            break
+        e = out[int(rng.integers(len(out)))]
+        states.append(e.head)
+        colors.append(e.color)
+        tail = StateVertex(e.head)
+    return InputStateWalk(source, tuple(states), tuple(colors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_disjointness_is_exact_on_random_walks(seed):
+    # the suffix test against the materialized layered paths; the second
+    # walk reuses the first one's source half of the time
+    rng = np.random.default_rng(seed)
+    g = build_union_graph(helpers.random_structure(rng, max_n=6, density=0.4))
+    sources = [u for u in g.input_vertices if g.edges_from(u)]
+    if not sources:
+        return
+    for _ in range(30):
+        w1 = _random_walk(rng, g, sources[int(rng.integers(len(sources)))])
+        w2 = _random_walk(rng, g, w1.source if rng.random() < 0.5
+                          else sources[int(rng.integers(len(sources)))])
+        shared = (set(mdg_path_vertices(w1, g.colors))
+                  & set(mdg_path_vertices(w2, g.colors)))
+        assert walks_provably_disjoint(w1, w2) is (None if shared else True)
+        assert walks_provably_disjoint(w2, w1) is (None if shared else True)
 
 
 def test_linking_example1_frozen(example1):
