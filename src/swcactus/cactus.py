@@ -36,6 +36,7 @@ from .unigraph import (
     InputVertex,
     UnionGraph,
     edge_sort_key,
+    format_vertex,
     input_search,
     max_independent_edges,  # noqa: F401  (patched by name by the benchmark tracer)
     reachable_states,
@@ -177,7 +178,11 @@ def component_cycle(group) -> tuple[ColoredEdge, ...]:
         seen[v] = len(seen)
         if v not in pred:
             raise ModelError(f"no cycle: vertex x{v + 1} has no incoming edge")
-        v = pred[v].tail.index
+        tail = pred[v].tail
+        if isinstance(tail, InputVertex):
+            raise ModelError(
+                f"no cycle: vertex x{v + 1} is fed by input {format_vertex(tail)}")
+        v = tail.index
     # v is on the cycle: the chain from v back into its predecessor, closed
     cycle = tuple(_back(pred, pred[v].tail.index, v)) + (pred[v],)
     low = min(range(len(cycle)), key=lambda i: cycle[i].tail.index)

@@ -9,7 +9,9 @@ so any disagreement means a bug, a malformed input, or an astronomically
 unlucky random draw; it is reported loudly as :class:`ConsistencyError` with
 the full instance attached rather than silently reconciled.  Nothing is
 computed twice: the certificate is the all-color cover's first round, and
-:func:`dim_bounds` is the one bounds computation.
+:func:`dim_bounds` is the one bounds computation.  The linking runs only
+where the probe's rank and the cover both stay below the term-rank
+ceiling; elsewhere it could only return that ceiling.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from .cactus import (
     conventional_cactus_cover,
     decompose,
 )
-from .mdg import DEFAULT_VERTEX_CAP, MdgSizeError, build_mdg, max_linking
+from .mdg import (
+    DEFAULT_VERTEX_CAP,
+    MdgSizeError,
+    build_mdg,
+    layer_blocks,
+    max_linking,
+)
 from .model import DEFAULT_PRIME, SwitchedStructure, system_to_dict
 from .rankcore import ControllabilityProbe, controllable_dim
 from .unigraph import (
@@ -56,6 +64,12 @@ class DimBounds:
     needed for a sound linking bound is out of reach (layer cap or vertex
     cap), ``used_linking_bound`` is False and ``upper`` falls back to the
     reachable count alone.
+
+    The linking size is read, not computed, when a proven lower bound
+    already equals the term-rank ceiling c: the dimension is at least that
+    bound, so at least c; the linking at the needed depth bounds the
+    dimension from above and never exceeds c; so dim >= c >= linking >= dim
+    and the linking is c.  The caps apply as if it had run.
     """
 
     lower: int
@@ -94,12 +108,22 @@ def input_rank(g: UnionGraph) -> int:
 def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
                layer_cap: int = DEFAULT_LAYER_CAP,
                vertex_cap: int = DEFAULT_VERTEX_CAP,
-               graph: UnionGraph | None = None) -> DimBounds:
+               graph: UnionGraph | None = None,
+               proven_lower: int = 0) -> DimBounds:
     """The one bounds computation: cover and linking bounds on the dimension.
 
     With ``conventional=True`` the lower bound only uses covers drawn inside
     a single subsystem, which is how a per-mode analysis would bound the
     dimension; the default may mix colors and is never smaller.
+
+    ``proven_lower`` is a lower bound on the dimension the caller has
+    already proven, such as the rank of a realization.  When it or the
+    cover's count equals the term-rank ceiling c, no layered graph is built
+    and the linking size is taken to be c.  Sound: the dimension is at
+    least that lower view, which is c; the full-depth linking is at most c
+    (``mdg.max_linking``) and at least the dimension; so dim >= c >=
+    linking >= dim.  The layer and vertex caps still decide whether the
+    linking bound is used, so the result is the one the linking would give.
     """
     g = graph if graph is not None else build_union_graph(structure)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
@@ -109,15 +133,21 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     # a shallower linking can undershoot the true dimension, so it is not a
     # sound upper bound; past either cap, fall back to reachability alone
     if depth_needed <= layer_cap:
+        # no depth's linking exceeds the ceiling; ``check`` already computed
+        # it for the probe
+        ceiling = term_rank_ceiling(g)
         try:
-            mdg = build_mdg(structure, depth_needed, vertex_cap=vertex_cap)
+            if max(lower, proven_lower) == ceiling:
+                layer_blocks(structure, depth_needed, vertex_cap=vertex_cap)
+                linking_size = ceiling
+            else:
+                mdg = build_mdg(structure, depth_needed, vertex_cap=vertex_cap)
+                # the linking stops once it reaches the ceiling
+                linking_size = max_linking(mdg, ceiling).size
         except MdgSizeError:
             pass
         else:
-            # the linking stops once it reaches the ceiling, which no depth
-            # exceeds; ``check`` already computed it for the probe
-            linking = max_linking(mdg, term_rank_ceiling(g))
-            return DimBounds(lower=lower, upper=min(reachable_count, linking.size),
+            return DimBounds(lower=lower, upper=min(reachable_count, linking_size),
                              used_linking_bound=True, linking_layers=depth_needed)
     return DimBounds(lower=lower, upper=reachable_count,
                      used_linking_bound=False, linking_layers=None)
@@ -166,8 +196,10 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
             structure, reachable=sorted(v + 1 for v in reachable),
             generic_rank=grank, seed=seed, prime=prime)
 
+    # the probe's rank is a proven lower bound; where it reaches the ceiling
+    # the linking need not run
     bounds = dim_bounds(structure, layer_cap=layer_cap, vertex_cap=vertex_cap,
-                        graph=g)
+                        graph=g, proven_lower=probe.dim)
 
     if not bounds.lower <= probe.dim <= bounds.upper:
         raise _inconsistent(

@@ -134,6 +134,31 @@ def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | No
     return True
 
 
+def layer_blocks(structure: SwitchedStructure, depth: int, *,
+                 vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[int]:
+    """Block count of every layer ``0..depth``, ``N^i`` at layer ``i``.
+
+    Raises :class:`MdgSizeError` when the layers hold more than
+    ``vertex_cap`` vertices in all, each block holding every state and
+    every input, so a caller can tell whether :class:`Mdg` would build
+    without building it.
+    """
+    per_block = structure.n + structure.total_inputs
+    colors = structure.subsystem_count
+    blocks = [1]
+    total = per_block
+    # stop at the first layer past the cap: a huge depth must fail fast
+    while len(blocks) <= depth and total <= vertex_cap:
+        blocks.append(blocks[-1] * colors)
+        total += per_block * blocks[-1]
+    if total > vertex_cap:
+        raise MdgSizeError(
+            f"unrolling to depth {depth} needs more vertices than the "
+            f"vertex cap of {vertex_cap} (block count grows as "
+            f"{colors}^layer)")
+    return blocks
+
+
 class Mdg:
     """Implicit layered graph down from ``depth`` to layer 0."""
 
@@ -151,22 +176,11 @@ class Mdg:
             sum(self.input_counts[:l]) for l in range(self.colors)
         )
 
+        self._blocks_at = layer_blocks(structure, depth, vertex_cap=vertex_cap)
         per_block = self.n + self.total_inputs
-        blocks = [1]
-        total = per_block
-        # stop at the first layer past the cap: a huge depth must fail fast
-        while len(blocks) <= depth and total <= vertex_cap:
-            blocks.append(blocks[-1] * self.colors)
-            total += per_block * blocks[-1]
-        if total > vertex_cap:
-            raise MdgSizeError(
-                f"unrolling to depth {depth} needs more vertices than the "
-                f"vertex cap of {vertex_cap} (block count grows as "
-                f"{self.colors}^layer)")
-        self._blocks_at = blocks
         # id of the first vertex of every layer, plus one past the last
         self._layer_base = [0]
-        for count in blocks:
+        for count in self._blocks_at:
             self._layer_base.append(self._layer_base[-1] + per_block * count)
         self._input_slots = tuple(
             (l, q) for l in range(self.colors) for q in range(self.input_counts[l]))

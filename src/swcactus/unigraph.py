@@ -139,6 +139,16 @@ class UnionGraph:
         g._shape(n, input_counts)
         return g
 
+    def _sub(self) -> UnionGraph:
+        """A graph of this one's validated shape whose rows are still to be
+        set, with a memo of its own."""
+        sub = UnionGraph.__new__(UnionGraph)
+        sub.n, sub.input_counts, sub.colors = self.n, self.input_counts, self.colors
+        sub._input_base, sub._inputs = self._input_base, self._inputs
+        sub._width = self._width
+        sub._memo = {}
+        return sub
+
     def _shape(self, n: int, input_counts: tuple[int, ...]) -> None:
         if n < 1:
             raise ModelError(f"graph needs a positive state count, got {n}")
@@ -300,7 +310,7 @@ def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
 
 
 def _color_slice(g: UnionGraph, color: int) -> UnionGraph:
-    sub = UnionGraph._blank(g.n, g.input_counts)
+    sub = g._sub()
     lo = bisect_left(g._rows, color * g._width)
     hi = bisect_left(g._rows, (color + 1) * g._width)
     sub._set_rows(g._rows[lo:hi], g._adj[lo:hi])
@@ -313,7 +323,7 @@ def input_edges_only(g: UnionGraph) -> UnionGraph:
 
 def _row_slice(g: UnionGraph, keep: Callable[[int], bool]) -> UnionGraph:
     """Subgraph of the rows whose tail's vertex id ``keep`` accepts."""
-    sub = UnionGraph._blank(g.n, g.input_counts)
+    sub = g._sub()
     width = g._width
     kept = [k for k, row in enumerate(g._rows) if keep(row % width)]
     sub._set_rows([g._rows[k] for k in kept], [g._adj[k] for k in kept])

@@ -101,6 +101,16 @@ def test_component_cycle_rejects_non_cycle():
         component_cycle(path)
 
 
+@pytest.mark.parametrize("group", [
+    (ColoredEdge(InputVertex(0, 0), 0, 0),),
+    (ColoredEdge(InputVertex(0, 1), 0, 0), ColoredEdge(StateVertex(0), 1, 0)),
+])
+def test_component_cycle_rejects_input_tails(group):
+    # an input has no incoming edge, so a chain that reaches one is a stem
+    with pytest.raises(ModelError, match="fed by input"):
+        component_cycle(group)
+
+
 def test_best_cover_example1(example1):
     g = build_union_graph(example1)
     cover = best_cactus_cover(g)

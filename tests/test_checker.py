@@ -13,19 +13,28 @@ import swcactus.unigraph as unigraph_mod
 from swcactus import (
     CheckReport,
     ConsistencyError,
+    MdgSizeError,
     StructuredMatrix,
     SwitchedStructure,
+    best_cactus_cover,
+    build_mdg,
     build_union_graph,
     check,
     conventional_cactus_cover,
     dim_bounds,
     input_rank,
+    max_linking,
     report_to_dict,
 )
 from swcactus.cactus import decompose
 from swcactus.checker import edge_to_dict
 from swcactus.rankcore import ControllabilityProbe
-from swcactus.unigraph import UnionGraph, max_independent_edges, reachable_states
+from swcactus.unigraph import (
+    UnionGraph,
+    max_independent_edges,
+    reachable_states,
+    term_rank_ceiling,
+)
 
 
 def test_check_example1(example1):
@@ -91,6 +100,85 @@ def test_vertex_cap_fallback(chain10):
     bounds = dim_bounds(chain10, vertex_cap=50)
     assert not bounds.used_linking_bound
     assert bounds.upper == 10
+
+
+def _reference_bounds(s, lower: int) -> checker_mod.DimBounds:
+    """Bounds with the linking always run: full depth, no ceiling, the same
+    caps as ``check``."""
+    g = build_union_graph(s)
+    reach = len(reachable_states(g))
+    depth = s.n - input_rank(g)
+    if depth <= checker_mod.DEFAULT_LAYER_CAP:
+        try:
+            mdg = build_mdg(s, depth)
+        except MdgSizeError:
+            pass
+        else:
+            return checker_mod.DimBounds(lower, min(reach, max_linking(mdg).size),
+                                         True, depth)
+    return checker_mod.DimBounds(lower, reach, False, None)
+
+
+def test_bounds_read_from_the_ceiling_equal_the_linking():
+    # every other draw is single-mode, where the probe stays below the
+    # ceiling on a few draws in a thousand; those run the linking, and the
+    # draws go on until four of them have
+    rng = np.random.default_rng(2026)
+    paths: Counter = Counter()
+    for i in range(8000):
+        if paths[True, True] == 4:
+            break
+        s = helpers.random_structure(rng, max_n=7, max_colors=1 + 2 * (i % 2),
+                                     density=float(rng.uniform(0.15, 0.35)))
+        if s.n < 2:
+            continue
+        report = check(s)
+        lower = len(best_cactus_cover(build_union_graph(s)).covered)
+        assert report.bounds == _reference_bounds(s, lower), s
+        ran = report.probe.dim < term_rank_ceiling(report.graph)
+        paths[s.subsystem_count == 1, ran] += 1
+    assert paths[True, True] == 4
+    assert paths[True, False] > 0 and paths[False, False] > 0
+
+
+def _spy_linking(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for name in ("build_mdg", "max_linking"):
+        def counted(*args, _name=name, _original=getattr(checker_mod, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(checker_mod, name, counted)
+    return calls
+
+
+def test_check_skips_the_linking_at_the_ceiling(example1, monkeypatch):
+    # the probe's rank 3 is the ceiling, so no layered graph is built
+    calls = _spy_linking(monkeypatch)
+    report = check(example1)
+    assert report.bounds == checker_mod.DimBounds(3, 3, True, 2)
+    assert calls == Counter()
+
+
+def test_check_links_once_below_the_ceiling(chain10, monkeypatch):
+    # rank 8 against a ceiling of 9: the linking runs
+    calls = _spy_linking(monkeypatch)
+    report = check(chain10)
+    assert report.probe.dim == 8 < term_rank_ceiling(report.graph) == 9
+    assert report.bounds == checker_mod.DimBounds(8, 8, True, 9)
+    assert calls == Counter(build_mdg=1, max_linking=1)
+
+
+def test_skipped_linking_keeps_the_vertex_cap(monkeypatch):
+    # the probe reaches the ceiling, but the depth-10 unrolling of four
+    # modes is past the vertex cap, so the linking bound is not used
+    calls = _spy_linking(monkeypatch)
+    report = check(helpers.gapped_structure(1, 11, 4))
+    assert report.probe.dim == term_rank_ceiling(report.graph) == 10
+    assert report.bounds.upper == 11
+    assert not report.bounds.used_linking_bound
+    assert report.bounds.linking_layers is None
+    assert calls == Counter()
 
 
 def test_input_rank(example1, chain10):

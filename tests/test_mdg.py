@@ -27,7 +27,7 @@ from swcactus import (
     sample_realization,
 )
 from swcactus.checker import input_rank
-from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
+from swcactus.mdg import layer_blocks, mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import det_ff, rank_ff
 from swcactus.unigraph import term_rank_ceiling
 
@@ -348,3 +348,19 @@ def test_huge_depth_fails_fast():
         build_mdg(s, 10 ** 9)
     assert time.perf_counter() - start < 5.0
     assert "cap" in str(err.value)
+
+
+@pytest.mark.parametrize("depth, cap, fits", [
+    (0, 7, True), (3, 280, True), (3, 279, False), (6, 4000, False)])
+def test_layer_blocks_decides_the_vertex_cap_like_mdg(depth, cap, fits):
+    # one input and six states: seven vertices per block, 3^i blocks at layer i
+    s = helpers.gapped_structure(2, 6, 3)
+    if not fits:
+        with pytest.raises(MdgSizeError):
+            layer_blocks(s, depth, vertex_cap=cap)
+        with pytest.raises(MdgSizeError):
+            build_mdg(s, depth, vertex_cap=cap)
+        return
+    blocks = layer_blocks(s, depth, vertex_cap=cap)
+    assert blocks == [3 ** i for i in range(depth + 1)]
+    assert build_mdg(s, depth, vertex_cap=cap).vertex_count == 7 * sum(blocks)

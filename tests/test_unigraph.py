@@ -75,6 +75,28 @@ def test_union_graph_validates():
         UnionGraph(2, (1, 1), [ColoredEdge(InputVertex(0, 0), 1, 1)])
     with pytest.raises(ModelError):
         UnionGraph(2, (1,), [ColoredEdge(InputVertex(0, 3), 1, 0)])
+    with pytest.raises(ModelError):
+        UnionGraph(0, (1,), [])
+    with pytest.raises(ModelError):
+        UnionGraph(2, (), [])
+
+
+def test_subgraphs_copy_the_parent_shape(boost, monkeypatch):
+    # a subgraph's shape is its parent's, already validated; only its memo
+    # is its own
+    g = build_union_graph(boost)
+
+    def refused(*args):
+        raise AssertionError("shape validated again")
+    monkeypatch.setattr(UnionGraph, "_shape", refused)
+    subs = [restrict_to_color(g, c) for c in range(g.colors)]
+    subs.append(input_edges_only(g))
+    for sub in subs:
+        assert (sub.n, sub.input_counts, sub.colors, sub._input_base,
+                sub._inputs, sub._width) == (g.n, g.input_counts, g.colors,
+                                             g._input_base, g._inputs, g._width)
+        assert sub._memo == {} and sub._memo is not g._memo
+    assert len(subs[0].edges) + len(subs[1].edges) == len(g.edges)
 
 
 def test_format_vertex():
