@@ -27,6 +27,7 @@ no layered path is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .mdg import walks_provably_disjoint
 from .model import ModelError
@@ -56,8 +57,9 @@ class Decomposition:
     cycle_groups: tuple[tuple[ColoredEdge, ...], ...]
     dropped: tuple[ColoredEdge, ...]
 
-    @property
+    @cached_property
     def covered(self) -> frozenset[int]:
+        """The heads of the stems and cycle groups, built on first read."""
         return frozenset([e.head for e in self.stems]
                          + [e.head for group in self.cycle_groups for e in group])
 

@@ -101,7 +101,12 @@ def _inconsistent(message: str, structure: SwitchedStructure, **facts) -> Consis
 
 
 def input_rank(g: UnionGraph) -> int:
-    """Generic rank of the stacked input patterns alone."""
+    """Generic rank of the stacked input patterns alone, computed once per
+    graph and kept on it."""
+    return g._once(_input_rank)
+
+
+def _input_rank(g: UnionGraph) -> int:
     return generic_rank(input_edges_only(g))
 
 

@@ -11,15 +11,18 @@ The finite-field path uses Python integers, which hold any prime.  Only the
 real-field paths import numpy, when they run, so checking a structure never
 loads it.  The elimination in ``ColumnReducer`` packs a whole column into
 one integer, a fixed-width slot per row, so one pivot step is one
-big-integer multiply-add (Kronecker substitution).  Each step covers only
-the rows from its pivot up, and a column stops at its first free row with a
-nonzero residue.  Slots are reduced mod p lazily, as in delayed reduction
-(Dumas, Giorgi and Pernet, ACM TOMS 2008): a stored column is only folded,
-every slot at once, back below a fixed bound (slot-wise folding,
-Hasenplaugh, Gaubatz and Gopal, ARITH 2007), and a slot is taken mod p only
-where its residue is read.  The Krylov loop of
+big-integer multiply-add (Kronecker substitution).  Rows take slots from
+the top down, in the order the columns first reach them.  A column is
+reduced at its nonzero slots only, lowest first, on a shrinking tail, and
+stops at its first free slot with a nonzero residue.  Slots are reduced mod
+p lazily, as in delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS
+2008): a stored column is only folded, every slot at once, back below a
+fixed bound (slot-wise folding, Hasenplaugh, Gaubatz and Gopal, ARITH
+2007), and a slot is taken mod p only where its residue is read.  The
+``ColumnReducer`` docstring proves each of these steps.  The Krylov loop of
 ``reachable_space_dim`` applies the ``A_i`` only to the columns the
-previous round added.
+previous round added, as sparse products on ``(row, value)`` pairs that go
+to the reducer without a dense detour.
 
 The loop also stops once the rank reaches a ceiling that no realization can
 exceed: c = min(|R|, nu), with ``R`` the reachable states of the union graph
@@ -38,7 +41,6 @@ first one that reaches c, since later trials could not raise the maximum.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -61,10 +63,12 @@ def _slot_layout(n: int, prime: int) -> tuple[int, int, int, int, int, int, int]
     """``(w, mask, c, radix, folds, lo, hi)`` of ``ColumnReducer(n, prime)``:
     the slot width and one slot's bits; the fold shift and ``2**c mod p``;
     the number of folds an absorbed column takes; and the masks of the low
-    ``c`` and the high ``w - c`` bits of every slot."""
+    ``c`` and the high ``w - c`` bits of every slot.  ``c`` is ``b =
+    bitlen(p)`` when ``2**b mod p < 2**(b//2)``, as for a prime just below a
+    power of two, else ``b + b//2``."""
     b = prime.bit_length()
-    c = b + b // 2
-    w = 2 * b + b // 2 + n.bit_length() + 3
+    c = b if (1 << b) % prime < 1 << (b // 2) else b + b // 2
+    w = b + c + n.bit_length() + 3
     radix = (1 << c) % prime
     top = 1 << (c + 1)
     x = prime - 1 + n * (prime - 1) * (top - 1)  # the largest candidate slot
@@ -81,93 +85,136 @@ class ColumnReducer:
     """Incremental column-echelon basis over GF(p), on packed integers.
 
     ``add`` reduces a column against the basis and absorbs it when it is
-    independent.  A column is one Python int with a fixed-width slot per row
-    (row ``i`` in bits ``i*w`` to ``(i+1)*w - 1``), so eliminating one pivot
-    is a single big-integer multiply-add rather than ``n`` scalar steps.
-    Every term is non-negative, so no borrow crosses a slot.
+    independent.  A column is either a dense sequence of ``n`` entries or a
+    dict from row (in ``range(n)``) to entry that may leave out zero rows;
+    entries are any integers, taken mod p.  It is packed into one Python
+    int with a fixed-width slot per row (slot ``s`` in bits ``s*w`` to
+    ``(s+1)*w - 1``), so eliminating one pivot is a single big-integer
+    multiply-add rather than ``n`` scalar steps.  Every term is
+    non-negative, so no borrow crosses a slot.
 
-    The basis is sorted by pivot row.  Invariant: a basis column with pivot
-    ``q`` is zero mod p in every row below ``q``.  It is stored from row
-    ``q`` up, so its slot 0 is the pivot, beside ``ninv = -1/pivot mod p``.
+    Slot order.  A row has no slot until a column first has an entry
+    nonzero mod p in it; it then takes the highest free slot, so the
+    slotted rows fill slots ``n-1, n-2, ...`` in the order they were
+    reached.  Elimination runs in slot order, which is one order of the
+    rows; whether a column is independent depends only on the span, so
+    ``add`` answers as an elimination in any other order would.
+    Invariant: a basis column with pivot slot ``q`` is zero mod p in every
+    slot below ``q``.  It is stored from slot ``q`` up, so its slot 0 is
+    the pivot, beside ``ninv = -1/pivot mod p``, in ``_pivots[q]``.  A row
+    slotted later sits below every slot taken before it, and every stored
+    column is zero in that row, since no column had reached it: the
+    invariant holds there too.  So a candidate that reaches a new row has
+    its lowest nonzero slot at the last row it slotted, where no pivot
+    lies, and it is absorbed with no pivot step.
 
-    A candidate is reduced against the pivots in ascending order, on a
-    shrinking tail: before pivot ``q`` the settled rows below ``q`` are
-    shifted out, so the multiply-add by the factor ``(slot 0 mod p) * ninv
-    mod p`` covers rows ``q..n-1`` only.  No later pivot touches a row below
-    its own, so the rows between two pivots are final once the lower pivot
-    is passed.  The first such free row with a nonzero residue is the
-    candidate's pivot, and the reduction stops there: the column is zero
-    mod p below that row, as the invariant asks, and need not be reduced at
-    the pivots above it.  Whether a column is independent depends only on
-    the span, so ``add`` answers as any other elimination would.
+    Reduction.  The candidate is reduced on a shrinking tail: the settled
+    slots below the current one are shifted out, so the multiply-add by the
+    factor ``(slot 0 mod p) * ninv mod p`` covers slots ``q..n-1`` only.
+    No pivot touches a slot below its own, so a slot is final once the
+    reduction passes it.  The reduction jumps to the lowest nonzero slot
+    left: a zero slot has residue zero, which at a pivot would give a zero
+    factor and at a free slot is no pivot, so skipping it changes nothing.
+    A nonzero slot with residue zero is shifted out as well.  The first
+    free slot with a nonzero residue is the candidate's pivot, and the
+    reduction stops there: the column is zero mod p below that slot, as the
+    invariant asks, and need not be reduced at the pivots above it.
 
-    Stored slots are folded, not normalized: with ``b = bitlen(p)`` and ``c
-    = b + b//2``, a fold maps every slot ``x`` to ``(x >> c) * (2**c mod p)
-    + (x mod 2**c)``, which is congruent to ``x`` mod p.  With ``w = 2b +
-    b//2 + bitlen(n) + 3``:
+    Layout.  Stored slots are folded, not normalized: with ``b =
+    bitlen(p)``, a fold maps every slot ``x`` to ``(x >> c) * r + (x mod
+    2**c)`` with ``r = 2**c mod p``, which is congruent to ``x`` mod p.
+    ``c = b`` when ``r = 2**b mod p < 2**(b//2)``, else ``c = b + b//2``;
+    either way ``r < 2**(c - b//2)``, since ``r < p < 2**b`` in the second
+    case.  With ``w = b + c + bitlen(n) + 3``:
       1. A candidate slot starts below p and takes at most one product per
-         basis column, at most ``n`` of them, each a factor below p times a
-         stored slot below ``2**(c+1)``.  So it stays below ``p * (1 + n *
-         2**(c+1)) < 2**(b + c + 1 + bitlen(n)) = 2**(w - 2)``.
-      2. A fold of a slot below ``2**w`` stays below ``2**(w - c + b) +
-         2**c <= 2**w``, since ``c - b = b//2 >= 1``: it carries into no
-         other slot, so two masks fold every slot at once.
-      3. A fold maps ``x >= 2**(c+1)`` to at most ``x * p / 2**c + 2**c <
-         x``, and ``x < 2**(c+1)`` to below ``p + 2**c <= 2**(c+1)``.  So a
-         fixed number of folds, counted per ``(n, p)`` from the bound of
-         item 1 by ``_slot_layout``, brings every slot of an absorbed column
-         below ``2**(c+1)``, as item 1 assumes.  The default prime needs 2.
+         pivot below it, at most ``n`` of them, each a factor below p times
+         a stored slot below ``2**(c+1)``.  So it stays below ``p * (1 + n
+         * 2**(c+1)) < 2**(b + c + 1 + bitlen(n)) = 2**(w - 2)``.
+      2. A fold of a slot below ``2**w`` stays below ``2**(w - c) * r +
+         2**c < 2**(w - b//2) + 2**c <= 2**w``, since ``b//2 >= 1`` and
+         ``c < w - 1``: it carries into no other slot, so two masks fold
+         every slot at once.
+      3. A fold maps ``x >= 2**(c+1)`` to at most ``(x >> c) * r + 2**c - 1
+         < x``, since ``x >= (x >> c) * 2**c``, ``x >> c >= 2`` and ``r <=
+         2**(c-1)``; and it maps ``x < 2**(c+1)`` to below ``r + 2**c <
+         2**(c+1)``.  So a fixed number of folds, counted per ``(n, p)``
+         from the bound of item 1 by ``_slot_layout``, brings every slot of
+         an absorbed column below ``2**(c+1)``, as item 1 assumes.  The
+         default prime, ``2**61 - 1``, has ``c = b`` and ``r = 1`` and
+         needs 2.  A column absorbed with no pivot step has every slot
+         below p already, and is stored unfolded.
     """
 
     def __init__(self, n: int, prime: int) -> None:
         self.n = n
         self.prime = prime
         self._layout = _slot_layout(n, prime)
-        # (pivot row, packed column from the pivot row up, -1/pivot mod p),
-        # sorted by pivot row
-        self._basis: list[tuple[int, int, int]] = []
+        self._rank = 0
+        # the slot of every row, -1 until a column reaches it, and the
+        # highest free slot
+        self._slot_of = [-1] * n
+        self._top = n - 1
+        # per slot: None, or the pivot's (packed column from its slot up,
+        # -1/pivot mod p)
+        self._pivots: list[tuple[int, int] | None] = [None] * n
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return self._rank
 
-    def add(self, column: Sequence[int]) -> bool:
+    def add(self, column: Sequence[int] | dict[int, int]) -> bool:
         p = self.prime
         w, mask = self._layout[:2]
-        if len(column) != self.n:
+        if isinstance(column, dict):
+            entries = column.items()
+        elif len(column) != self.n:
             raise ModelError(f"column length {len(column)} does not match n={self.n}")
-        acc = shift = 0
-        for value in column:
-            if value:
-                acc |= (int(value) % p) << shift
-            shift += w
-        pos = free = 0  # slot 0 of acc is row pos; rows below free are zero
-        for q, stored, ninv in self._basis:
-            if free < q:
-                gap = (acc & ((1 << (q - pos) * w) - 1)) >> (free - pos) * w
-                if gap:
-                    for r in range(free, q):
-                        if (gap >> (r - free) * w & mask) % p:
-                            self._absorb(acc >> (r - pos) * w, r)
-                            return True
-            acc >>= (q - pos) * w
-            factor = (acc & mask) % p * ninv % p
-            if factor:
-                acc += factor * stored
-            pos, free = q, q + 1
-        for r in range(free, self.n):
-            if (acc >> (r - pos) * w & mask) % p:
-                self._absorb(acc >> (r - pos) * w, r)
-                return True
+        else:
+            entries = enumerate(column)
+        slot_of, top = self._slot_of, self._top
+        acc = 0
+        for row, value in entries:
+            if value and (value := int(value) % p):
+                s = slot_of[row]
+                if s < 0:
+                    s = slot_of[row] = top
+                    top -= 1
+                acc |= value << s * w
+        self._top = top
+        pivots = self._pivots
+        pos = 0  # slot 0 of acc is slot pos; the slots below pos are settled
+        reduced = False
+        while acc:
+            x = acc & mask
+            if not x:  # jump to the lowest nonzero slot
+                skip = ((acc & -acc).bit_length() - 1) // w
+                acc >>= skip * w
+                pos += skip
+                x = acc & mask
+            residue = x % p
+            if residue:
+                pivot = pivots[pos]
+                if pivot is None:
+                    self._absorb(acc, pos, residue, reduced)
+                    return True
+                stored, ninv = pivot
+                acc += residue * ninv % p * stored
+                reduced = True
+            acc >>= w
+            pos += 1
         return False
 
-    def _absorb(self, tail: int, row: int) -> None:
-        """Store the reduced ``tail``, whose slot 0 is the nonzero ``row``."""
+    def _absorb(self, tail: int, slot: int, residue: int, reduced: bool) -> None:
+        """Store the ``tail`` of a column, whose slot 0 is ``slot`` with the
+        nonzero ``residue``; fold it when a pivot step ``reduced`` it, since
+        otherwise every slot is still below p."""
         p = self.prime
-        _, mask, c, radix, folds, lo, hi = self._layout
-        for _ in range(folds):
-            tail = (tail >> c & hi) * radix + (tail & lo)
-        insort(self._basis, (row, tail, p - pow((tail & mask) % p, -1, p)))
+        if reduced:
+            c, radix, folds, lo, hi = self._layout[2:]
+            for _ in range(folds):
+                tail = (tail >> c & hi) * radix + (tail & lo)
+        self._pivots[slot] = (tail, p - pow(residue, -1, p))
+        self._rank += 1
 
 
 def rank_ff(columns: Iterable[Sequence[int]], n: int, prime: int = DEFAULT_PRIME) -> int:
@@ -201,25 +248,32 @@ def det_ff(columns: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME) -> int:
     return det
 
 
-def _apply_sparse(columns: Sequence[Sequence[tuple[int, int]]], vector: Sequence[int],
-                  n: int, prime: int) -> list[int]:
+def _product(a_cols: Sequence[Sequence[tuple[int, int]]], column: dict[int, int],
+             prime: int) -> dict[int, int]:
+    """``A @ column`` mod p, for ``A`` given by its columns of ``(row,
+    value)`` pairs and ``column`` as a dict from row to value: a dict of the
+    rows that are nonzero mod p, in the order the product first reaches
+    them."""
+    out: dict[int, int] = {}
+    for j, x in column.items():
+        for r, v in a_cols[j]:
+            if r in out:
+                out[r] += v * x
+            else:
+                out[r] = v * x
+    return {r: y for r, v in out.items() if (y := v % prime)}
+
+
+def _input_columns(realization: Realization) -> list[dict[int, int]]:
+    """Every ``B_i`` column in mode order, as a dict from row to value."""
+    return [dict(entries) for _, b_cols in realization.columns for entries in b_cols]
+
+
+def _dense(column: dict[int, int], n: int) -> list[int]:
     out = [0] * n
-    for entries, x in zip(columns, vector):
-        if x:
-            for r, v in entries:
-                out[r] = (out[r] + v * x) % prime
+    for r, v in column.items():
+        out[r] = v
     return out
-
-
-def _input_columns(structure: SwitchedStructure, realization: Realization) -> list[list[int]]:
-    cols = []
-    for _, b_cols in realization.columns:
-        for entries in b_cols:
-            col = [0] * structure.n
-            for r, v in entries:
-                col[r] = v
-            cols.append(col)
-    return cols
 
 
 def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
@@ -247,8 +301,8 @@ def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
     # round k + 1 needs the products of the columns round k absorbed only.
     # ``absorbed`` holds (round, column) in the order they were absorbed, so
     # reading it front to back visits the rounds in turn.
-    absorbed: list[tuple[int, list[int]]] = []
-    for col in _input_columns(structure, realization):
+    absorbed: list[tuple[int, dict[int, int]]] = []
+    for col in _input_columns(realization):
         if reducer.add(col):
             if reducer.rank == top:
                 return top, 0
@@ -256,7 +310,7 @@ def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
     layers = 0
     for layer, col in absorbed:  # grows while it is read
         for entries in a_sparse:
-            prod = _apply_sparse(entries, col, n, p)
+            prod = _product(entries, col, p)
             if reducer.add(prod):
                 layers = layer + 1
                 if reducer.rank == top:
@@ -409,16 +463,13 @@ def layered_product_columns(structure: SwitchedStructure, realization: Realizati
     n, p = structure.n, realization.prime
     assert p is not None
     a_sparse = [a_cols for a_cols, _ in realization.columns]
-    current = _input_columns(structure, realization)
-    columns: list[list[int]] = list(current)
+    current = _input_columns(realization)
+    columns = [_dense(col, n) for col in current]
     offsets = [0, len(current)]
     for _ in range(depth):
-        nxt: list[list[int]] = []
-        for entries in a_sparse:
-            nxt.extend(_apply_sparse(entries, col, n, p) for col in current)
-        columns.extend(nxt)
+        current = [_product(entries, col, p) for entries in a_sparse for col in current]
+        columns.extend(_dense(col, n) for col in current)
         offsets.append(len(columns))
-        current = nxt
     return columns, offsets
 
 

@@ -38,13 +38,14 @@ unrestricted matching as one head (or ``-1``) per row; and
 :func:`generic_rank`, the ceiling, a cover fixpoint's first round and
 :func:`max_independent_edges` all read that one row matching, so each
 graph runs one unrestricted matching; the input rank and a ceiling below
-full reachability are :func:`generic_rank` of a row slice, not kept.  The
-cactus module keeps ``_cover_fixpoint``, whose rounds run on row matchings
-and build edges only for the cover they return, and ``shortest_walk_tree``,
-which reads its parents off :func:`input_search` and so runs the same
-search again on the graphs whose walks it builds.  ``edges_from`` keeps
-nothing: it finds the vertex's rows by bisection.  A graph is dropped with
-its memo.
+full reachability are :func:`generic_rank` of a row slice, whose matching
+is not kept.  The checker keeps the input rank itself as ``_input_rank``.
+The cactus module keeps ``_cover_fixpoint``, whose rounds run on row
+matchings and build edges only for the cover they return, and
+``shortest_walk_tree``, which reads its parents off :func:`input_search`
+and so runs the same search again on the graphs whose walks it builds.
+``edges_from`` keeps nothing: it finds the vertex's rows by bisection.  A
+graph is dropped with its memo.
 
 Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
 1973) is the one augmenting-path loop of the package, with an explicit

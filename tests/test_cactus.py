@@ -48,6 +48,9 @@ def test_decompose_boost(boost):
     cyc = d.cycle_groups[0]
     assert len(cyc) == 1 and cyc[0].tail == StateVertex(0)
     assert d.covered == frozenset({0, 1})
+    # built once and kept; equality still compares the pieces only
+    assert d.covered is d.covered
+    assert d == decompose(edges, reachable_states(g))
 
 
 def test_decompose_drops_rootless_tree():

@@ -186,6 +186,21 @@ def test_input_rank(example1, chain10):
     assert input_rank(build_union_graph(chain10)) == 1
 
 
+def test_input_rank_kept_on_graph(chain10, monkeypatch):
+    # the input slice and its matching are built on the first call only
+    calls = Counter()
+    original = checker_mod.generic_rank
+
+    def counted(g):
+        calls["generic_rank"] += 1
+        return original(g)
+    monkeypatch.setattr(checker_mod, "generic_rank", counted)
+    g = build_union_graph(chain10)
+    assert input_rank(g) == input_rank(g) == 1
+    assert calls["generic_rank"] == 1
+    assert (checker_mod._input_rank,) in g._memo
+
+
 def test_consistency_error_carries_instance(example1, monkeypatch):
     def broken(structure, *, seed, trials, prime, graph):
         return ControllabilityProbe(

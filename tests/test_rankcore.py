@@ -22,7 +22,7 @@ from swcactus import (
     reachable_space_dim,
     sample_realization,
 )
-from swcactus.model import StructuredMatrix, SwitchedStructure
+from swcactus.model import Realization, StructuredMatrix, SwitchedStructure, is_prime
 from swcactus.rankcore import ColumnReducer, _slot_layout, det_ff, rank_ff
 from swcactus.unigraph import _term_rank_ceiling, term_rank_ceiling
 
@@ -30,6 +30,11 @@ P = DEFAULT_PRIME
 # a prime just past the probe's 2**31 floor, the default, the largest 64-bit
 # prime and one past 64 bits
 PRIMES = ((1 << 31) + 11, DEFAULT_PRIME, (1 << 64) - 59, (1 << 89) - 1)
+# the primes on either side of the fold-shift branch at 40 bits: 2**40 mod p
+# = 2**40 - p, so c = b exactly when p > 2**40 - 2**20
+_EDGE = (1 << 40) - (1 << 20)
+BOUNDARY_PRIMES = (next(q for q in range(_EDGE, 0, -1) if is_prime(q)),
+                   next(q for q in range(_EDGE + 1, 1 << 40) if is_prime(q)))
 
 
 def test_column_reducer_basic():
@@ -68,12 +73,20 @@ def _sparse_columns(rng: random.Random, n: int, prime: int) -> list[list[int]]:
 
 
 def _assert_folded(red: ColumnReducer) -> None:
-    """Every stored slot is below ``2**(c + 1)``, no bits lie past row n - 1,
-    and each column's ``ninv`` is minus the inverse of its slot 0."""
+    """The slotted rows hold the slots above ``_top``, one each; pivots sit
+    only there; every stored slot is below ``2**(c + 1)``, no bits lie past
+    slot n - 1, and each column's ``ninv`` is minus the inverse of its slot
+    0."""
     w, mask, c = _slot_layout(red.n, red.prime)[:3]
-    for row, stored, ninv in red._basis:
-        slots = [stored >> i * w & mask for i in range(red.n - row)]
-        assert stored >> (red.n - row) * w == 0
+    assert sorted(s for s in red._slot_of if s >= 0) == list(range(red._top + 1, red.n))
+    assert red.rank == sum(pivot is not None for pivot in red._pivots)
+    for slot, pivot in enumerate(red._pivots):
+        if pivot is None:
+            continue
+        stored, ninv = pivot
+        assert slot > red._top
+        slots = [stored >> i * w & mask for i in range(red.n - slot)]
+        assert stored >> (red.n - slot) * w == 0
         assert max(slots) < 1 << (c + 1)
         assert slots[0] * ninv % red.prime == red.prime - 1
 
@@ -91,42 +104,49 @@ def test_column_reducer_matches_plain_elimination(prime, n, seed, draw):
     assert red.rank == rank_ff(cols, n, prime) == helpers.brute_rank_ff(cols, n, prime)
 
 
-@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("prime", PRIMES + BOUNDARY_PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
 def test_column_reducer_largest_slot_sum(prime, n):
     # basis e_k + e_last for every row k but the last, and a candidate that
     # it reduces to zero: the last row, which no pivot reads, takes n - 1
     # products on top of its entry before it is read; a narrower slot would
-    # carry out of it and break the rejection
+    # carry out of it and break the rejection.  The reducer gets each basis
+    # column as a dict that lists the last row first, so the last row takes
+    # the top slot and every pivot lies below it
     red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
     for k in range(n - 1):
         col = [0] * n
         col[k] = col[n - 1] = 1
-        assert red.add(col) and brute.add(col)
+        assert red.add({n - 1: 1, k: 1}) and brute.add(col)
+    assert n == 1 or red._slot_of[n - 1] == n - 1
     candidate = [-1] * (n - 1) + [1 - n]
     assert not red.add(candidate) and not brute.add(candidate)
     assert red.add([0] * (n - 1) + [1])
     assert red.rank == n
 
 
-@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("prime", PRIMES + BOUNDARY_PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
 def test_column_reducer_folded_extreme(prime, n):
     # the basis e_k + e_last for every row k but the last, stored by hand
-    # with every slot at its folded maximum: the largest value below
-    # 2**(c + 1) in its class mod p.  Candidates of ones make every factor
-    # p - 1, so the last row takes n - 1 of the largest products the slot
-    # width must hold before it is read; a carry out of any slot would break
-    # the rejection, and the accepted column is folded from that extreme
+    # with row k in slot k and every slot at its folded maximum: the largest
+    # value below 2**(c + 1) in its class mod p.  Candidates of ones make
+    # every factor p - 1, so the last slot takes n - 1 of the largest
+    # products the slot width must hold before it is read; a carry out of
+    # any slot would break the rejection, and the accepted column is folded
+    # from that extreme
     w, _, c = _slot_layout(n, prime)[:3]
     top = (1 << (c + 1)) - 1
     red, brute = ColumnReducer(n, prime), helpers.BruteReducer(n, prime)
+    red._slot_of, red._top = list(range(n)), -1
     for k in range(n - 1):
         col = [0] * n
         col[k] = col[n - 1] = 1
         assert brute.add(col)
         slots = [top - (top - v) % prime for v in col[k:]]
-        red._basis.append((k, sum(v << i * w for i, v in enumerate(slots)), prime - 1))
+        assert all(top - prime < v <= top for v in slots)
+        red._pivots[k] = (sum(v << i * w for i, v in enumerate(slots)), prime - 1)
+        red._rank += 1
     _assert_folded(red)
     candidate = [1] * (n - 1) + [n - 1]
     assert not red.add(candidate) and not brute.add(candidate)
@@ -400,6 +420,35 @@ def _record_adds(mp: pytest.MonkeyPatch) -> list[bool]:
     return results
 
 
+def _krylov_order_adds(s, r, top: int) -> list[bool]:
+    """The outcome of every add of the probe's Krylov order, on a
+    ``BruteReducer`` with dense products read from the keyed ``r.values``:
+    the input columns in mode order, then each absorbed column, in the order
+    absorbed, times every ``A_i``, until an absorbed column brings the rank
+    to ``top``."""
+    n, p = s.n, r.prime
+    dense = [[[r.values.get((i, "A", row, c), 0) for c in range(n)] for row in range(n)]
+             for i in range(s.subsystem_count)]
+    red = helpers.BruteReducer(n, p)
+    outcomes: list[bool] = []
+    absorbed = []
+
+    def offer(col) -> bool:
+        outcomes.append(red.add(col))
+        if outcomes[-1]:
+            absorbed.append(col)
+        return outcomes[-1] and len(red.basis) == top
+    for i, (_, b) in enumerate(s.subsystems):
+        for q in range(b.cols):
+            if offer([r.values.get((i, "B", row, q), 0) for row in range(n)]):
+                return outcomes
+    for col in absorbed:  # grows while it is read
+        for mat in dense:
+            if offer([sum(x * y for x, y in zip(row, col)) % p for row in mat]):
+                return outcomes
+    return outcomes
+
+
 def _probe_against_all_basis_loop(s, r) -> None:
     expected = helpers.brute_reachable_space_dim(s, r)
     ceiling = term_rank_ceiling(build_union_graph(s))
@@ -408,6 +457,7 @@ def _probe_against_all_basis_loop(s, r) -> None:
             adds = _record_adds(mp)
             dim, layers = reachable_space_dim(s, r, top)
         assert (dim, layers) == expected
+        assert adds == _krylov_order_adds(s, r, s.n if top is None else top)
         # each input column once, then each absorbed column times every A_i once
         assert len(adds) <= s.total_inputs + s.subsystem_count * dim
     assert dim <= ceiling
@@ -430,6 +480,66 @@ def test_krylov_matches_all_basis_loop_wide(seed):
     # wide_structure(11, 40, 3) is uncontrollable (dim 39)
     s = helpers.wide_structure(seed, 40, 3)
     _probe_against_all_basis_loop(s, sample_realization(s, seed=seed))
+
+
+def test_product_cancels_on_reached_row():
+    # A has rows 2 and 3 in column 0, row 2 in columns 1 and 3; B = (3, 5)
+    # on rows 0 and 1.  The value at (2, 1) makes A B cancel mod p on row
+    # 2, which A B reaches structurally: A B = 33 e_3 takes no slot for row
+    # 2, then A^2 B = 13 * 33 e_2 reaches it for real
+    a21 = -7 * 3 * pow(5, -1, P) % P
+    s = SwitchedStructure(n=4, subsystems=((
+        StructuredMatrix(4, 4, frozenset({(2, 0), (3, 0), (2, 1), (2, 3)})),
+        StructuredMatrix(4, 1, frozenset({(0, 0), (1, 0)})),),))
+    a_cols = (((2, 7), (3, 11)), ((2, a21),), (), ((2, 13),))
+    r = Realization(kind="finite", prime=P, seed=0,
+                    columns=((a_cols, (((0, 3), (1, 5)),)),))
+    assert rankcore_mod._product(a_cols, {0: 3, 1: 5}, P) == {3: 33}
+    assert layered_product_columns(s, r, 2)[0] == [[3, 5, 0, 0], [0, 0, 0, 33],
+                                                   [0, 0, 13 * 33, 0]]
+    red = ColumnReducer(4, P)
+    assert red.add({0: 3, 1: 5}) and red.add({2: 0, 3: 33})
+    assert red._slot_of == [3, 2, -1, 1]
+    assert red.add({2: 13 * 33 + P}) and red._slot_of[2] == 0
+    _assert_folded(red)
+    assert reachable_space_dim(s, r) == (3, 2)
+    _probe_against_all_basis_loop(s, r)
+
+
+@pytest.mark.parametrize("prime", PRIMES + BOUNDARY_PRIMES)
+@pytest.mark.parametrize("n", [1, 8, 70, 1000])
+def test_slot_layout_bounds(prime, n):
+    # proof items 1-3 of ColumnReducer, checked on the numbers
+    w, mask, c, radix, folds, lo, hi = _slot_layout(n, prime)
+    b = prime.bit_length()
+    narrow = (1 << b) % prime < 1 << (b // 2)
+    assert c == (b if narrow else b + b // 2)
+    assert w == b + c + n.bit_length() + 3 and mask == (1 << w) - 1
+    assert radix == (1 << c) % prime < 1 << (c - b // 2)
+    # 1: the largest candidate slot, p - 1 plus n products of a factor
+    # below p and a stored slot below 2**(c + 1)
+    top = 1 << (c + 1)
+    largest = prime - 1 + n * (prime - 1) * (top - 1)
+    assert largest < 1 << (w - 2)
+
+    def fold(x: int) -> int:
+        return (x >> c & hi) * radix + (x & lo)
+    # 2: folding n slots at once equals folding each, even from all ones
+    for slot in (mask, largest, top - 1, prime):
+        packed = sum(slot << i * w for i in range(n))
+        assert fold(packed) == sum(fold(slot) << i * w for i in range(n))
+        assert fold(slot) < 1 << w
+    # 3: each fold shrinks a slot at or above 2**(c + 1) and keeps one below
+    # it there; the counted folds bring the largest slot below it
+    x = largest
+    for _ in range(folds):
+        assert x >= top and (x >> c) * radix + (1 << c) - 1 < x
+        x = (x >> c) * radix + (1 << c) - 1
+    assert x < top and radix + (1 << c) - 1 < top
+    if prime == DEFAULT_PRIME:
+        assert narrow and radix == 1 and folds == 2
+    assert narrow == (prime in ((1 << 64) - 59, (1 << 89) - 1, DEFAULT_PRIME,
+                                BOUNDARY_PRIMES[1]))
 
 
 @settings(max_examples=30, deadline=None)
