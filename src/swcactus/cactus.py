@@ -374,19 +374,24 @@ def verify_cactus_walking(cover: CactusCover, g: UnionGraph, *,
                 return None
             options.append(per_target[target])
 
+    # depth-first over the options, one entry of ``chosen`` per decided
+    # position and ``tried[idx]`` the next option to try there; a loop, not
+    # recursion, so any number of covered states fits the call stack
     chosen: list[InputStateWalk] = []
-
-    def search(idx: int) -> bool:
-        if idx == len(options):
-            return True
-        for walk in options[idx]:
+    tried = [0] * len(options)
+    idx = 0
+    while idx < len(options):
+        for k in range(tried[idx], len(options[idx])):
+            walk = options[idx][k]
             if all(walks_provably_disjoint(walk, other) for other in chosen):
+                tried[idx] = k + 1
                 chosen.append(walk)
-                if search(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        return None
+                idx += 1
+                break
+        else:
+            if idx == 0:
+                return None
+            tried[idx] = 0
+            idx -= 1
+            chosen.pop()
     return tuple(chosen)

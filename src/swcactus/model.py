@@ -34,6 +34,13 @@ _MAX_PRIME_EXCLUSIVE = 1 << 63
 
 _UINT64_MASK = (1 << 64) - 1
 
+# Every pattern column gets its own row tuple at parse time, so a short
+# document with a huge ``n`` or ``B`` column count would allocate without
+# bound.  A document whose column count, n + m_i summed over the subsystems,
+# exceeds this cap is rejected first.  The largest structures tested hold
+# about 18,000 (n = 3000, 6 modes).
+COLUMN_SLOT_CAP = 1_000_000
+
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -132,7 +139,7 @@ def _column_rows(entries: Iterable, rows: int, cols: int
                 f"{rows}x{cols} matrix"
             )
         columns[c].append(r)
-    return tuple(tuple(sorted(col)) for col in columns)
+    return tuple(map(tuple, map(sorted, columns)))
 
 
 @dataclass(frozen=True)
@@ -185,24 +192,43 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _parse_positions(raw: Any, *, where: str, rows: int, cols: int) -> frozenset[tuple[int, int]]:
-    _expect(isinstance(raw, list), f"{where}: expected a list of [row, col] pairs")
+    """The 0-based positions of one ``[[row, col], ...]`` list.
+
+    A list of JSON lists is checked in bulk: one set comprehension keeps the
+    pairs of plain ints in range, and the list is accepted when nothing was
+    dropped or merged.  Anything else is read entry by entry, which names
+    the first offender (and accepts list and ``int`` subclasses other than
+    ``bool``, with the same result).
+    """
+    if type(raw) is list and set(map(type, raw)) <= {list}:
+        try:
+            # a frozenset copied from a set gets a table sized to its length,
+            # often half the one that adding the entries one by one (from a
+            # list or a generator) leaves, and it lives with the structure
+            entries = frozenset({(r - 1, c - 1) for r, c in raw
+                                 if type(r) is int and type(c) is int
+                                 and 1 <= r <= rows and 1 <= c <= cols})
+        except ValueError:  # an item that is not a pair
+            pass
+        else:
+            if len(entries) == len(raw):
+                return entries
+    # messages are formatted only for the offender
+    if not isinstance(raw, list):
+        raise ModelError(f"{where}: expected a list of [row, col] pairs")
     seen: set[tuple[int, int]] = set()
     for item in raw:
-        _expect(
-            isinstance(item, list) and len(item) == 2,
-            f"{where}: each nonzero must be a [row, col] pair, got {item!r}",
-        )
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ModelError(f"{where}: each nonzero must be a [row, col] pair, got {item!r}")
         r, c = item
-        _expect(
-            isinstance(r, int) and isinstance(c, int) and not isinstance(r, bool) and not isinstance(c, bool),
-            f"{where}: row and column must be integers, got {item!r}",
-        )
-        _expect(
-            1 <= r <= rows and 1 <= c <= cols,
-            f"{where}: entry ({r}, {c}) does not fit a {rows}x{cols} matrix",
-        )
+        if (not isinstance(r, int) or not isinstance(c, int)
+                or isinstance(r, bool) or isinstance(c, bool)):
+            raise ModelError(f"{where}: row and column must be integers, got {item!r}")
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            raise ModelError(f"{where}: entry ({r}, {c}) does not fit a {rows}x{cols} matrix")
         pos = (r - 1, c - 1)
-        _expect(pos not in seen, f"{where}: duplicate nonzero entry ({r}, {c})")
+        if pos in seen:
+            raise ModelError(f"{where}: duplicate nonzero entry ({r}, {c})")
         seen.add(pos)
     return frozenset(seen)
 
@@ -222,6 +248,7 @@ def system_from_dict(doc: Any) -> SwitchedStructure:
             "'subsystems' must be a non-empty list")
 
     pairs = []
+    slots = 0
     for idx, sub in enumerate(raw_subs, start=1):
         where = f"subsystem {idx}"
         _expect(isinstance(sub, dict), f"{where}: expected an object")
@@ -239,6 +266,10 @@ def system_from_dict(doc: Any) -> SwitchedStructure:
         m = b_raw["cols"]
         _expect(isinstance(m, int) and not isinstance(m, bool) and m >= 0,
                 f"{where}: B column count must be a non-negative integer, got {m!r}")
+        slots += n + m
+        _expect(slots <= COLUMN_SLOT_CAP,
+                f"{where}: {slots} pattern columns so far (n plus the B column "
+                f"count, summed over subsystems), over the cap of {COLUMN_SLOT_CAP}")
         b_entries = _parse_positions(b_raw["nonzeros"], where=f"{where}, matrix B", rows=n, cols=m)
 
         pairs.append((StructuredMatrix(n, n, a_entries), StructuredMatrix(n, m, b_entries)))

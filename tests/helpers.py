@@ -16,6 +16,7 @@ import numpy as np
 
 from swcactus import (
     ColoredEdge,
+    ModelError,
     InputVertex,
     StateVertex,
     StructuredMatrix,
@@ -375,3 +376,33 @@ def chain_document(n: int) -> dict:
         {"A": a, "B": {"cols": 0, "nonzeros": []}},
         {"A": [], "B": {"cols": 1, "nonzeros": [[1, 1]]}},
     ]}
+
+
+def ref_parse_positions(raw, *, where: str, rows: int, cols: int):
+    """The per-entry position reader that the bulk check in
+    ``model._parse_positions`` replaced, kept as the oracle for its result
+    and for its error messages."""
+    def expect(condition, message):
+        if not condition:
+            raise ModelError(message)
+
+    expect(isinstance(raw, list), f"{where}: expected a list of [row, col] pairs")
+    seen = set()
+    for item in raw:
+        expect(
+            isinstance(item, list) and len(item) == 2,
+            f"{where}: each nonzero must be a [row, col] pair, got {item!r}",
+        )
+        r, c = item
+        expect(
+            isinstance(r, int) and isinstance(c, int) and not isinstance(r, bool) and not isinstance(c, bool),
+            f"{where}: row and column must be integers, got {item!r}",
+        )
+        expect(
+            1 <= r <= rows and 1 <= c <= cols,
+            f"{where}: entry ({r}, {c}) does not fit a {rows}x{cols} matrix",
+        )
+        pos = (r - 1, c - 1)
+        expect(pos not in seen, f"{where}: duplicate nonzero entry ({r}, {c})")
+        seen.add(pos)
+    return frozenset(seen)

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from collections import deque
 
 import numpy as np
@@ -17,11 +19,12 @@ from swcactus import (
     decompose,
     max_independent_edges,
     reachable_states,
+    system_from_dict,
     verify_cactus_walking,
     walk_violations,
 )
 from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
-from swcactus.mdg import mdg_path_vertices
+from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import controllable_dim
 from swcactus.unigraph import ColoredEdge, InputVertex, UnionGraph, restrict_to_color
 
@@ -205,6 +208,77 @@ def test_verify_walking_chain10(chain10):
     walks = verify_cactus_walking(cover, g)
     assert walks is not None and len(walks) == 8
     assert sorted(w.states[-1] for w in walks) == sorted(cover.covered)
+
+
+def _recursive_walking(cover, g, max_loops, length_cap):
+    """The recursive backtracking that ``verify_cactus_walking`` replaced
+    with a loop, kept as its reference: one frame per walk option."""
+    decomp = cover.decomposition
+    options = []
+    for head, walk in sorted(cactus_walks_for_stem(decomp).items()):
+        if walk.length > length_cap:
+            return None
+        options.append([walk])
+    for group in decomp.cycle_groups:
+        per_target = {}
+        for loops in range(max_loops + 1):
+            for target, walk in cactus_walks_for_bud(group, g, loops).items():
+                if walk.length <= length_cap:
+                    per_target.setdefault(target, []).append(walk)
+        for target in sorted({e.head for e in group}):
+            if target not in per_target:
+                return None
+            options.append(per_target[target])
+    chosen = []
+
+    def search(idx):
+        if idx == len(options):
+            return True
+        for walk in options[idx]:
+            if all(walks_provably_disjoint(walk, other) for other in chosen):
+                chosen.append(walk)
+                if search(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if search(0) else None
+
+
+def test_walking_search_matches_recursive_reference():
+    rng = np.random.default_rng(17)
+    found = missed = 0
+    for _ in range(300):
+        s = helpers.random_structure(rng, max_n=6, max_colors=3,
+                                     density=float(rng.choice([0.2, 0.35])))
+        g = build_union_graph(s)
+        cover = best_cactus_cover(g)
+        max_loops, length_cap = int(rng.integers(0, 4)), int(rng.integers(1, 12))
+        walks = verify_cactus_walking(cover, g, max_loops=max_loops,
+                                      length_cap=length_cap)
+        assert walks == _recursive_walking(cover, g, max_loops, length_cap)
+        found += walks is not None and len(walks) > 0
+        missed += walks is None
+    assert found >= 100 and missed >= 20
+
+
+def test_walking_search_deeper_than_recursion_limit():
+    # one input per state: every state is a stem of its own, one walk
+    # option each, more options than the recursion limit allows frames
+    n = 400
+    s = system_from_dict({"n": n, "subsystems": [
+        {"A": [], "B": {"cols": n, "nonzeros": [[i, i] for i in range(1, n + 1)]}}]})
+    g = build_union_graph(s)
+    cover = best_cactus_cover(g)
+    assert len(cover.covered) == n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        walks = verify_cactus_walking(cover, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walks is not None and len(walks) == n
+    assert sorted(w.states[-1] for w in walks) == list(range(n))
 
 
 @settings(max_examples=40, deadline=None)

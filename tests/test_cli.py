@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -83,6 +84,35 @@ def test_bad_schema(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "subsystem 1" in err
+
+
+def _limit_address_space():
+    # a parser that allocates per column fails here with MemoryError instead
+    # of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("n, m", [(300_000_000, 0), (1, 299_999_999)])
+def test_huge_dimensions_exit_2_before_allocating(n, m):
+    # a 90-byte document naming hundreds of millions of pattern columns
+    payload = json.dumps({"n": n, "subsystems": [
+        {"A": [], "B": {"cols": m, "nonzeros": []}}]})
+    env = dict(os.environ)
+    src = str(Path(swcactus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "swcactus.cli", "check", "-"], input=payload,
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: subsystem 1: 300000000 pattern columns so far")
+    assert "over the cap of 1000000" in proc.stderr
+    assert cpu_s < 1.0
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from swcactus import (
     system_from_dict,
     system_to_dict,
 )
+import helpers
+import swcactus.model as model_mod
 from swcactus.model import is_prime, realization_to_dict, realized_dense
 
 
@@ -120,6 +123,150 @@ def test_parse_rejects(doc, fragment):
     with pytest.raises(ModelError) as err:
         parse_system(doc)
     assert fragment in str(err.value)
+
+
+def _outcome(doc):
+    """The error message for a document, or what it parses to: the structure
+    and the column layout of every matrix."""
+    try:
+        s = system_from_dict(doc)
+    except ModelError as exc:
+        return str(exc)
+    return s, [m.columns for pair in s.subsystems for m in pair]
+
+
+def _oracle_outcome(doc):
+    with mock.patch.object(model_mod, "_parse_positions", helpers.ref_parse_positions):
+        return _outcome(doc)
+
+
+_JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                  st.lists(st.integers(-2, 6), max_size=3),
+                  st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with up to four mutations of its position lists;
+    some leave Python tuples, which only ``system_from_dict`` sees."""
+    n = draw(st.integers(1, 5))
+    subs = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 3))
+        a = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          unique=True, max_size=8))
+        b = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, m)),
+                          unique=True, max_size=4)) if m else []
+        subs.append({"A": [list(p) for p in a],
+                     "B": {"cols": m, "nonzeros": [list(p) for p in b]}})
+    for _ in range(draw(st.integers(0, 4))):
+        sub = draw(st.sampled_from(subs))
+        holder, key = draw(st.sampled_from([(sub, "A"), (sub["B"], "nonzeros")]))
+        rows, cols = n, (n if key == "A" else sub["B"]["cols"])
+        raw = holder[key]
+        kind = draw(st.sampled_from(["field", "shape", "range", "duplicate",
+                                     "empty", "whole", "tuples"]))
+        if kind == "whole":
+            holder[key] = draw(st.one_of(_JUNK, st.just({"1": [1, 1]})))
+            continue
+        if not isinstance(raw, (list, tuple)):
+            continue
+        raw = list(raw)
+        at = draw(st.integers(0, len(raw)))
+        if kind == "empty":
+            raw = []
+        elif kind == "duplicate" and raw:
+            item = draw(st.sampled_from(raw))
+            raw.insert(at, list(item) if isinstance(item, (list, tuple)) else item)
+        elif kind == "field":
+            pair = [draw(st.integers(1, rows)), draw(st.integers(1, max(cols, 1)))]
+            pair[draw(st.integers(0, 1))] = draw(_JUNK)
+            raw.insert(at, pair)
+        elif kind == "range":
+            bad = st.one_of(st.integers(-3, 0), st.integers(rows + 1, rows + 3),
+                            st.integers(cols + 1, cols + 3), st.just(2 ** 70),
+                            st.just(-2 ** 70))
+            pair = [draw(st.integers(1, rows)), draw(st.integers(1, max(cols, 1)))]
+            pair[draw(st.integers(0, 1))] = draw(bad)
+            raw.insert(at, pair)
+        elif kind == "shape":
+            raw.insert(at, draw(st.one_of(
+                st.lists(st.integers(1, rows), min_size=0, max_size=1),
+                st.lists(st.integers(1, rows), min_size=3, max_size=3),
+                st.tuples(st.integers(1, rows), st.integers(1, max(cols, 1))),
+                st.builds(lambda r, c: [[r, c]], st.integers(1, rows), st.integers(1, cols or 1)),
+                st.builds(lambda r, c: [[r], c], st.integers(1, rows), st.integers(1, cols or 1)),
+                _JUNK)))
+        elif kind == "tuples":
+            raw = (tuple(raw) if draw(st.booleans())
+                   else [tuple(item) if draw(st.booleans()) else item for item in raw])
+        holder[key] = raw
+    return {"n": n, "subsystems": subs}
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_parse_messages_match_per_entry_reading(doc):
+    # the bulk check accepts what the per-entry reading accepts, builds the
+    # same structure, and otherwise raises the same message, byte for byte
+    assert _outcome(doc) == _oracle_outcome(doc)
+    as_json = json.loads(json.dumps(doc))
+    assert _outcome(as_json) == _oracle_outcome(as_json)
+
+
+def test_parse_accepts_list_and_int_subclasses():
+    class Row(list):
+        pass
+
+    class Index(int):
+        pass
+
+    doc = {"n": 2, "subsystems": [
+        {"A": Row([Row([Index(1), 2]), [2, Index(2)]]), "B": {"cols": 0, "nonzeros": []}}]}
+    assert _outcome(doc) == _oracle_outcome(doc)
+    assert system_from_dict(doc).subsystems[0][0].nonzeros == frozenset({(0, 1), (1, 1)})
+
+
+@pytest.mark.parametrize("n, modes", [(2, 1), (40, 3), (600, 6), (3000, 6)])
+def test_parse_builds_the_oracle_objects(n, modes):
+    s = helpers.wide_structure(n, n, modes)
+    text = serialize_system(s)
+    doc = json.loads(text)
+    for sub in doc["subsystems"]:  # the reading must not lean on sorted input
+        random.Random(n).shuffle(sub["A"])
+    parsed, columns = _outcome(doc)
+    assert (parsed, columns) == _oracle_outcome(doc)
+    for pair, ref_pair in zip(parsed.subsystems, s.subsystems):
+        for mat, ref in zip(pair, ref_pair):
+            assert mat.nonzeros == ref.nonzeros and mat.columns == ref.columns
+    assert parsed == s and serialize_system(parsed) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_parse_builds_the_oracle_objects_small(seed):
+    s = helpers.random_structure(np.random.default_rng(seed), max_n=6, density=0.4)
+    text = serialize_system(s)
+    parsed, columns = _outcome(json.loads(text))
+    assert (parsed, columns) == _oracle_outcome(json.loads(text))
+    assert columns == [m.columns for pair in s.subsystems for m in pair]
+    assert parsed == s and serialize_system(parsed) == text
+
+
+@pytest.mark.parametrize("n, m", [(300_000_000, 0), (1, 10 ** 12)])
+def test_parse_rejects_column_slots_past_cap(n, m):
+    doc = {"n": n, "subsystems": [{"A": [], "B": {"cols": m, "nonzeros": []}}]}
+    with pytest.raises(ModelError, match="over the cap of 1000000"):
+        system_from_dict(doc)
+
+
+def test_column_slot_cap_counts_every_subsystem(monkeypatch):
+    monkeypatch.setattr(model_mod, "COLUMN_SLOT_CAP", 10)
+    sub = {"A": [], "B": {"cols": 2, "nonzeros": []}}
+    assert system_from_dict({"n": 3, "subsystems": [sub, sub]}).total_inputs == 4
+    with pytest.raises(ModelError) as err:
+        system_from_dict({"n": 3, "subsystems": [sub, sub, {"A": [], "B": {"cols": 0, "nonzeros": []}}]})
+    assert str(err.value).startswith("subsystem 3: 13 pattern columns so far")
 
 
 def test_error_names_subsystem():
