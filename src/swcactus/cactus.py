@@ -1,14 +1,15 @@
 """Stem/cycle covers built from independent edge sets.
 
 An independent edge set (distinct heads, color-distinct shared tails) gives
-every chosen state exactly one incoming edge, so its edges organize into
-three kinds of pieces:
+every chosen state exactly one incoming edge, so following in-edges back
+from any edge ends in one of three ways, and that end names its piece:
 
-* stems: trees of edges grown out of input-rooted edges,
-* cycle groups: components in which every vertex has an incoming edge, which
-  forces exactly one cycle plus outgoing branches,
-* rootless trees: components with one vertex short of an edge and no way to
-  anchor them, which are dropped.
+* stems: the chain reaches an input; these are trees of edges grown out of
+  input-rooted edges,
+* cycle groups: the chain runs into a cycle; each is one cycle plus the
+  branches that leave it,
+* rootless trees: the chain reaches a state with no incoming edge, which
+  leaves nothing to anchor it, so these are dropped.
 
 A cover retains stems plus those cycle groups whose vertices are all
 input-reachable.  The covered states lower-bound the generic dimension of
@@ -48,6 +49,9 @@ from .unigraph import (
 DEFAULT_MAX_LOOPS = 3
 DEFAULT_LENGTH_CAP = 32
 
+# labels of :func:`_pieces`; a cycle group is labeled by its index
+_STEM, _DROPPED, _WALKING = -1, -2, -3
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -76,11 +80,9 @@ def _check_independent(edges: tuple[ColoredEdge, ...]) -> None:
 def decompose(edges, reachable: frozenset[int]) -> Decomposition:
     """Split an independent edge set into its cover pieces.
 
-    Stems absorb every edge whose tail is a stem head, starting from the
-    input-rooted edges; a cycle can never be absorbed because its entry
-    vertex would need a second incoming edge.  Remaining components keep
-    their vertex count in edges (cycle group) or fall one short (rootless,
-    dropped); cycle groups with any unreachable vertex are dropped too,
+    Each edge belongs to the piece its chain of in-edges ends in: an input
+    (stem), a cycle (cycle group) or a state with no in-edge (rootless,
+    dropped).  Cycle groups with any unreachable vertex are dropped too,
     since no walk from an input could ever wind through them.
     """
     edges = tuple(sorted(edges, key=edge_sort_key))
@@ -100,32 +102,50 @@ def _pieces(tails: list[int], heads: list[int], reachable: frozenset[int]
     the positions of the stems, of each cycle group and of the dropped
     edges, each ascending and the groups by their first position, which is
     the order :class:`Decomposition` lists edges in.
-    """
-    out: dict[int, list[int]] = {}
-    stems: list[int] = []
-    for i, t in enumerate(tails):
-        if t < 0:
-            stems.append(i)
-        else:
-            out.setdefault(t, []).append(i)
-    # heads are distinct, so each state's out-edges are absorbed at most
-    # once, and what stays in ``out`` is the remainder
-    for i in stems:  # grows while it is read: breadth-first
-        stems += out.pop(heads[i], ())
 
-    remainder = sorted(i for group in out.values() for i in group)
-    cycle_groups: list[list[int]] = []
-    dropped: list[int] = []
-    for comp in _weak_components(remainder, tails, heads):
-        verts = {heads[i] for i in comp} | {tails[i] for i in comp}
-        assert len(comp) in (len(verts) - 1, len(verts))
-        if len(comp) == len(verts) and verts <= reachable:
-            cycle_groups.append(comp)
+    Every head has one in-edge, so each edge is labeled by following tails
+    back until the walk meets a labeled edge (and takes its label), an
+    input (stem), a tail with no in-edge (rootless, dropped) or an edge of
+    this walk (a new cycle group).  Every tail of a cycle group is also one
+    of its heads, so a group is kept when all its heads are reachable.
+    """
+    at = {h: i for i, h in enumerate(heads)}
+    label: list[int | None] = [None] * len(heads)  # _STEM, _DROPPED or a group
+    group_kept: list[bool] = []
+    for i in range(len(heads)):
+        walk = []
+        j = i
+        while label[j] is None:
+            label[j] = _WALKING
+            walk.append(j)
+            if tails[j] < 0:
+                kind = _STEM
+                break
+            j = at.get(tails[j])
+            if j is None:
+                kind = _DROPPED
+                break
         else:
-            dropped += comp
-    stems.sort()
-    dropped.sort()
-    return stems, cycle_groups, dropped
+            kind = label[j]
+            if kind == _WALKING:
+                kind = len(group_kept)
+                group_kept.append(True)
+        for j in walk:
+            label[j] = kind
+        if kind >= 0 and not reachable.issuperset([heads[j] for j in walk]):
+            group_kept[kind] = False
+
+    stems: list[int] = []
+    groups: list[list[int]] = [[] for _ in group_kept]
+    dropped: list[int] = []
+    for i, kind in enumerate(label):
+        if kind == _STEM:
+            stems.append(i)
+        elif kind == _DROPPED or not group_kept[kind]:
+            dropped.append(i)
+        else:
+            groups[kind].append(i)
+    return stems, [g for g, kept in zip(groups, group_kept) if kept], dropped
 
 
 def _assemble(edge, stems: list[int], cycle_groups: list[list[int]],
@@ -139,39 +159,13 @@ def _assemble(edge, stems: list[int], cycle_groups: list[list[int]],
     )
 
 
-def _weak_components(positions: list[int], tails: list[int],
-                     heads: list[int]) -> list[list[int]]:
-    """Group edge positions (state tails only) by shared endpoints; each
-    group stays in position order, and the groups are in the order of their
-    first position."""
-    if not positions:
-        return []
-    # union-find over the states, halving paths as it goes
-    parent = list(range(1 + max(max(tails), max(heads))))
-    for i in positions:
-        a, b = tails[i], heads[i]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: dict[int, list[int]] = {}
-    for i in positions:
-        root = heads[i]
-        while parent[root] != root:
-            root = parent[root]
-        groups.setdefault(root, []).append(i)
-    return list(groups.values())
-
-
 def component_cycle(group) -> tuple[ColoredEdge, ...]:
     """The unique cycle of a cycle group, forward order, min vertex first."""
+    group = tuple(group)
+    if not group:
+        raise ModelError("cycle group is empty")
     pred = {e.head: e for e in group}
-    if len(pred) != len(tuple(group)):
+    if len(pred) != len(group):
         raise ModelError("cycle group has a repeated head")
     start = min(pred)
     seen: dict[int, int] = {}
@@ -249,7 +243,8 @@ def best_cactus_cover(g: UnionGraph) -> CactusCover:
     always a more coverable one.  Comparing with the best single-color cover
     makes the result at least as large as any per-subsystem cover; ties
     prefer the all-color run, then the lowest color.  Every fixpoint runs
-    once per graph, however often the covers are asked for.  A single-color
+    once per graph, however often the covers are asked for, and a one-color
+    graph is its own color slice, so it runs one fixpoint.  A single-color
     cover lies inside the reachable states, so when the all-color cover
     holds all of them it wins the tie and the per-color runs are skipped.
     """

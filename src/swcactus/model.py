@@ -37,8 +37,9 @@ _UINT64_MASK = (1 << 64) - 1
 # Every pattern column gets its own row tuple at parse time, so a short
 # document with a huge ``n`` or ``B`` column count would allocate without
 # bound.  A document whose column count, n + m_i summed over the subsystems,
-# exceeds this cap is rejected first.  The largest structures tested hold
-# about 18,000 (n = 3000, 6 modes).
+# exceeds this cap is rejected first, and so is a :class:`StructuredMatrix`
+# built with more columns.  The largest structures tested hold about 18,000
+# (n = 3000, 6 modes).
 COLUMN_SLOT_CAP = 1_000_000
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -99,6 +100,9 @@ class StructuredMatrix:
             raise ModelError(f"matrix needs at least one row, got {self.rows}")
         if self.cols < 0:
             raise ModelError(f"matrix column count may not be negative, got {self.cols}")
+        if self.cols > COLUMN_SLOT_CAP:
+            raise ModelError(f"matrix column count {self.cols} is over the cap "
+                             f"of {COLUMN_SLOT_CAP}")
         entries = self.nonzeros
         # a frozenset of plain int pairs, as the parser builds it, is kept;
         # any other collection or entry type is rebuilt as one first

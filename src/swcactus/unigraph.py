@@ -31,7 +31,8 @@ Memo.  A graph never changes, so results derived from it are computed
 once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
 function and its arguments: :func:`reachable_states` keeps ``_reachable``,
 the state set of the one breadth-first search, :func:`input_search`;
-:func:`restrict_to_color` keeps ``_color_slice`` per color;
+:func:`restrict_to_color` keeps ``_color_slice`` per color, except that a
+one-color graph is its own color slice, so the two share one memo;
 :func:`row_matching` without ``allowed_heads`` keeps ``_row_matching``, the
 unrestricted matching as one head (or ``-1``) per row; and
 :func:`term_rank_ceiling` keeps ``_term_rank_ceiling``.
@@ -303,10 +304,13 @@ def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
     """Subgraph keeping only the given color's edges (state set unchanged).
 
     The color's rows are a contiguous slice of ``g``'s rows, sharing their
-    head tuples; the subgraph is built once per graph and color.
+    head tuples; the subgraph is built once per graph and color.  A
+    one-color graph is its own slice, so what is kept on it serves both.
     """
     if not (0 <= color < g.colors):
         raise ModelError(f"color {color + 1} outside 1..{g.colors}")
+    if g.colors == 1:  # before the memo, so the graph keeps no reference to itself
+        return g
     return g._once(_color_slice, color)
 
 

@@ -406,3 +406,60 @@ def ref_parse_positions(raw, *, where: str, rows: int, cols: int):
         expect(pos not in seen, f"{where}: duplicate nonzero entry ({r}, {c})")
         seen.add(pos)
     return frozenset(seen)
+
+
+def ref_pieces(tails: list[int], heads: list[int], reachable
+               ) -> tuple[list[int], list[list[int]], list[int]]:
+    """The split of an independent edge set by position that a stem sweep
+    and a union-find made before ``cactus._pieces`` followed in-edges, kept
+    as the oracle for its result."""
+    out: dict[int, list[int]] = {}
+    stems: list[int] = []
+    for i, t in enumerate(tails):
+        if t < 0:
+            stems.append(i)
+        else:
+            out.setdefault(t, []).append(i)
+    for i in stems:  # grows while it is read: breadth-first
+        stems += out.pop(heads[i], ())
+
+    remainder = sorted(i for group in out.values() for i in group)
+    cycle_groups: list[list[int]] = []
+    dropped: list[int] = []
+    for comp in _ref_weak_components(remainder, tails, heads):
+        verts = {heads[i] for i in comp} | {tails[i] for i in comp}
+        assert len(comp) in (len(verts) - 1, len(verts))
+        if len(comp) == len(verts) and verts <= reachable:
+            cycle_groups.append(comp)
+        else:
+            dropped += comp
+    stems.sort()
+    dropped.sort()
+    return stems, cycle_groups, dropped
+
+
+def _ref_weak_components(positions: list[int], tails: list[int],
+                         heads: list[int]) -> list[list[int]]:
+    """Edge positions grouped by shared endpoints with a union-find, each
+    group in position order and the groups by their first position."""
+    if not positions:
+        return []
+    parent = list(range(1 + max(max(tails), max(heads))))
+    for i in positions:
+        a, b = tails[i], heads[i]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    groups: dict[int, list[int]] = {}
+    for i in positions:
+        root = heads[i]
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())

@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -26,7 +26,13 @@ from swcactus import (
 from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
 from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import controllable_dim
-from swcactus.unigraph import ColoredEdge, InputVertex, UnionGraph, restrict_to_color
+from swcactus.unigraph import (
+    ColoredEdge,
+    InputVertex,
+    UnionGraph,
+    edge_sort_key,
+    restrict_to_color,
+)
 
 
 def test_decompose_example1_all_stems(example1):
@@ -87,6 +93,57 @@ def test_decompose_rejects_dependent_edges():
         decompose(clash, frozenset({0, 1, 2}))
 
 
+# u -> x1 -> x2 (stem); x3 -> x3 -> x4 (self-loop with a branch); x5 <-> x6
+# (two-cycle); x10 -> x7 -> x8 (rootless, x10 has no in-edge); x9 -> x9
+# (self-loop off the reachable set)
+MIXED_TAILS = [-1, 0, 2, 2, 5, 4, 9, 6, 8]
+MIXED_HEADS = [0, 1, 2, 3, 4, 5, 6, 7, 8]
+MIXED_REACHABLE = frozenset(range(8))
+
+
+def test_pieces_follow_in_edges():
+    assert cactus_mod._pieces(MIXED_TAILS, MIXED_HEADS, MIXED_REACHABLE) == (
+        [0, 1], [[2, 3], [4, 5]], [6, 7, 8])
+    assert cactus_mod._pieces([], [], frozenset()) == ([], [], [])
+
+
+@st.composite
+def in_edge_maps(draw):
+    """Distinct heads in any order, each tail an input (-1) or any state,
+    and a few states off the reachable set."""
+    n = draw(st.integers(0, 12))
+    heads = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    tails = draw(st.lists(st.integers(-1, n - 1), min_size=len(heads),
+                          max_size=len(heads)))
+    unreachable = draw(st.frozensets(st.sampled_from(range(n)), max_size=2)
+                       if n else st.just(frozenset()))
+    return tails, heads, frozenset(range(n)) - unreachable
+
+
+@settings(max_examples=400, deadline=None)
+@given(in_edge_maps())
+@example(([], [], frozenset()))
+@example((MIXED_TAILS, MIXED_HEADS, MIXED_REACHABLE))
+def test_pieces_match_the_union_find_split(case):
+    assert cactus_mod._pieces(*case) == helpers.ref_pieces(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_decompose_matches_the_union_find_split(seed):
+    g = build_union_graph(helpers.random_structure(
+        np.random.default_rng(seed), max_n=8, density=0.35))
+    edges = sorted(max_independent_edges(g), key=edge_sort_key)
+    reachable = reachable_states(g)
+    tails = [-1 if isinstance(e.tail, InputVertex) else e.tail.index for e in edges]
+    stems, groups, dropped = helpers.ref_pieces(
+        tails, [e.head for e in edges], reachable)
+    d = decompose(max_independent_edges(g), reachable)
+    assert d.stems == tuple(edges[i] for i in stems)
+    assert d.cycle_groups == tuple(tuple(edges[i] for i in grp) for grp in groups)
+    assert d.dropped == tuple(edges[i] for i in dropped)
+
+
 def test_component_cycle_orders_and_rotates():
     grp = [
         ColoredEdge(StateVertex(2), 0, 1),
@@ -105,6 +162,18 @@ def test_component_cycle_rejects_non_cycle():
     )
     with pytest.raises(ModelError):
         component_cycle(path)
+
+
+def test_component_cycle_rejects_empty_group():
+    with pytest.raises(ModelError, match="cycle group is empty"):
+        component_cycle(())
+
+
+def test_component_cycle_reads_a_generator_once():
+    grp = (ColoredEdge(StateVertex(1), 0, 0), ColoredEdge(StateVertex(0), 1, 0))
+    assert component_cycle(e for e in grp) == component_cycle(grp)
+    with pytest.raises(ModelError, match="repeated head"):
+        component_cycle(e for e in grp + grp[:1])
 
 
 @pytest.mark.parametrize("group", [

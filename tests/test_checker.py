@@ -64,6 +64,25 @@ def test_full_cover_skips_per_color_fixpoints(monkeypatch, name):
     assert len(calls) == 1
 
 
+def test_one_color_graph_runs_one_fixpoint(monkeypatch):
+    # one mode with u -> x1, x1 -> x2 and x1 -> x3: x1 feeds one state per
+    # color, so the cover holds 2 of the 3 reachable states and the per-color
+    # cover is asked for; the graph is its own color slice, so the all-color
+    # fixpoint serves it
+    a = StructuredMatrix(3, 3, frozenset({(1, 0), (2, 0)}))
+    b = StructuredMatrix(3, 1, frozenset({(0, 0)}))
+    calls = []
+    original = cactus_mod._cover_fixpoint
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+    monkeypatch.setattr(cactus_mod, "_cover_fixpoint", counted)
+    report = check(SwitchedStructure(n=3, subsystems=((a, b),)))
+    assert len(report.cover.covered) == 2 < len(report.reachable) == 3
+    assert len(calls) == 1
+
+
 def test_check_boost(boost):
     report = check(boost)
     assert report.controllable

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,18 @@ def test_parse_rejects_column_slots_past_cap(n, m):
     doc = {"n": n, "subsystems": [{"A": [], "B": {"cols": m, "nonzeros": []}}]}
     with pytest.raises(ModelError, match="over the cap of 1000000"):
         system_from_dict(doc)
+
+
+def test_structured_matrix_rejects_columns_past_cap(monkeypatch):
+    # rejected before one list per column is allocated
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match="column count 1000000000 is over the cap of 1000000"):
+        StructuredMatrix(1, 10 ** 9)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(model_mod, "COLUMN_SLOT_CAP", 5)
+    assert StructuredMatrix(1, 5).columns == ((),) * 5
+    with pytest.raises(ModelError, match="over the cap of 5"):
+        StructuredMatrix(1, 6)
 
 
 def test_column_slot_cap_counts_every_subsystem(monkeypatch):

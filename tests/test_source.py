@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,34 @@ def test_no_unused_imports(module):
             if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(name)
     assert unused == []
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_no_orphaned_private_helpers():
+    # every private top-level function and private method is referenced
+    # somewhere in the package outside its own definition; dunders and
+    # public names are exempt
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        for node in (node for body in scopes for node in body):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and everywhere[node.name] == _references(node)[node.name]):
+                orphans.append(f"{module}: {node.name}")
+    assert orphans == []

@@ -10,6 +10,7 @@ from swcactus import (
     InputVertex,
     ModelError,
     StateVertex,
+    SwitchedStructure,
     build_union_graph,
     generic_rank,
     input_edges_only,
@@ -148,6 +149,15 @@ def test_restrict_to_color(chain10):
     assert g1.n == g.n and g1.input_counts == g.input_counts
     with pytest.raises(ModelError):
         restrict_to_color(g, 5)
+
+
+def test_one_color_graph_is_its_own_slice(example1):
+    a, b = example1.subsystems[0]
+    g = build_union_graph(SwitchedStructure(n=example1.n, subsystems=((a, b),)))
+    assert restrict_to_color(g, 0) is g
+    assert g._memo == {}
+    with pytest.raises(ModelError):
+        restrict_to_color(g, 1)
 
 
 def test_input_edges_only(example1):
