@@ -14,23 +14,23 @@ from any edge ends in one of three ways, and that end names its piece:
 A cover retains stems plus those cycle groups whose vertices are all
 input-reachable.  The covered states lower-bound the generic dimension of
 the controllable subspace; the walk machinery at the bottom of this module
-turns a cover into concrete input-to-state walks whose layered-graph paths
-can be made vertex-disjoint, which is the shape of that bound's witness.
-Stem walks follow the stem edges back to an input; a cycle group's walks
-reach its entry vertex along the shortest walk tree, the parent rows of the
-union graph's breadth-first search from the inputs, wind round the cycle
-and leave along the group's edges.  One helper follows all these
-predecessor chains.  Two walks' layered paths are tested for a shared
-vertex by the exact suffix test of :func:`mdg.walks_provably_disjoint`, so
-no layered path is built.
+builds that bound's witness: one input-to-state walk per covered state,
+with vertex-disjoint paths in the layered graph.  Stem walks follow the
+stem edges back to an input; a cycle group's walks reach its entry vertex
+along the shortest walk tree, the parent rows of the union graph's
+breadth-first search from the inputs, wind round the cycle and leave along
+the group's edges.  One helper follows all these predecessor chains.  The
+loop counts are fixed per group, each group winding long enough that its
+walks' way in runs where no other walk is, so the family is built
+directly, with no search and no layered path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .mdg import walks_provably_disjoint
 from .model import ModelError
 from .unigraph import (
     ColoredEdge,
@@ -45,9 +45,6 @@ from .unigraph import (
     restrict_to_color,
     row_matching,
 )
-
-DEFAULT_MAX_LOOPS = 3
-DEFAULT_LENGTH_CAP = 32
 
 # labels of :func:`_pieces`; a cycle group is labeled by its index
 _STEM, _DROPPED, _WALKING = -1, -2, -3
@@ -283,10 +280,19 @@ def shortest_walk_tree(g: UnionGraph) -> tuple[dict[int, ColoredEdge], dict[int,
 def _back(pred: dict[int, ColoredEdge], v: int, stop: int | None = None
           ) -> list[ColoredEdge]:
     """The chain of ``pred`` edges into ``v``, in walk order, from an input
-    tail or, when it comes first, from ``stop``."""
+    tail or, when it comes first, from ``stop``.
+
+    Raises :class:`ModelError` when the chain breaks off or runs round a
+    cycle instead, as it can in an edge set that is not one stem set or
+    cycle group.
+    """
     chain: list[ColoredEdge] = []
+    target = v
     while v != stop:
-        e = pred[v]
+        e = pred.get(v)
+        if e is None or len(chain) == len(pred):
+            raise ModelError(f"the in-edge chain into x{target + 1} "
+                             f"breaks off or runs round a cycle")
         chain.append(e)
         if isinstance(e.tail, InputVertex):
             break
@@ -311,14 +317,20 @@ def cactus_walks_for_stem(decomposition: Decomposition) -> dict[int, InputStateW
     return {head: _chain_to_walk(_back(pred, head)) for head in sorted(pred)}
 
 
-def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputStateWalk]:
-    """Walks onto every vertex of one cycle group.
+class _Route(NamedTuple):
+    """The three stretches every walk onto one cycle group is made of."""
 
-    Each walk runs from an input to the group's entry vertex along shortest
-    walks, circles the cycle ``loops`` times, and follows the group's unique
-    edge path to the target.  The loop count is the degree of freedom used to
-    pull different groups' walks apart in the layered graph.  The walk
-    tree is computed once per graph and only read here.
+    prefix: list[ColoredEdge]  # a shortest walk from an input to the entry
+    rotation: tuple[ColoredEdge, ...]  # the cycle, from the entry round
+    arcs: dict[int, list[ColoredEdge]]  # group edges from the entry to each target
+
+
+def _bud_route(group, g: UnionGraph) -> _Route:
+    """The route onto a cycle group, its targets ascending.
+
+    The entry is the cycle vertex nearest an input, ties to the lowest
+    index, and the prefix is read off the walk tree, which is computed once
+    per graph and only read here.
     """
     parents, dist = g._once(shortest_walk_tree)
     cycle = component_cycle(group)
@@ -327,66 +339,76 @@ def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputSta
         if v not in dist:
             raise ModelError(f"cycle vertex x{v + 1} is not input-reachable")
     entry = min(cycle_tails, key=lambda v: (dist[v], v))
-
-    prefix = _back(parents, entry)
     at = cycle_tails.index(entry)
-    rotation = cycle[at:] + cycle[:at]
     pred = {e.head: e for e in group}
-    loop = list(rotation) * loops
-    targets = sorted({e.head for e in group} | {e.tail.index for e in group})
-    return {target: _chain_to_walk(prefix + loop + _back(pred, target, entry))
-            for target in targets}
+    return _Route(_back(parents, entry), cycle[at:] + cycle[:at],
+                  {target: _back(pred, target, entry) for target in sorted(pred)})
 
 
-def verify_cactus_walking(cover: CactusCover, g: UnionGraph, *,
-                          max_loops: int = DEFAULT_MAX_LOOPS,
-                          length_cap: int = DEFAULT_LENGTH_CAP
-                          ) -> tuple[InputStateWalk, ...] | None:
-    """Search for one walk per covered state with pairwise disjoint paths.
+def _route_walks(route: _Route, loops: int) -> dict[int, InputStateWalk]:
+    way_in = route.prefix + list(route.rotation) * loops
+    return {target: _chain_to_walk(way_in + arc) for target, arc in route.arcs.items()}
 
-    Disjointness is in the layered graph, decided exactly for each pair of
-    walks by :func:`mdg.walks_provably_disjoint` without building any layered
-    vertex.  Stem walks are fixed, cycle-group walks may take
-    0..``max_loops`` extra turns around their cycle, and the search
-    backtracks over those choices.  Returns the walk family, or None when no
-    combination under the length cap works.
+
+def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputStateWalk]:
+    """Walks onto every vertex of one cycle group.
+
+    Each walk runs from an input to the group's entry vertex along shortest
+    walks, circles the cycle ``loops`` times, and follows the group's unique
+    edge path to the target.  The loop count is the degree of freedom used to
+    pull different groups' walks apart in the layered graph; a negative one
+    raises :class:`ModelError`.
+    """
+    if loops < 0:
+        raise ModelError(f"loop count may not be negative, got {loops}")
+    return _route_walks(_bud_route(group, g), loops)
+
+
+def verify_cactus_walking(cover: CactusCover, g: UnionGraph) -> tuple[InputStateWalk, ...]:
+    """One walk per covered state, with vertex-disjoint layered paths.
+
+    Stem walks follow the stem edges.  A cycle group's walks are those of
+    :func:`cactus_walks_for_bud`: a prefix to the entry, ``L`` turns of the
+    cycle and an arc to the target.  Let ``D`` be the longest stem walk or
+    arc.  Taking the groups by (distance of the entry, entry), group ``a``
+    with a cycle of length ``l_a`` takes the least ``L_a`` with ``L_a l_a
+    >= F_a``, where ``F_1 = D + 1`` and ``F_(a+1) = L_a l_a + D +
+    dist(entry_a) + 1``.  The walks are listed stems by head, then the
+    groups in decomposition order, targets ascending.  Every cover gets its
+    family, built in time linear in the family's total length.
+
+    Why the paths are disjoint.  Two layered paths can only share a vertex
+    at the same distance ``q`` from their walks' ends, so scan two walks
+    back from their ends.  Where both follow cover in-edges and first
+    meet, they leave the meeting state by two cover edges.  Same-tail cover
+    edges have distinct colors, so the layered paths separate there and
+    cannot meet at any larger ``q``: this is the first-meeting rule of
+    :func:`mdg.walks_provably_disjoint`.  So it is enough that no first
+    meeting falls where a walk is on its prefix.  Stems and arcs end within
+    ``D`` steps of the walk's end, so group ``a``'s prefix lies past ``q =
+    L_a l_a >= F_a``: beyond the full length of every stem walk and every
+    earlier group's walk, and where every later group's walk is still on
+    its own cycle.  A prefix never touches a later group's cycle: its
+    states are strictly closer to the inputs than its own entry, which is
+    no farther than any later entry.  Within one group, a walk on its
+    prefix meets no other walk of the group on the cycle (farther from the
+    inputs) nor on the prefix at another offset; at the same offset (arcs
+    of equal length) both walks have met by the entry already.
     """
     decomp = cover.decomposition
-    options: list[list[InputStateWalk]] = []
-    for head, walk in sorted(cactus_walks_for_stem(decomp).items()):
-        if walk.length <= length_cap:
-            options.append([walk])
-        else:
-            return None
-    for group in decomp.cycle_groups:
-        per_target: dict[int, list[InputStateWalk]] = {}
-        for loops in range(max_loops + 1):
-            for target, walk in cactus_walks_for_bud(group, g, loops).items():
-                if walk.length <= length_cap:
-                    per_target.setdefault(target, []).append(walk)
-        for target in sorted({e.head for e in group}):
-            if target not in per_target:
-                return None
-            options.append(per_target[target])
-
-    # depth-first over the options, one entry of ``chosen`` per decided
-    # position and ``tried[idx]`` the next option to try there; a loop, not
-    # recursion, so any number of covered states fits the call stack
-    chosen: list[InputStateWalk] = []
-    tried = [0] * len(options)
-    idx = 0
-    while idx < len(options):
-        for k in range(tried[idx], len(options[idx])):
-            walk = options[idx][k]
-            if all(walks_provably_disjoint(walk, other) for other in chosen):
-                tried[idx] = k + 1
-                chosen.append(walk)
-                idx += 1
-                break
-        else:
-            if idx == 0:
-                return None
-            tried[idx] = 0
-            idx -= 1
-            chosen.pop()
-    return tuple(chosen)
+    stems = cactus_walks_for_stem(decomp)
+    routes = [_bud_route(group, g) for group in decomp.cycle_groups]
+    reach = max([w.length for w in stems.values()]
+                + [len(arc) for route in routes for arc in route.arcs.values()],
+                default=0)
+    loops = [0] * len(routes)
+    floor = reach + 1
+    for a in sorted(range(len(routes)), key=lambda a: (
+            len(routes[a].prefix), routes[a].rotation[0].tail.index)):
+        turn = len(routes[a].rotation)
+        loops[a] = -(-floor // turn)
+        floor = loops[a] * turn + reach + len(routes[a].prefix) + 1
+    walks = list(stems.values())
+    for route, count in zip(routes, loops):
+        walks.extend(_route_walks(route, count).values())
+    return tuple(walks)

@@ -96,7 +96,7 @@ def _union_dot(g: UnionGraph, decomposition: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mdg_vertex_label(mdg: Mdg, v) -> str:
+def _mdg_vertex_label(v) -> str:
     if v[0] == "x":
         return f"x{v[4] + 1}"
     return f"u{v[4] + 1}.{v[5] + 1}"
@@ -104,7 +104,7 @@ def _mdg_vertex_label(mdg: Mdg, v) -> str:
 
 def _mdg_vertex_str(mdg: Mdg, v) -> str:
     word = ",".join(str(c + 1) for c in mdg.word_of(v[1], v[2], v[3]))
-    return f"{_mdg_vertex_label(mdg, v)}@L{v[1]}[{word}]"
+    return f"{_mdg_vertex_label(v)}@L{v[1]}[{word}]"
 
 
 def _mdg_vertex_id(v) -> str:

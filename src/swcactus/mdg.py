@@ -116,8 +116,11 @@ def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | No
     there rule out a collision at every later distance as well, and
     agreeing ones make that place a shared vertex.  The test is therefore
     exact: it returns ``True`` when the layered paths are vertex-disjoint
-    and ``None`` when they share a vertex, and no caller confirms it on
-    materialized paths.
+    and ``None`` when they share a vertex, with no path materialized.
+
+    Nothing in the package calls it: :func:`cactus.verify_cactus_walking`
+    builds its walk families disjoint by this same first-meeting rule.  It
+    stays public as the exact pairwise check of any two walks.
     """
     k1, k2 = w1.length, w2.length
 

@@ -248,6 +248,15 @@ class UnionGraph:
                 out += self._row_edges(row, self._adj[k])
         return tuple(out)
 
+    def _has_edge(self, edge: ColoredEdge) -> bool:
+        """Whether ``edge`` is in the graph, read off its tail's row."""
+        t = self._vertex_id(edge.tail)
+        if t is None:
+            return False
+        row = edge.color * self._width + t
+        k = bisect_left(self._rows, row)
+        return k < len(self._rows) and self._rows[k] == row and edge.head in self._adj[k]
+
     def edges_into(self, head: int) -> tuple[ColoredEdge, ...]:
         tails = [self._row_tail(row) for row, heads in zip(self._rows, self._adj)
                  for h in heads if h == head]
@@ -582,7 +591,7 @@ def walk_violations(walk: InputStateWalk, g: UnionGraph) -> tuple[str, ...]:
         edge = ColoredEdge(tail, head, color)
         if not (0 <= color < g.colors):
             problems.append(f"step {pos}: color {color + 1} outside 1..{g.colors}")
-        elif edge not in g.edges_from(tail):
+        elif not g._has_edge(edge):
             problems.append(
                 f"step {pos}: no color-{color + 1} edge from "
                 f"{format_vertex(tail)} to x{head + 1}")

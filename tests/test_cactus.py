@@ -23,11 +23,12 @@ from swcactus import (
     verify_cactus_walking,
     walk_violations,
 )
-from swcactus.cactus import cactus_walks_for_bud, cactus_walks_for_stem
+from swcactus.cactus import Decomposition, cactus_walks_for_bud, cactus_walks_for_stem
 from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import controllable_dim
 from swcactus.unigraph import (
     ColoredEdge,
+    InputStateWalk,
     InputVertex,
     UnionGraph,
     edge_sort_key,
@@ -256,16 +257,46 @@ def test_bud_walks_are_valid(boost):
         assert walk.length >= loops  # each extra loop lengthens the walk
 
 
+def test_bud_walks_refuse_negative_loops(boost):
+    g = build_union_graph(boost)
+    d = decompose(max_independent_edges(g), reachable_states(g))
+    with pytest.raises(ModelError, match="negative"):
+        cactus_walks_for_bud(d.cycle_groups[0], g, -1)
+
+
+def test_walks_refuse_chains_that_do_not_end():
+    # two self-loops are not one cycle group, nor is a self-loop plus an
+    # edge from outside the group, and a two-cycle is no stem set
+    s = system_from_dict({"n": 3, "subsystems": [
+        {"A": [[1, 1], [2, 2], [2, 3]],
+         "B": {"cols": 1, "nonzeros": [[1, 1], [2, 1], [3, 1]]}}]})
+    g = build_union_graph(s)
+    loop = ColoredEdge(StateVertex(0), 0, 0)
+    for group in ((loop, ColoredEdge(StateVertex(1), 1, 0)),
+                  (loop, ColoredEdge(StateVertex(2), 1, 0))):
+        with pytest.raises(ModelError, match="breaks off or runs round a cycle"):
+            cactus_walks_for_bud(group, g, 1)
+    swap = (ColoredEdge(StateVertex(1), 0, 0), ColoredEdge(StateVertex(0), 1, 0))
+    with pytest.raises(ModelError, match="breaks off or runs round a cycle"):
+        cactus_walks_for_stem(Decomposition(stems=swap, cycle_groups=(), dropped=()))
+
+
+def test_verify_walking_takes_no_options():
+    assert list(inspect.signature(verify_cactus_walking).parameters) == ["cover", "g"]
+
+
 def test_verify_walking_example1(example1):
     g = build_union_graph(example1)
     walks = verify_cactus_walking(best_cactus_cover(g), g)
-    assert walks is not None and len(walks) == 3
+    assert len(walks) == 3
 
 
 def test_verify_walking_boost(boost):
     g = build_union_graph(boost)
     walks = verify_cactus_walking(best_cactus_cover(g), g)
-    assert walks is not None and len(walks) == 2
+    # the stem x2 is one step long (D = 1), so the one-state cycle at x1
+    # takes the least L with L * 1 >= D + 1, two turns after its prefix
+    assert [w.states for w in walks] == [(1,), (1, 0, 0, 0)]
     n_colors = len(g.input_counts)
     vertex_sets = [frozenset(mdg_path_vertices(w, n_colors)) for w in walks]
     assert not (vertex_sets[0] & vertex_sets[1])
@@ -275,65 +306,13 @@ def test_verify_walking_chain10(chain10):
     g = build_union_graph(chain10)
     cover = best_cactus_cover(g)
     walks = verify_cactus_walking(cover, g)
-    assert walks is not None and len(walks) == 8
+    assert len(walks) == 8
     assert sorted(w.states[-1] for w in walks) == sorted(cover.covered)
 
 
-def _recursive_walking(cover, g, max_loops, length_cap):
-    """The recursive backtracking that ``verify_cactus_walking`` replaced
-    with a loop, kept as its reference: one frame per walk option."""
-    decomp = cover.decomposition
-    options = []
-    for head, walk in sorted(cactus_walks_for_stem(decomp).items()):
-        if walk.length > length_cap:
-            return None
-        options.append([walk])
-    for group in decomp.cycle_groups:
-        per_target = {}
-        for loops in range(max_loops + 1):
-            for target, walk in cactus_walks_for_bud(group, g, loops).items():
-                if walk.length <= length_cap:
-                    per_target.setdefault(target, []).append(walk)
-        for target in sorted({e.head for e in group}):
-            if target not in per_target:
-                return None
-            options.append(per_target[target])
-    chosen = []
-
-    def search(idx):
-        if idx == len(options):
-            return True
-        for walk in options[idx]:
-            if all(walks_provably_disjoint(walk, other) for other in chosen):
-                chosen.append(walk)
-                if search(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if search(0) else None
-
-
-def test_walking_search_matches_recursive_reference():
-    rng = np.random.default_rng(17)
-    found = missed = 0
-    for _ in range(300):
-        s = helpers.random_structure(rng, max_n=6, max_colors=3,
-                                     density=float(rng.choice([0.2, 0.35])))
-        g = build_union_graph(s)
-        cover = best_cactus_cover(g)
-        max_loops, length_cap = int(rng.integers(0, 4)), int(rng.integers(1, 12))
-        walks = verify_cactus_walking(cover, g, max_loops=max_loops,
-                                      length_cap=length_cap)
-        assert walks == _recursive_walking(cover, g, max_loops, length_cap)
-        found += walks is not None and len(walks) > 0
-        missed += walks is None
-    assert found >= 100 and missed >= 20
-
-
 def test_walking_search_deeper_than_recursion_limit():
-    # one input per state: every state is a stem of its own, one walk
-    # option each, more options than the recursion limit allows frames
+    # one input per state: every state is a stem of its own, more walks
+    # than the recursion limit allows frames
     n = 400
     s = system_from_dict({"n": n, "subsystems": [
         {"A": [], "B": {"cols": n, "nonzeros": [[i, i] for i in range(1, n + 1)]}}]})
@@ -346,22 +325,31 @@ def test_walking_search_deeper_than_recursion_limit():
         walks = verify_cactus_walking(cover, g)
     finally:
         sys.setrecursionlimit(limit)
-    assert walks is not None and len(walks) == n
+    assert len(walks) == n
     assert sorted(w.states[-1] for w in walks) == list(range(n))
 
 
-@settings(max_examples=40, deadline=None)
+def _walk_order(cover):
+    """Walk ends as :func:`verify_cactus_walking` lists them: stems by
+    head, then the cycle groups in decomposition order, heads ascending."""
+    decomp = cover.decomposition
+    return (sorted(e.head for e in decomp.stems)
+            + [h for group in decomp.cycle_groups for h in sorted(e.head for e in group)])
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
+@example(seed=5)  # one mode, two cycle groups, all seven states covered
 def test_cover_walking_property(seed):
+    # 1-3 modes; in one mode all colors agree, so only the states keep the
+    # layered paths apart
     rng = np.random.default_rng(seed)
-    s = helpers.random_structure(rng, max_n=4, max_colors=2)
+    s = helpers.random_structure(rng, max_n=8, max_colors=3,
+                                 density=float(rng.choice([0.15, 0.25, 0.35])))
     g = build_union_graph(s)
     cover = best_cactus_cover(g)
-    if not cover.covered:
-        return
     walks = verify_cactus_walking(cover, g)
-    assert walks is not None
-    assert len(walks) == len(cover.covered)
+    assert [w.end for w in walks] == _walk_order(cover)
     n_colors = len(g.input_counts)
     vertex_sets = []
     for w in walks:
@@ -370,6 +358,62 @@ def test_cover_walking_property(seed):
     for i in range(len(vertex_sets)):
         for j in range(i + 1, len(vertex_sets)):
             assert not (vertex_sets[i] & vertex_sets[j])
+            assert walks_provably_disjoint(walks[i], walks[j])
+
+
+def _layered_paths_disjoint(walks) -> bool:
+    """Whether no two walks' layered paths share a vertex, in time linear in
+    the walks' total length.
+
+    A walk's layered vertex at distance ``q`` from its end is the state (or
+    the input, at ``q == length``) there plus the last ``q`` colors; each
+    color suffix is interned as an integer, one step longer per ``q``.
+    """
+    suffix_ids: dict = {}
+    seen = set()
+    for w in walks:
+        k, suffix = w.length, 0
+        for q in range(k + 1):
+            at = w.states[k - 1 - q] if q < k else (w.source.subsystem, w.source.index)
+            if (q, at, suffix) in seen:
+                return False
+            seen.add((q, at, suffix))
+            if q < k:
+                suffix = suffix_ids.setdefault((suffix, w.colors[k - 1 - q]),
+                                               len(suffix_ids) + 1)
+    return True
+
+
+def test_layered_check_matches_materialized_paths():
+    # short random walks on three states and two colors share a layered
+    # vertex often; their materialized paths are the reference
+    rng = np.random.default_rng(43)
+    shared = 0
+    for _ in range(400):
+        walks = []
+        for _ in range(3):
+            k = int(rng.integers(1, 5))
+            colors = tuple(int(c) for c in rng.integers(0, 2, k))
+            states = tuple(int(v) for v in rng.integers(0, 3, k))
+            walks.append(InputStateWalk(InputVertex(colors[0], 0), states, colors))
+        paths = [set(mdg_path_vertices(w, 2)) for w in walks]
+        disjoint = sum(map(len, paths)) == len(set().union(*paths))
+        assert _layered_paths_disjoint(walks) == disjoint
+        shared += not disjoint
+    assert 50 <= shared <= 350
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_walking_on_large_wide_covers(n):
+    # all n states covered, nearly all of them in cycle groups (7 at n=600,
+    # 3 at n=1000, the largest of 437 and 793 states)
+    g = build_union_graph(helpers.wide_structure(1, n, 3))
+    cover = best_cactus_cover(g)
+    assert len(cover.covered) == n and cover.decomposition.cycle_groups
+    walks = verify_cactus_walking(cover, g)
+    assert [w.end for w in walks] == _walk_order(cover)
+    assert all(walk_violations(w, g) == () for w in walks)
+    assert _layered_paths_disjoint(walks)
 
 
 def test_cover_deterministic(chain10):

@@ -59,3 +59,24 @@ def test_no_orphaned_private_helpers():
                     and everywhere[node.name] == _references(node)[node.name]):
                 orphans.append(f"{module}: {node.name}")
     assert orphans == []
+
+
+def test_every_parameter_is_read():
+    # every parameter of every function, methods and nested functions
+    # included, is read somewhere in that function's body
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                      if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}: {name}({p})" for p in params if p not in read]
+    assert unread == []

@@ -205,6 +205,23 @@ def test_walk_violations(example1):
     assert any("outside" in p for p in walk_violations(outside, g))
 
 
+def test_edge_lookup_matches_out_edges():
+    # every (tail, head, color) triple, inputs of every subsystem and one
+    # past the last input index included, against the tail's out-edges
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        g = build_union_graph(helpers.random_structure(rng, max_n=5, density=0.4))
+        tails = [StateVertex(v) for v in range(g.n)] + [
+            InputVertex(i, k) for i in range(g.colors)
+            for k in range(g.input_counts[i] + 1)]
+        for tail in tails:
+            out = g.edges_from(tail)
+            for head in range(g.n):
+                for color in range(g.colors):
+                    e = ColoredEdge(tail, head, color)
+                    assert g._has_edge(e) == (e in out)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_independence_property(seed):
