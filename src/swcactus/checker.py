@@ -26,13 +26,7 @@ from .cactus import (
     conventional_cactus_cover,
     decompose,
 )
-from .mdg import (
-    DEFAULT_VERTEX_CAP,
-    MdgSizeError,
-    build_mdg,
-    layer_blocks,
-    max_linking,
-)
+from .mdg import MdgSizeError, build_mdg, layer_blocks, max_linking
 from .model import DEFAULT_PRIME, SwitchedStructure, system_to_dict
 from .rankcore import ControllabilityProbe, controllable_dim
 from .unigraph import (
@@ -61,8 +55,9 @@ class DimBounds:
 
     ``lower`` counts a cover's states, ``upper`` is the smaller of the
     reachable-state count and a depth-limited linking size.  When the depth
-    needed for a sound linking bound is out of reach (layer cap or vertex
-    cap), ``used_linking_bound`` is False and ``upper`` falls back to the
+    needed for a sound linking bound is out of reach (past the layer cap,
+    or an unrolling of more than ``mdg.VERTEX_CAP`` vertices),
+    ``used_linking_bound`` is False and ``upper`` falls back to the
     reachable count alone.
 
     The linking size is read, not computed, when a proven lower bound
@@ -112,7 +107,6 @@ def _input_rank(g: UnionGraph) -> int:
 
 def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
                layer_cap: int = DEFAULT_LAYER_CAP,
-               vertex_cap: int = DEFAULT_VERTEX_CAP,
                graph: UnionGraph | None = None,
                proven_lower: int = 0) -> DimBounds:
     """The one bounds computation: cover and linking bounds on the dimension.
@@ -127,8 +121,10 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     and the linking size is taken to be c.  Sound: the dimension is at
     least that lower view, which is c; the full-depth linking is at most c
     (``mdg.max_linking``) and at least the dimension; so dim >= c >=
-    linking >= dim.  The layer and vertex caps still decide whether the
-    linking bound is used, so the result is the one the linking would give.
+    linking >= dim.  The ``layer_cap`` and the constant ``mdg.VERTEX_CAP``
+    still decide whether the linking bound is used (``mdg.layer_blocks``
+    checks the cap without building the graph), so the result is the one
+    the linking would give.
     """
     g = graph if graph is not None else build_union_graph(structure)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
@@ -143,10 +139,10 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
         ceiling = term_rank_ceiling(g)
         try:
             if max(lower, proven_lower) == ceiling:
-                layer_blocks(structure, depth_needed, vertex_cap=vertex_cap)
+                layer_blocks(structure, depth_needed)
                 linking_size = ceiling
             else:
-                mdg = build_mdg(structure, depth_needed, vertex_cap=vertex_cap)
+                mdg = build_mdg(structure, depth_needed)
                 # the linking stops once it reaches the ceiling
                 linking_size = max_linking(mdg, ceiling).size
         except MdgSizeError:
@@ -160,8 +156,7 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
 
 def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
           trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME,
-          layer_cap: int = DEFAULT_LAYER_CAP,
-          vertex_cap: int = DEFAULT_VERTEX_CAP) -> CheckReport:
+          layer_cap: int = DEFAULT_LAYER_CAP) -> CheckReport:
     """Decide structural controllability and cross-validate every view.
 
     The verdict comes from reachability plus generic rank.  The rank probe,
@@ -203,8 +198,8 @@ def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,
 
     # the probe's rank is a proven lower bound; where it reaches the ceiling
     # the linking need not run
-    bounds = dim_bounds(structure, layer_cap=layer_cap, vertex_cap=vertex_cap,
-                        graph=g, proven_lower=probe.dim)
+    bounds = dim_bounds(structure, layer_cap=layer_cap, graph=g,
+                        proven_lower=probe.dim)
 
     if not bounds.lower <= probe.dim <= bounds.upper:
         raise _inconsistent(

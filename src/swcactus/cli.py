@@ -2,7 +2,9 @@
 
 Subcommands operate on a JSON system document (see ``parse_system``) given
 as a file path or ``-`` for stdin.  ``check`` exits 0 when the structure is
-controllable and 1 when it is not; every subcommand exits 2 on bad input.
+controllable and 1 when it is not; every subcommand exits 2 on bad input and
+3 when two views that must agree do not (a ``ConsistencyError``, printed
+with the instance it was found on).
 Output is canonical JSON (sorted keys, two-space indent) or Graphviz DOT,
 both byte-stable for fixed inputs and options.
 """
@@ -20,6 +22,7 @@ from .checker import (
     DEFAULT_LAYER_CAP,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    ConsistencyError,
     check,
     cover_to_dict,
     dim_bounds,
@@ -333,6 +336,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ModelError, MdgSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ sorted rows of every ``A`` and ``B`` column from the patterns' own
 ``columns``, and derives everything else by arithmetic.  Vertices are
 numbered layer by layer; inside a layer all input copies come first
 (block-major, then subsystem, then column), then all state copies
-(block-major, then state).  The integer id of a vertex is therefore
-``base[i] + block * M + offset[l] + q`` for an input copy and
-``base[i] + blocks[i] * M + block * n + j`` for a state copy.
+(block-major, then state).  ``Mdg._ids`` is the one place that knows this
+layout: it gives a layer's two id ranges, and every vertex list, matching
+row and path is read through it.  A graph holds at most ``VERTEX_CAP``
+vertices; the cap is a module constant, not a parameter.
 
 At the API boundary vertices are plain tuples, so they hash, sort, and print
 without ceremony:
@@ -63,7 +64,7 @@ from typing import Iterator, Sequence
 from .model import ModelError, Realization, SwitchedStructure
 from .unigraph import InputStateWalk, hopcroft_karp
 
-DEFAULT_VERTEX_CAP = 2_000_000
+VERTEX_CAP = 2_000_000
 
 WeightKey = tuple[int, str, int, int]
 MdgVertex = tuple
@@ -137,12 +138,11 @@ def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | No
     return True
 
 
-def layer_blocks(structure: SwitchedStructure, depth: int, *,
-                 vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[int]:
+def layer_blocks(structure: SwitchedStructure, depth: int) -> list[int]:
     """Block count of every layer ``0..depth``, ``N^i`` at layer ``i``.
 
     Raises :class:`MdgSizeError` when the layers hold more than
-    ``vertex_cap`` vertices in all, each block holding every state and
+    ``VERTEX_CAP`` vertices in all, each block holding every state and
     every input, so a caller can tell whether :class:`Mdg` would build
     without building it.
     """
@@ -151,13 +151,13 @@ def layer_blocks(structure: SwitchedStructure, depth: int, *,
     blocks = [1]
     total = per_block
     # stop at the first layer past the cap: a huge depth must fail fast
-    while len(blocks) <= depth and total <= vertex_cap:
+    while len(blocks) <= depth and total <= VERTEX_CAP:
         blocks.append(blocks[-1] * colors)
         total += per_block * blocks[-1]
-    if total > vertex_cap:
+    if total > VERTEX_CAP:
         raise MdgSizeError(
             f"unrolling to depth {depth} needs more vertices than the "
-            f"vertex cap of {vertex_cap} (block count grows as "
+            f"vertex cap of {VERTEX_CAP} (block count grows as "
             f"{colors}^layer)")
     return blocks
 
@@ -165,39 +165,33 @@ def layer_blocks(structure: SwitchedStructure, depth: int, *,
 class Mdg:
     """Implicit layered graph down from ``depth`` to layer 0."""
 
-    def __init__(self, structure: SwitchedStructure, depth: int, *,
-                 vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+    def __init__(self, structure: SwitchedStructure, depth: int) -> None:
         if depth < 0:
             raise ModelError(f"depth may not be negative, got {depth}")
-        self.structure = structure
         self.depth = depth
         self.n = structure.n
         self.colors = structure.subsystem_count
-        self.input_counts = structure.input_counts
         self.total_inputs = structure.total_inputs
-        self.b_offsets: tuple[int, ...] = tuple(
-            sum(self.input_counts[:l]) for l in range(self.colors)
-        )
 
-        self._blocks_at = layer_blocks(structure, depth, vertex_cap=vertex_cap)
+        self._blocks_at = layer_blocks(structure, depth)
         per_block = self.n + self.total_inputs
         # id of the first vertex of every layer, plus one past the last
         self._layer_base = [0]
         for count in self._blocks_at:
             self._layer_base.append(self._layer_base[-1] + per_block * count)
         self._input_slots = tuple(
-            (l, q) for l in range(self.colors) for q in range(self.input_counts[l]))
+            (l, q) for l, m in enumerate(structure.input_counts) for q in range(m))
         # sorted rows of every B_l and A_k column
         self._b_cols = tuple(b.columns for _, b in structure.subsystems)
         self._a_cols = tuple(a.columns for a, _ in structure.subsystems)
 
-    def _block_ids(self, layer: int) -> Iterator[tuple[int, int]]:
-        if layer == 0:
-            yield (0, 0)
-            return
-        for k in range(self.colors):
-            for t in range(self.colors ** (layer - 1)):
-                yield (k, t)
+    def _ids(self, layer: int) -> tuple[range, range]:
+        """Id ranges of the input copies and of the state copies of ``layer``."""
+        if not 0 <= layer <= self.depth:
+            raise ModelError(f"layer {layer} is outside 0..{self.depth}")
+        base = self._layer_base[layer]
+        states = base + self._blocks_at[layer] * self.total_inputs
+        return range(base, states), range(states, self._layer_base[layer + 1])
 
     def _block_of(self, layer: int, index: int) -> tuple[int, int]:
         if layer == 0:
@@ -207,12 +201,11 @@ class Mdg:
     def _vertex(self, vid: int) -> MdgVertex:
         """The tuple vertex with integer id ``vid``."""
         layer = bisect_right(self._layer_base, vid) - 1
-        offset = vid - self._layer_base[layer]
-        inputs = self._blocks_at[layer] * self.total_inputs
-        if offset < inputs:
-            block, slot = divmod(offset, self.total_inputs)
+        inputs, states = self._ids(layer)
+        if vid < states.start:
+            block, slot = divmod(vid - inputs.start, self.total_inputs)
             return ("u", layer, *self._block_of(layer, block), *self._input_slots[slot])
-        block, j = divmod(offset - inputs, self.n)
+        block, j = divmod(vid - states.start, self.n)
         return ("x", layer, *self._block_of(layer, block), j)
 
     def _contains(self, vertex: MdgVertex) -> bool:
@@ -236,14 +229,10 @@ class Mdg:
         return self._layer_base[-1]
 
     def state_vertices(self, layer: int) -> Iterator[MdgVertex]:
-        for k, t in self._block_ids(layer):
-            for j in range(self.n):
-                yield ("x", layer, k, t, j)
+        return map(self._vertex, self._ids(layer)[1])
 
     def input_vertices(self, layer: int) -> Iterator[MdgVertex]:
-        for k, t in self._block_ids(layer):
-            for l, q in self._input_slots:
-                yield ("u", layer, k, t, l, q)
+        return map(self._vertex, self._ids(layer)[0])
 
     def all_input_vertices(self) -> Iterator[MdgVertex]:
         for layer in range(self.depth + 1):
@@ -278,7 +267,7 @@ class Mdg:
         m = self.total_inputs
         offset = sum(m * self._blocks_at[i] for i in range(layer))
         r = _fold_word(tuple(reversed(word)), self.colors)
-        return offset + r * m + self.b_offsets[l] + q
+        return offset + r * m + self._input_slots.index((l, q))
 
     def word_of(self, layer: int, k: int, t: int) -> tuple[int, ...]:
         if layer == 0:
@@ -291,9 +280,8 @@ class Mdg:
         return (k, *reversed(digits))
 
 
-def build_mdg(structure: SwitchedStructure, depth: int, *,
-              vertex_cap: int = DEFAULT_VERTEX_CAP) -> Mdg:
-    return Mdg(structure, depth, vertex_cap=vertex_cap)
+def build_mdg(structure: SwitchedStructure, depth: int) -> Mdg:
+    return Mdg(structure, depth)
 
 
 @dataclass(frozen=True)
@@ -320,24 +308,20 @@ def _append_rows(mdg: Mdg, layer: int, adj: list[tuple[int, ...]]) -> None:
     state copy above layer 0 lists itself, then its ``A_k`` column heads in
     the block below; a layer-0 state lists nothing.
     """
-    n, m = mdg.n, mdg.total_inputs
-    blocks = mdg._blocks_at[layer]
-    # id of the layer's first state copy; its input copies come before
-    states = mdg._layer_base[layer] + blocks * m
-    for block in range(blocks):
-        base = states + block * n
+    n = mdg.n
+    # ids of the first state copy of every block
+    for base in mdg._ids(layer)[1][::n]:
         for l, q in mdg._input_slots:
             adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
     if layer == 0:
         adj += [()] * n
         return
-    below = mdg._layer_base[layer - 1] + mdg._blocks_at[layer - 1] * m
-    for block in range(blocks):
-        k, t = mdg._block_of(layer, block)
-        # block (k, t) feeds block t of the layer below
-        base = below + t * n
-        for rows in mdg._a_cols[k]:
-            adj.append((len(adj), *[base + r for r in rows]))
+    # block (k, t) feeds block t of the layer below
+    below = mdg._ids(layer - 1)[1][::n]
+    for k in range(mdg.colors):
+        for base in below:
+            for rows in mdg._a_cols[k]:
+                adj.append((len(adj), *[base + r for r in rows]))
 
 
 def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
@@ -376,7 +360,6 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
       3. so l_d' = c gives l_d = c, and the shallow paths are a maximum
          linking of the full-depth graph.
     """
-    n = mdg.n
     adj: list[tuple[int, ...]] = []
     match_right: list[int] = []
     # the full depth halved, rounding up, down to 1; run shallowest first
@@ -392,19 +375,19 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
         match = hopcroft_karp(adj, match_right)
         # a maximum matching holds one match per path and one per state
         # copy above layer 0
-        size = len(adj) - match.count(-1) - n * sum(mdg._blocks_at[1:depth + 1])
+        size = len(adj) - match.count(-1) - sum(
+            len(mdg._ids(layer)[1]) for layer in range(1, depth + 1))
         if size == ceiling:
             break
 
-    first_state, last_state = mdg.total_inputs, mdg.total_inputs + n
+    targets = mdg._ids(0)[1]
     paths: list[tuple[MdgVertex, ...]] = []
     for layer in range(depth + 1):
-        start = mdg._layer_base[layer]
-        for vid in range(start, start + mdg._blocks_at[layer] * mdg.total_inputs):
+        for vid in mdg._ids(layer)[0]:
             path = [vid]
             while match[path[-1]] >= 0:
                 path.append(match[path[-1]])
-            if first_state <= path[-1] < last_state:
+            if path[-1] in targets:
                 paths.append(tuple(mdg._vertex(v) for v in path))
     if len(paths) != size:
         raise AssertionError("linking size differs from the matching size")

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 import swcactus.cactus as cactus_mod
 import swcactus.checker as checker_mod
+import swcactus.mdg as mdg_mod
 import swcactus.unigraph as unigraph_mod
 from swcactus import (
     CheckReport,
@@ -115,8 +117,9 @@ def test_layer_cap_fallback(chain10):
     assert bounds.lower == 8
 
 
-def test_vertex_cap_fallback(chain10):
-    bounds = dim_bounds(chain10, vertex_cap=50)
+def test_vertex_cap_fallback(chain10, monkeypatch):
+    monkeypatch.setattr(mdg_mod, "VERTEX_CAP", 50)
+    bounds = dim_bounds(chain10)
     assert not bounds.used_linking_bound
     assert bounds.upper == 10
 
@@ -296,9 +299,12 @@ def _mid_scale_structure(rng: np.random.Generator, n: int, colors: int) -> Switc
 def test_mid_scale_views_agree(seed, n, colors):
     # beyond brute force: check() itself raises ConsistencyError when the
     # verdict, the rank probe and the cover/linking sandwich disagree; the
-    # layer cap lets one-mode systems reach a linking bound at any depth
+    # layer cap lets one-mode systems reach a linking bound at any depth;
+    # hypothesis runs the body many times per call, so the cap is patched
+    # inside it rather than by a function-scoped fixture
     s = _mid_scale_structure(np.random.default_rng(seed), n, colors)
-    report = check(s, layer_cap=n, vertex_cap=50_000)
+    with patch.object(mdg_mod, "VERTEX_CAP", 50_000):
+        report = check(s, layer_cap=n)
     conventional = conventional_cactus_cover(report.graph)
     assert len(conventional.covered) <= report.bounds.lower
     if report.controllable:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -34,6 +35,25 @@ def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", FIG3A)
     assert code == 1
     assert json.loads(out)["controllable"] is False
+
+
+def test_consistency_error_exits_three(capsys, monkeypatch):
+    # a probe that undershoots by one contradicts the graph verdict; exit 1
+    # would read as "not controllable", so the contradiction has its own code
+    original = checker_mod.controllable_dim
+
+    def undershoot(*args, **kwargs):
+        probe = original(*args, **kwargs)
+        return dataclasses.replace(probe, dim=probe.dim - 1)
+
+    monkeypatch.setattr(checker_mod, "controllable_dim", undershoot)
+    code, out, err = run(capsys, "check", EX1)
+    assert code == 3
+    assert out == ""
+    message, dump = err.split("\n", 1)
+    assert message == ("error: graph criteria say controllable but the rank "
+                       "probe disagrees")
+    assert json.loads(dump)["facts"]["probe_dim"] == 2
 
 
 def test_missing_file(capsys):

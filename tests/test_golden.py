@@ -63,3 +63,12 @@ def test_cli_output_matches_golden(tmp_path, golden, argv, exit_code):
     code = main([command, str(helpers.DATA_DIR / system), "-o", str(out), *options])
     assert code == exit_code
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_top_level_documents_are_pinned():
+    # perfbench/run.py times ``swcactus check`` on every top-level
+    # tests/data/*.json, so a file added there silently changes cli_s.p50
+    top = sorted(p.name for p in helpers.DATA_DIR.glob("*.json"))
+    assert top == ["boost.json", "chain10.json", "example1.json"], (
+        "new documents belong in tests/data/probe/: the benchmark times the "
+        "CLI on every top-level tests/data/*.json")

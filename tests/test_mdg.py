@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import swcactus.mdg as mdg_mod
 from swcactus import (
     DEFAULT_PRIME,
     InputStateWalk,
@@ -35,12 +36,28 @@ P = DEFAULT_PRIME
 
 
 def test_layer_sizes(example1):
+    # n = 3 states, N = 2 colors, M = 2 inputs; the lists decoded from ids
+    # match the N^layer blocks spelled out: (k, t) with k the first color
+    # and t the rest of the word, block-major
+    mdg = build_mdg(example1, 3)
+    for layer in range(4):
+        blocks = ([(0, 0)] if layer == 0 else
+                  [(k, t) for k in range(2) for t in range(2 ** (layer - 1))])
+        assert list(mdg.state_vertices(layer)) == [
+            ("x", layer, k, t, j) for k, t in blocks for j in range(3)]
+        assert list(mdg.input_vertices(layer)) == [
+            ("u", layer, k, t, l, 0) for k, t in blocks for l in range(2)]
+    assert mdg.vertex_count == sum((3 + 2) * 2 ** i for i in range(4))
+
+
+def test_vertex_lists_refuse_layers_outside_the_graph(example1):
     mdg = build_mdg(example1, 2)
-    n, N, M = 3, 2, 2
-    for layer in range(3):
-        assert len(list(mdg.state_vertices(layer))) == n * N ** layer
-        assert len(list(mdg.input_vertices(layer))) == M * N ** layer
-    assert mdg.vertex_count == sum((n + M) * N ** i for i in range(3))
+    assert mdg.vertex_count == 35
+    for layer in (-1, 3):
+        with pytest.raises(ModelError):
+            mdg.state_vertices(layer)
+        with pytest.raises(ModelError):
+            mdg.input_vertices(layer)
 
 
 def test_word_of_round_trip(example1):
@@ -158,9 +175,10 @@ def test_linking_size_matches_stack_rank(seed):
     assert linking.size == best
 
 
-def test_vertex_cap_enforced(example1):
+def test_vertex_cap_enforced(example1, monkeypatch):
+    monkeypatch.setattr(mdg_mod, "VERTEX_CAP", 10)
     with pytest.raises(MdgSizeError) as err:
-        build_mdg(example1, 2, vertex_cap=10)
+        build_mdg(example1, 2)
     assert "cap" in str(err.value)
 
 
@@ -352,15 +370,17 @@ def test_huge_depth_fails_fast():
 
 @pytest.mark.parametrize("depth, cap, fits", [
     (0, 7, True), (3, 280, True), (3, 279, False), (6, 4000, False)])
-def test_layer_blocks_decides_the_vertex_cap_like_mdg(depth, cap, fits):
+def test_layer_blocks_decides_the_vertex_cap_like_mdg(depth, cap, fits,
+                                                      monkeypatch):
     # one input and six states: seven vertices per block, 3^i blocks at layer i
+    monkeypatch.setattr(mdg_mod, "VERTEX_CAP", cap)
     s = helpers.gapped_structure(2, 6, 3)
     if not fits:
         with pytest.raises(MdgSizeError):
-            layer_blocks(s, depth, vertex_cap=cap)
+            layer_blocks(s, depth)
         with pytest.raises(MdgSizeError):
-            build_mdg(s, depth, vertex_cap=cap)
+            build_mdg(s, depth)
         return
-    blocks = layer_blocks(s, depth, vertex_cap=cap)
+    blocks = layer_blocks(s, depth)
     assert blocks == [3 ** i for i in range(depth + 1)]
-    assert build_mdg(s, depth, vertex_cap=cap).vertex_count == 7 * sum(blocks)
+    assert build_mdg(s, depth).vertex_count == 7 * sum(blocks)

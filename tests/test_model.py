@@ -199,8 +199,11 @@ def mutated_documents(draw):
                 st.builds(lambda r, c: [[r], c], st.integers(1, rows), st.integers(1, cols or 1)),
                 _JUNK)))
         elif kind == "tuples":
+            # only list items become tuples: an earlier "shape" mutation may
+            # have left a bool, float or None that tuple() cannot take
             raw = (tuple(raw) if draw(st.booleans())
-                   else [tuple(item) if draw(st.booleans()) else item for item in raw])
+                   else [tuple(item) if isinstance(item, list) and draw(st.booleans())
+                         else item for item in raw])
         holder[key] = raw
     return {"n": n, "subsystems": subs}
 
