@@ -332,6 +332,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # both are unrolling depths
+        for flag in ("layer_cap", "layers"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ModelError(f"--{flag.replace('_', '-')} may not be "
+                                 f"negative, got {value}")
         return args.func(args)
     except (ModelError, MdgSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import random
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -463,3 +464,90 @@ def _ref_weak_components(positions: list[int], tails: list[int],
             root = parent[root]
         groups.setdefault(root, []).append(i)
     return list(groups.values())
+
+
+def ref_hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> list[int]:
+    """Maximum bipartite matching; the head of every left, or ``-1``.
+
+    ``unigraph.hopcroft_karp`` as it was before its phases searched back
+    from the free heads, kept verbatim as the oracle for its matching.
+
+    ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
+    ``match_right[h]`` is the left holding head ``h``: ``-1`` if it is
+    free, ``len(adj)`` for a sentinel that no search may displace, and any
+    other left ``i`` for a matching to start from, which must pair ``h``
+    with a head in ``adj[i]`` and hold each left at most once.  It is
+    updated in place.  Lefts and heads are tried in the same order as a
+    recursive search would, so the matching is fully determined by ``adj``
+    and the starting matching.
+    """
+    size = len(adj)
+    match_left = [-1] * size
+    # entries other than free heads and sentinels are a matching to start
+    # from; the counts skip the scan when there are none
+    if match_right.count(-1) + match_right.count(size) < len(match_right):
+        for head, left in enumerate(match_right):
+            if 0 <= left < size:
+                match_left[left] = head
+    else:
+        # a cold start puts every left on layer 0, where no augmenting path
+        # runs through a matched left, so the first phase's search is each
+        # left, in order, taking its first free head
+        for idx, heads in enumerate(adj):
+            for head in heads:
+                if match_right[head] < 0:
+                    match_left[idx] = head
+                    match_right[head] = idx
+                    break
+    inf = size + 1
+    while True:
+        # breadth-first layers from every free left; the sentinel's layer
+        # never qualifies
+        dist = [inf if m >= 0 else 0 for m in match_left]
+        dist.append(-2)
+        queue = [idx for idx in range(size) if match_left[idx] < 0]
+        found = False
+        for idx in queue:  # grows while it is read
+            layer = dist[idx] + 1
+            for head in adj[idx]:
+                other = match_right[head]
+                if other < 0:
+                    found = True
+                elif dist[other] == inf:
+                    dist[other] = layer
+                    queue.append(other)
+        if not found:
+            return match_left
+        # one depth-first augmenting search per free left, on an explicit
+        # stack: path[j] is a left and pos[j] the position after the head
+        # it is trying, so heads are tried in order as in a recursion
+        for root in range(size):
+            if match_left[root] >= 0:
+                continue
+            path = [root]
+            pos = [0]
+            while path:
+                idx = path[-1]
+                heads = adj[idx]
+                p = pos[-1]
+                layer = dist[idx] + 1
+                end = len(heads)
+                while p < end:
+                    other = match_right[heads[p]]
+                    p += 1
+                    if other < 0 or dist[other] == layer:
+                        break
+                else:
+                    dist[idx] = inf
+                    path.pop()
+                    pos.pop()
+                    continue
+                pos[-1] = p
+                if other < 0:
+                    for left, q in zip(path, pos):
+                        head = adj[left][q - 1]
+                        match_left[left] = head
+                        match_right[head] = left
+                    break
+                path.append(other)
+                pos.append(0)

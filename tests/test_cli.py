@@ -278,6 +278,21 @@ def test_trials_only_where_read(capsys):
                "--samples", "1")[0] == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check", EX1, "--layer-cap", "-3"], "--layer-cap"),
+    (["bounds", EX1, "--layer-cap", "-1"], "--layer-cap"),
+    (["mdg", EX1, "--layer-cap", "-2"], "--layer-cap"),
+    (["mdg", EX1, "--layers", "-1"], "--layers"),
+    (["mdg", EX1, "--layers", "2", "--layer-cap", "-1"], "--layer-cap"),
+])
+def test_negative_depth_flags_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and flag in lines[0]
+
+
 @pytest.mark.parametrize("layers", ["10000", "20000"])
 def test_oversize_layers_exit_2(layers):
     env = dict(os.environ)

@@ -80,3 +80,20 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}: {name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def test_one_matching_kernel():
+    # hopcroft_karp is called from exactly two places: the union graph's
+    # row matching and the layered linking; a second augmenting-path loop
+    # would have to be a second kernel
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "hopcroft_karp" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.append(f"{path.name}: {func.name}")
+    assert sorted(callers) == ["mdg.py: max_linking", "unigraph.py: _row_matching"]

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import swcactus.cactus as cactus_mod
+import swcactus.unigraph as unigraph_mod
 from swcactus import (
     ColoredEdge,
     InputStateWalk,
@@ -15,6 +19,7 @@ from swcactus import (
     generic_rank,
     input_edges_only,
     max_independent_edges,
+    parse_system,
     reachable_states,
     restrict_to_color,
     sample_realization,
@@ -22,6 +27,7 @@ from swcactus import (
 )
 from swcactus.unigraph import (
     UnionGraph,
+    _rows_into,
     _term_rank_ceiling,
     edge_sort_key,
     format_vertex,
@@ -510,3 +516,105 @@ def test_hopcroft_karp_equals_layered_search(seed, start):
     expected_left = _layered_hopcroft_karp(adj, expected_right)
     assert hopcroft_karp(adj, match_right) == expected_left
     assert match_right == expected_right
+
+
+def _heads_into(adj, heads):
+    """Per head, the lefts holding it, ascending."""
+    return [[left for left, row in enumerate(adj) if h in row] for h in range(heads)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["cold", "warm"]))
+def test_hopcroft_karp_equals_the_full_phase_oracle(seed, start):
+    # left-heavy random graphs, up to three times as many lefts as heads
+    # and 0-3 heads per left, 0-30% of the heads held by the sentinel: the
+    # matching and the updated match_right equal the oracle's, with and
+    # without the search back from the free heads
+    rng = np.random.default_rng(seed)
+    heads = int(rng.integers(1, 13))
+    adj = [tuple(int(h) for h in rng.permutation(heads)[:int(rng.integers(0, 4))])
+           for _ in range(int(rng.integers(0, 3 * heads + 1)))]
+    size = len(adj)
+    held = rng.random() * 0.3
+    match_right = [size if rng.random() < held else -1 for _ in range(heads)]
+    if start == "warm":
+        for left in rng.permutation(size):
+            free = [h for h in adj[left] if match_right[h] == -1]
+            if free and rng.random() < 0.5:
+                match_right[free[int(rng.integers(len(free)))]] = int(left)
+    expected_right = list(match_right)
+    expected_left = helpers.ref_hopcroft_karp(adj, expected_right)
+    for rows_into in (None, lambda: _heads_into(adj, heads)):
+        right = list(match_right)
+        assert hopcroft_karp(adj, right, rows_into) == expected_left
+        assert right == expected_right
+
+
+def test_cover_rounds_equal_the_full_phase_oracle(monkeypatch):
+    # every matching of the all-color and per-color fixpoints on a wide
+    # system, compared with the oracle from the same start
+    calls = []
+    kernel = unigraph_mod.hopcroft_karp
+
+    def checked(adj, match_right, rows_into=None):
+        expected_right = list(match_right)
+        expected_left = helpers.ref_hopcroft_karp(adj, expected_right)
+        match_left = kernel(adj, match_right, rows_into)
+        assert match_left == expected_left and match_right == expected_right
+        calls.append(rows_into is not None)
+        return match_left
+    monkeypatch.setattr(unigraph_mod, "hopcroft_karp", checked)
+    g = build_union_graph(helpers.wide_structure(1, 300, 3))
+    cactus_mod.best_cactus_cover(g)
+    cactus_mod.conventional_cactus_cover(g)
+    assert len(calls) > 4 and all(calls)
+
+
+class _CountedRows(list):
+    """A list that records every index read through ``[]``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+
+def test_phases_read_only_live_lefts():
+    # heads 0..9; left 0 holds heads 0 and 9, lefts 1..8 head i each, 2,000
+    # lefts hold heads among 1..8 and the last left head 0.  The cold start
+    # leaves head 9 free, held only by left 0, and the 2,001 lefts after
+    # left 8 free; only left 0 and the last left reach head 9, so no phase
+    # reads any other left
+    rng = np.random.default_rng(5)
+    dead = [tuple(int(h) for h in rng.choice(np.arange(1, 9), 2, replace=False))
+            for _ in range(2000)]
+    rows = [(0, 9)] + [(i,) for i in range(1, 9)] + dead + [(0,)]
+    last = len(rows) - 1
+    adj = _CountedRows(rows)
+    match_right = [-1] * 10
+    expected_right = list(match_right)
+    expected_left = helpers.ref_hopcroft_karp(rows, expected_right)
+    assert hopcroft_karp(adj, match_right, lambda: _heads_into(rows, 10)) == expected_left
+    assert match_right == expected_right
+    assert expected_left[0] == 9 and expected_left[last] == 0
+    assert adj.read <= {0, last}
+
+
+def test_rows_into_built_only_when_a_phase_has_a_free_row_and_head():
+    # the cold start takes both heads of u -> x1 -> x2, and the one row of
+    # u -> x1 with x2 free, so no phase runs and no per-head row lists are
+    # kept; the chain's cold start leaves its input row and last state
+    # free, so its lists are built and kept
+    u, x1 = InputVertex(0, 0), StateVertex(0)
+    for edges, rank in ([ColoredEdge(u, 0, 0), ColoredEdge(x1, 1, 0)], 2), (
+            [ColoredEdge(u, 0, 0)], 1):
+        g = UnionGraph(2, (1,), edges)
+        assert generic_rank(g) == rank
+        assert (_rows_into,) not in g._memo
+    chain = build_union_graph(parse_system(json.dumps(helpers.chain_document(6))))
+    assert generic_rank(chain) == 6
+    assert chain._memo[(_rows_into,)] == _heads_into(chain._adj, chain.n)
