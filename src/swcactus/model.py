@@ -1,15 +1,17 @@
 """Structured models of switched linear systems.
 
 A system is stored purely as zero/nonzero patterns: one pattern pair
-``(A_i, B_i)`` per operating mode (subsystem).  Realizations assign concrete
-scalars, drawn from a large prime field or from the reals, to the nonzero
-positions so that generic rank properties can be probed numerically.  The
-draws come from the standard library's ``random.Random``: the generic
-dimensions depend on the pattern alone, so any fixed seeded stream serves,
-and this one needs no numpy.  A realization is stored in the patterns' own
-column layout, each column its ``(row, value)`` pairs, so the rank probe
-reads it as drawn; the keyed map ``Realization.values`` is derived from it
-only when read.
+``(A_i, B_i)`` per operating mode (subsystem).  A pattern is stored once, as
+the ascending row indices of each of its columns, and a document is parsed
+straight into that layout; the set of ``(row, col)`` positions is derived
+from it only when read.  Realizations assign concrete scalars, drawn from a
+large prime field or from the reals, to the nonzero positions so that
+generic rank properties can be probed numerically.  The draws come from
+the standard library's ``random.Random``: the generic dimensions depend on
+the pattern alone, so any fixed seeded stream serves, and this one needs no
+numpy.  A realization is stored in the patterns' own column layout, each
+column its ``(row, value)`` pairs, so the rank probe reads it as drawn; the
+keyed map ``Realization.values`` is derived from it only when read.
 
 Indices are 0-based internally and 1-based in every serialized document and
 error message.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Iterable
 
@@ -34,12 +36,12 @@ _MAX_PRIME_EXCLUSIVE = 1 << 63
 
 _UINT64_MASK = (1 << 64) - 1
 
-# Every pattern column gets its own row tuple at parse time, so a short
-# document with a huge ``n`` or ``B`` column count would allocate without
-# bound.  A document whose column count, n + m_i summed over the subsystems,
-# exceeds this cap is rejected first, and so is a :class:`StructuredMatrix`
-# built with more columns.  The largest structures tested hold about 18,000
-# (n = 3000, 6 modes).
+# Every pattern column gets its own row bucket and tuple at parse time, so a
+# short document with a huge ``n`` or ``B`` column count would allocate
+# without bound.  A document whose column count, n + m_i summed over the
+# subsystems, exceeds this cap is rejected before a column past it is laid
+# out, and so is a :class:`StructuredMatrix` built with more columns.
+# The largest structures tested hold about 18,000 (n = 3000, 6 modes).
 COLUMN_SLOT_CAP = 1_000_000
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -79,50 +81,56 @@ def is_prime(value: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuredMatrix:
     """A zero/nonzero pattern with explicit dimensions.
 
     Only the positions of the structurally nonzero entries are stored; the
-    entries themselves are free parameters.  ``columns`` holds the ascending
-    row indices of every column's nonzeros, the one column layout that the
-    union graph, the layered graph, the rank probe and every
-    :class:`Realization` share.
+    entries themselves are free parameters.  ``columns``, the one stored
+    form, holds the ascending row indices of every column's nonzeros: the
+    column layout that the union graph, the layered graph, the rank probe
+    and every :class:`Realization` share.  ``StructuredMatrix(rows, cols,
+    nonzeros)`` takes any iterable of ``(row, col)`` pairs of integers,
+    repeats allowed, and keeps no pair; ``nonzeros`` is the frozenset of
+    positions, derived from ``columns`` when first read.  Equality and hash
+    follow the pattern.
     """
 
     rows: int
     cols: int
-    nonzeros: frozenset[tuple[int, int]] = frozenset()
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise ModelError(f"matrix needs at least one row, got {self.rows}")
-        if self.cols < 0:
-            raise ModelError(f"matrix column count may not be negative, got {self.cols}")
-        if self.cols > COLUMN_SLOT_CAP:
-            raise ModelError(f"matrix column count {self.cols} is over the cap "
+    def __init__(self, rows: int, cols: int,
+                 nonzeros: Iterable[tuple[int, int]] = frozenset()) -> None:
+        if rows < 1:
+            raise ModelError(f"matrix needs at least one row, got {rows}")
+        if cols < 0:
+            raise ModelError(f"matrix column count may not be negative, got {cols}")
+        if cols > COLUMN_SLOT_CAP:
+            raise ModelError(f"matrix column count {cols} is over the cap "
                              f"of {COLUMN_SLOT_CAP}")
-        entries = self.nonzeros
-        # a frozenset of plain int pairs, as the parser builds it, is kept;
-        # any other collection or entry type is rebuilt as one first
-        columns = (_column_rows(entries, self.rows, self.cols)
-                   if type(entries) is frozenset else None)
-        if columns is None:
-            entries = frozenset((int(r), int(c)) for r, c in entries)
-            object.__setattr__(self, "nonzeros", entries)
-            columns = _column_rows(entries, self.rows, self.cols)
-        # built with the pattern, not on first use: built lazily, these
-        # long-lived tuples land among one op's transient objects, and the
-        # layered-graph linkings run after them were measured about 20% slower
-        object.__setattr__(self, "columns", columns)
+        vars(self).update(rows=rows, cols=cols,
+                          columns=_column_rows(nonzeros, rows, cols))
+
+    @classmethod
+    def _of_columns(cls, rows: int, cols: int,
+                    columns: tuple[tuple[int, ...], ...]) -> StructuredMatrix:
+        """A matrix on ``columns`` that the parser has already checked."""
+        matrix = object.__new__(cls)
+        vars(matrix).update(rows=rows, cols=cols, columns=columns)
+        return matrix
+
+    @cached_property
+    def nonzeros(self) -> frozenset[tuple[int, int]]:
+        """The ``(row, col)`` positions, built from ``columns`` on first read."""
+        return frozenset((r, c) for c, col in enumerate(self.columns) for r in col)
 
     @property
     def nnz(self) -> int:
-        return len(self.nonzeros)
+        return sum(map(len, self.columns))
 
     def columns_with_entries(self) -> frozenset[int]:
-        return frozenset(c for _, c in self.nonzeros)
+        return frozenset(c for c, col in enumerate(self.columns) if col)
 
     def column_rows(self, col: int) -> tuple[int, ...]:
         """Row indices of the nonzeros in one column, ascending."""
@@ -130,20 +138,19 @@ class StructuredMatrix:
 
 
 def _column_rows(entries: Iterable, rows: int, cols: int
-                 ) -> tuple[tuple[int, ...], ...] | None:
-    """Ascending row indices of every column's entries, or None as soon as
-    an entry is not a pair of plain ints."""
+                 ) -> tuple[tuple[int, ...], ...]:
+    """The ascending, distinct row indices of every column's entries, each
+    entry read as a pair of ``int``s."""
     columns: list[list[int]] = [[] for _ in range(cols)]
     for r, c in entries:
-        if type(r) is not int or type(c) is not int:
-            return None
+        r, c = int(r), int(c)
         if not (0 <= r < rows and 0 <= c < cols):
             raise ModelError(
                 f"nonzero position ({r + 1}, {c + 1}) lies outside a "
                 f"{rows}x{cols} matrix"
             )
         columns[c].append(r)
-    return tuple(map(tuple, map(sorted, columns)))
+    return tuple(tuple(sorted(set(col))) for col in columns)
 
 
 @dataclass(frozen=True)
@@ -195,28 +202,46 @@ def _expect(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
-def _parse_positions(raw: Any, *, where: str, rows: int, cols: int) -> frozenset[tuple[int, int]]:
-    """The 0-based positions of one ``[[row, col], ...]`` list.
+def _parse_positions(raw: Any, *, where: str, row_ids: tuple[int, ...], cols: int
+                     ) -> tuple[tuple[int, ...], ...]:
+    """The 0-based ``columns`` of one ``[[row, col], ...]`` list, in a
+    matrix of ``len(row_ids) - 1`` rows; ``row_ids[r]`` is ``r - 1``.
 
-    A list of JSON lists is checked in bulk: one set comprehension keeps the
-    pairs of plain ints in range, and the list is accepted when nothing was
-    dropped or merged.  Anything else is read entry by entry, which names
-    the first offender (and accepts list and ``int`` subclasses other than
-    ``bool``, with the same result).
+    A list of JSON lists is read in bulk: each pair of plain ints in range
+    drops ``row_ids[row]`` into its column's bucket, and the list is
+    accepted when no pair was out of place and no column holds a row twice.
+    Anything else is read by :func:`_read_positions`, which names the first
+    offender (and accepts list and ``int`` subclasses other than ``bool``,
+    with the same result).
     """
+    rows = len(row_ids) - 1
     if type(raw) is list and set(map(type, raw)) <= {list}:
+        # bucket 0 stays empty, so a 1-based column needs no subtraction
+        buckets: list[list[int]] = [[] for _ in range(cols + 1)]
         try:
-            # a frozenset copied from a set gets a table sized to its length,
-            # often half the one that adding the entries one by one (from a
-            # list or a generator) leaves, and it lives with the structure
-            entries = frozenset({(r - 1, c - 1) for r, c in raw
-                                 if type(r) is int and type(c) is int
-                                 and 1 <= r <= rows and 1 <= c <= cols})
+            for r, c in raw:
+                if not (type(r) is int and type(c) is int
+                        and 1 <= r <= rows and 1 <= c <= cols):
+                    break
+                buckets[c].append(row_ids[r])
+            else:
+                # no position pair is built: a variant that built the
+                # frozenset of pairs and dropped it left the ops run after
+                # the parse about 1.1x slower, with the collector off too
+                columns = tuple(map(tuple, map(sorted, buckets)))
+                if sum(map(len, map(set, columns))) == len(raw):
+                    return columns[1:]
         except ValueError:  # an item that is not a pair
             pass
-        else:
-            if len(entries) == len(raw):
-                return entries
+    return _column_rows(_read_positions(raw, where=where, rows=rows, cols=cols),
+                        rows, cols)
+
+
+def _read_positions(raw: Any, *, where: str, rows: int, cols: int
+                    ) -> set[tuple[int, int]]:
+    """The 0-based positions of one ``[[row, col], ...]`` list, read entry
+    by entry; raises on the first offender.  It allocates nothing per
+    column."""
     # messages are formatted only for the offender
     if not isinstance(raw, list):
         raise ModelError(f"{where}: expected a list of [row, col] pairs")
@@ -234,11 +259,16 @@ def _parse_positions(raw: Any, *, where: str, rows: int, cols: int) -> frozenset
         if pos in seen:
             raise ModelError(f"{where}: duplicate nonzero entry ({r}, {c})")
         seen.add(pos)
-    return frozenset(seen)
+    return seen
 
 
 def system_from_dict(doc: Any) -> SwitchedStructure:
-    """Build a :class:`SwitchedStructure` from a parsed JSON document."""
+    """Build a :class:`SwitchedStructure` from a parsed JSON document.
+
+    Each subsystem is checked in one order: its keys, ``A``, the shape of
+    ``B``, the column cap, then ``B``'s positions; the first fault is
+    reported.
+    """
     _expect(isinstance(doc, dict), "top level must be a JSON object")
     extra = set(doc) - {"n", "subsystems"}
     _expect(not extra, f"unknown top-level keys: {sorted(extra)}")
@@ -253,6 +283,7 @@ def system_from_dict(doc: Any) -> SwitchedStructure:
 
     pairs = []
     slots = 0
+    row_ids = None
     for idx, sub in enumerate(raw_subs, start=1):
         where = f"subsystem {idx}"
         _expect(isinstance(sub, dict), f"{where}: expected an object")
@@ -260,7 +291,22 @@ def system_from_dict(doc: Any) -> SwitchedStructure:
         _expect(not extra, f"{where}: unknown keys {sorted(extra)}")
         _expect("A" in sub and "B" in sub, f"{where}: needs both 'A' and 'B'")
 
-        a_entries = _parse_positions(sub["A"], where=f"{where}, matrix A", rows=n, cols=n)
+        if slots + n > COLUMN_SLOT_CAP:
+            # the cap check below fails whatever B holds: A is read only for
+            # a fault to name first, and its columns are never laid out
+            _read_positions(sub["A"], where=f"{where}, matrix A", rows=n, cols=n)
+        else:
+            if row_ids is None:
+                # The columns are the structure's only store, built here and
+                # not on first use: built lazily, long-lived tuples land
+                # among one op's transient objects, and the layered-graph
+                # linkings run after them were measured about 20% slower.
+                # Every column holds the same int object for a row, so a
+                # nonzero costs one tuple slot, and the ops that read the
+                # columns run faster.
+                row_ids = tuple(range(-1, n))
+            a_columns = _parse_positions(sub["A"], where=f"{where}, matrix A",
+                                         row_ids=row_ids, cols=n)
         b_raw = sub["B"]
         _expect(isinstance(b_raw, dict), f"{where}: 'B' must be an object with 'cols' and 'nonzeros'")
         extra = set(b_raw) - {"cols", "nonzeros"}
@@ -274,9 +320,11 @@ def system_from_dict(doc: Any) -> SwitchedStructure:
         _expect(slots <= COLUMN_SLOT_CAP,
                 f"{where}: {slots} pattern columns so far (n plus the B column "
                 f"count, summed over subsystems), over the cap of {COLUMN_SLOT_CAP}")
-        b_entries = _parse_positions(b_raw["nonzeros"], where=f"{where}, matrix B", rows=n, cols=m)
+        b_columns = _parse_positions(b_raw["nonzeros"], where=f"{where}, matrix B",
+                                     row_ids=row_ids, cols=m)
 
-        pairs.append((StructuredMatrix(n, n, a_entries), StructuredMatrix(n, m, b_entries)))
+        pairs.append((StructuredMatrix._of_columns(n, n, a_columns),
+                      StructuredMatrix._of_columns(n, m, b_columns)))
     return SwitchedStructure(n=n, subsystems=tuple(pairs))
 
 
@@ -295,15 +343,17 @@ def parse_system(text: str | bytes) -> SwitchedStructure:
     return system_from_dict(doc)
 
 
+def _positions(matrix: StructuredMatrix) -> list[list[int]]:
+    """The 1-based ``[row, col]`` pairs of a matrix, row-major."""
+    return sorted([r + 1, c + 1] for c, col in enumerate(matrix.columns) for r in col)
+
+
 def system_to_dict(structure: SwitchedStructure) -> dict:
     subs = []
     for a, b in structure.subsystems:
         subs.append({
-            "A": [[r + 1, c + 1] for r, c in sorted(a.nonzeros)],
-            "B": {
-                "cols": b.cols,
-                "nonzeros": [[r + 1, c + 1] for r, c in sorted(b.nonzeros)],
-            },
+            "A": _positions(a),
+            "B": {"cols": b.cols, "nonzeros": _positions(b)},
         })
     return {"n": structure.n, "subsystems": subs}
 

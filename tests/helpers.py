@@ -409,6 +409,17 @@ def ref_parse_positions(raw, *, where: str, rows: int, cols: int):
     return frozenset(seen)
 
 
+def ref_parse_columns(raw, *, where: str, row_ids, cols: int):
+    """``ref_parse_positions`` with the arguments and the result of
+    ``model._parse_positions``: the positions grouped by column, rows
+    ascending."""
+    rows = len(row_ids) - 1
+    columns = [[] for _ in range(cols)]
+    for r, c in sorted(ref_parse_positions(raw, where=where, rows=rows, cols=cols)):
+        columns[c].append(r)
+    return tuple(map(tuple, columns))
+
+
 def ref_pieces(tails: list[int], heads: list[int], reachable
                ) -> tuple[list[int], list[list[int]], list[int]]:
     """The split of an independent edge set by position that a stem sweep

@@ -112,11 +112,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
 
-@pytest.mark.parametrize("n, m", [(300_000_000, 0), (1, 299_999_999)])
-def test_huge_dimensions_exit_2_before_allocating(n, m):
-    # a 90-byte document naming hundreds of millions of pattern columns
+@pytest.mark.parametrize("n, m, a", [(300_000_000, 0, []), (1, 299_999_999, []),
+                                     (300_000_000, 0, [[1, 1]])],
+                         ids=["300000000-0", "1-299999999", "300000000-0-one-entry"])
+def test_huge_dimensions_exit_2_before_allocating(n, m, a):
+    # a 90-byte document naming hundreds of millions of pattern columns; the
+    # cap is checked before A's columns are laid out, empty or not
     payload = json.dumps({"n": n, "subsystems": [
-        {"A": [], "B": {"cols": m, "nonzeros": []}}]})
+        {"A": a, "B": {"cols": m, "nonzeros": []}}]})
     env = dict(os.environ)
     src = str(Path(swcactus.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,7 +43,7 @@ def test_structured_matrix_bounds():
 
 def test_structured_matrix_entries_are_plain_int_pairs():
     kept = frozenset({(0, 0), (1, 2)})
-    assert StructuredMatrix(2, 3, kept).nonzeros is kept
+    assert StructuredMatrix(2, 3, kept).nonzeros == kept
     inputs = ([(0, 0), [1, 2], (1, 2)],
               frozenset({(np.int64(0), np.int64(0)), (np.int32(1), 2)}),
               [(np.int64(0), 0), (True, 2)])
@@ -137,7 +139,7 @@ def _outcome(doc):
 
 
 def _oracle_outcome(doc):
-    with mock.patch.object(model_mod, "_parse_positions", helpers.ref_parse_positions):
+    with mock.patch.object(model_mod, "_parse_positions", helpers.ref_parse_columns):
         return _outcome(doc)
 
 
@@ -147,9 +149,8 @@ _JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
 
 
 @st.composite
-def mutated_documents(draw):
-    """A valid document with up to four mutations of its position lists;
-    some leave Python tuples, which only ``system_from_dict`` sees."""
+def valid_documents(draw):
+    """A valid document, its positions in no particular order."""
     n = draw(st.integers(1, 5))
     subs = []
     for _ in range(draw(st.integers(1, 3))):
@@ -160,6 +161,15 @@ def mutated_documents(draw):
                           unique=True, max_size=4)) if m else []
         subs.append({"A": [list(p) for p in a],
                      "B": {"cols": m, "nonzeros": [list(p) for p in b]}})
+    return {"n": n, "subsystems": subs}
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with up to four mutations of its position lists;
+    some leave Python tuples, which only ``system_from_dict`` sees."""
+    doc = draw(valid_documents())
+    n, subs = doc["n"], doc["subsystems"]
     for _ in range(draw(st.integers(0, 4))):
         sub = draw(st.sampled_from(subs))
         holder, key = draw(st.sampled_from([(sub, "A"), (sub["B"], "nonzeros")]))
@@ -218,6 +228,21 @@ def test_parse_messages_match_per_entry_reading(doc):
     assert _outcome(as_json) == _oracle_outcome(as_json)
 
 
+@settings(max_examples=200, deadline=None)
+@given(valid_documents())
+def test_parsed_columns_group_the_oracle_positions(doc):
+    # each matrix's columns are the per-entry reader's positions grouped by
+    # column, rows ascending
+    n = doc["n"]
+    parsed = system_from_dict(doc)
+    for sub, (a, b) in zip(doc["subsystems"], parsed.subsystems):
+        m = sub["B"]["cols"]
+        for raw, mat, cols in ((sub["A"], a, n), (sub["B"]["nonzeros"], b, m)):
+            positions = helpers.ref_parse_positions(raw, where="", rows=n, cols=cols)
+            assert mat.columns == tuple(
+                tuple(sorted(r for r, c in positions if c == col)) for col in range(cols))
+
+
 def test_parse_accepts_list_and_int_subclasses():
     class Row(list):
         pass
@@ -257,11 +282,84 @@ def test_parse_builds_the_oracle_objects_small(seed):
     assert parsed == s and serialize_system(parsed) == text
 
 
+def test_parsed_structure_memory_per_nonzero():
+    # a parsed structure keeps its column tuples, whose rows share one int
+    # object per row index, and nothing per entry beside them: about 37
+    # bytes per nonzero here; a fresh int per entry makes it about 61, and a
+    # frozenset of position pairs kept beside the columns about 177
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    s = helpers.wide_structure(1, 2000, 3)
+    nnz = sum(a.nnz + b.nnz for a, b in s.subsystems)
+    text = serialize_system(s)
+    del s
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_system(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.n == 2000
+    assert held <= 48 * nnz, f"{held / nnz:.0f} bytes per nonzero"
+
+
+@pytest.mark.parametrize("path", [*sorted(helpers.DATA_DIR.glob("*.json")),
+                                  helpers.DATA_DIR / "probe" / "wide60.json"],
+                         ids=lambda path: path.name)
+def test_serialize_lists_sorted_positions(path):
+    # the canonical document: every position list sorted, row-major
+    text = path.read_text()
+    doc = json.loads(text)
+    canonical = {"n": doc["n"], "subsystems": [
+        {"A": sorted(sub["A"]),
+         "B": {"cols": sub["B"]["cols"], "nonzeros": sorted(sub["B"]["nonzeros"])}}
+        for sub in doc["subsystems"]]}
+    out = serialize_system(parse_system(text))
+    assert out == json.dumps(canonical, indent=2, sort_keys=True) + "\n"
+    assert serialize_system(parse_system(out)) == out
+
+
+def test_equality_and_hash_follow_the_pattern():
+    built = StructuredMatrix(3, 2, [(2, 1), (0, 0), (1, 1), (2, 1)])
+    parsed = system_from_dict({"n": 3, "subsystems": [
+        {"A": [], "B": {"cols": 2, "nonzeros": [[3, 2], [1, 1], [2, 2]]}}]}).subsystems[0][1]
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built.columns == ((0,), (1, 2)) and built.nnz == 3
+    assert built.nonzeros == frozenset({(0, 0), (1, 1), (2, 1)})
+    assert built != StructuredMatrix(3, 2, [(0, 0), (1, 1)])
+    assert built != StructuredMatrix(3, 3, [(2, 1), (0, 0), (1, 1)])
+
+
 @pytest.mark.parametrize("n, m", [(300_000_000, 0), (1, 10 ** 12)])
 def test_parse_rejects_column_slots_past_cap(n, m):
     doc = {"n": n, "subsystems": [{"A": [], "B": {"cols": m, "nonzeros": []}}]}
     with pytest.raises(ModelError, match="over the cap of 1000000"):
         system_from_dict(doc)
+
+
+@pytest.mark.parametrize("n, a, b, message", [
+    (2, [[1, 1], [1, 1]], {"cols": -1, "nonzeros": []},
+     "subsystem 1, matrix A: duplicate nonzero entry (1, 1)"),
+    (12, [[1, 1], [1, 1]], {"cols": 0, "nonzeros": []},
+     "subsystem 1, matrix A: duplicate nonzero entry (1, 1)"),
+    (12, [[1, 1]], [], "subsystem 1: 'B' must be an object with 'cols' and 'nonzeros'"),
+    (12, [[1, 1]], {"cols": 0, "nonzeros": [[1, 1]]}, "subsystem 1: 12 pattern columns so far"),
+])
+def test_a_faults_come_before_b_faults_and_the_cap(monkeypatch, n, a, b, message):
+    # a subsystem names A's first fault, then B's shape, then the cap, also
+    # when n alone is past the cap and A's columns are not laid out
+    monkeypatch.setattr(model_mod, "COLUMN_SLOT_CAP", 10)
+    laid_out = []
+    parse = model_mod._parse_positions
+    monkeypatch.setattr(model_mod, "_parse_positions",
+                        lambda raw, **kw: laid_out.append(kw["where"]) or parse(raw, **kw))
+    with pytest.raises(ModelError) as err:
+        system_from_dict({"n": n, "subsystems": [{"A": a, "B": b}]})
+    assert str(err.value).startswith(message)
+    assert laid_out == (["subsystem 1, matrix A"] if n <= 10 else [])
 
 
 def test_structured_matrix_rejects_columns_past_cap(monkeypatch):

@@ -97,3 +97,13 @@ def test_one_matching_kernel():
                         getattr(node.func, "attr", None)):
                     callers.append(f"{path.name}: {func.name}")
     assert sorted(callers) == ["mdg.py: max_linking", "unigraph.py: _row_matching"]
+
+
+def test_only_the_model_reads_nonzeros():
+    # ``StructuredMatrix.columns`` is the one stored pattern; ``nonzeros`` is
+    # a view derived from it for library callers, so no stage may read it
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "nonzeros"]
+    assert readers == []
