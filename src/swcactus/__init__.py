@@ -35,10 +35,7 @@ from .mdg import (
     Mdg,
     MdgSizeError,
     build_mdg,
-    linking_determinant_expansion,
     max_linking,
-    mdg_path_vertices,
-    walks_provably_disjoint,
 )
 from .model import (
     DEFAULT_PRIME,
@@ -56,7 +53,6 @@ from .rankcore import (
     ControllabilityProbe,
     averaged_pair_rank,
     controllable_dim,
-    layered_product_columns,
     reachable_space_dim,
 )
 from .unigraph import (
@@ -114,11 +110,8 @@ __all__ = [
     "generic_rank",
     "input_edges_only",
     "input_rank",
-    "layered_product_columns",
-    "linking_determinant_expansion",
     "max_independent_edges",
     "max_linking",
-    "mdg_path_vertices",
     "parse_system",
     "reachable_space_dim",
     "reachable_states",
@@ -130,5 +123,4 @@ __all__ = [
     "system_to_dict",
     "verify_cactus_walking",
     "walk_violations",
-    "walks_provably_disjoint",
 ]

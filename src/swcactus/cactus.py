@@ -382,8 +382,8 @@ def verify_cactus_walking(cover: CactusCover, g: UnionGraph) -> tuple[InputState
     back from their ends.  Where both follow cover in-edges and first
     meet, they leave the meeting state by two cover edges.  Same-tail cover
     edges have distinct colors, so the layered paths separate there and
-    cannot meet at any larger ``q``: this is the first-meeting rule of
-    :func:`mdg.walks_provably_disjoint`.  So it is enough that no first
+    cannot meet at any larger ``q``: their first meeting decides whether
+    they share a vertex.  It is therefore enough that no first
     meeting falls where a walk is on its prefix.  Stems and arcs end within
     ``D`` steps of the walk's end, so group ``a``'s prefix lies past ``q =
     L_a l_a >= F_a``: beyond the full length of every stem walk and every

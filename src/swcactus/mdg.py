@@ -39,7 +39,11 @@ found as a bipartite matching (Ingleton and Piff 1973), by the union
 graph's Hopcroft-Karp loop: one row per vertex id, listing its heads, with
 every state copy above layer 0 listing itself first so that it can stay
 off every path.  The matching, followed down from each input copy, gives
-the paths; a chain that stops short of layer 0 is dropped.
+the paths; a chain that stops short of layer 0 is dropped.  The exhaustive
+checks of these claims are test oracles in ``tests/helpers.py``, not part of
+the package: the signed expansion over path families that reproduces a
+minor of the product stack, the layered path of a union-graph walk, and the
+exact pairwise disjointness test of two walks' paths.
 
 Given a ceiling c that no depth can exceed, the linking unrolls only as
 far as it needs: it matches layers ``0..d`` for the depths d met by halving
@@ -61,8 +65,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import ModelError, Realization, SwitchedStructure
-from .unigraph import InputStateWalk, hopcroft_karp
+from .model import ModelError, SwitchedStructure
+from .unigraph import hopcroft_karp
 
 VERTEX_CAP = 2_000_000
 
@@ -79,63 +83,6 @@ def _fold_word(word: Sequence[int], base: int) -> int:
     for c in word:
         value = value * base + c
     return value
-
-
-def _block_address(word: Sequence[int], base: int) -> tuple[int, int]:
-    if not word:
-        return (0, 0)
-    return (word[0], _fold_word(word[1:], base))
-
-
-def mdg_path_vertices(walk: InputStateWalk, colors: int) -> tuple[MdgVertex, ...]:
-    """The layered-graph path a union-graph walk traces, without the graph.
-
-    A walk of ``k`` edges starts at the input copy in layer ``k - 1`` whose
-    block word is the walk's color sequence after the first edge, then steps
-    down one layer per edge, shedding the leading color each time, and ends
-    at the walk's final state in layer 0.
-    """
-    k = walk.length
-    blk, t = _block_address(walk.colors[1:], colors)
-    path: list[MdgVertex] = [
-        ("u", k - 1, blk, t, walk.source.subsystem, walk.source.index)
-    ]
-    for i, state in enumerate(walk.states):
-        word = walk.colors[i + 1:]
-        blk, t = _block_address(word, colors)
-        path.append(("x", len(word), blk, t, state))
-    return tuple(path)
-
-
-def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | None:
-    """Fast vertex-disjointness test for the layered paths of two walks.
-
-    Copies of the two paths can only coincide at equal distance from the
-    walk ends, and then only if the color sequences covering that distance
-    agree.  Scanning from the ends, the first place the underlying walks
-    occupy the same vertex decides everything: differing color suffixes
-    there rule out a collision at every later distance as well, and
-    agreeing ones make that place a shared vertex.  The test is therefore
-    exact: it returns ``True`` when the layered paths are vertex-disjoint
-    and ``None`` when they share a vertex, with no path materialized.
-
-    Nothing in the package calls it: :func:`cactus.verify_cactus_walking`
-    builds its walk families disjoint by this same first-meeting rule.  It
-    stays public as the exact pairwise check of any two walks.
-    """
-    k1, k2 = w1.length, w2.length
-
-    def at(walk: InputStateWalk, q: int):
-        if q < walk.length:
-            return ("x", walk.states[walk.length - 1 - q])
-        return ("u", walk.source.subsystem, walk.source.index)
-
-    for q in range(min(k1, k2) + 1):
-        if at(w1, q) == at(w2, q):
-            if w1.colors[k1 - q:] == w2.colors[k2 - q:]:
-                return None
-            return True
-    return True
 
 
 def layer_blocks(structure: SwitchedStructure, depth: int) -> list[int]:
@@ -233,10 +180,6 @@ class Mdg:
 
     def input_vertices(self, layer: int) -> Iterator[MdgVertex]:
         return map(self._vertex, self._ids(layer)[0])
-
-    def all_input_vertices(self) -> Iterator[MdgVertex]:
-        for layer in range(self.depth + 1):
-            yield from self.input_vertices(layer)
 
     def edges_from(self, vertex: MdgVertex) -> tuple[tuple[MdgVertex, WeightKey], ...]:
         """Out-edges of ``vertex`` as ``(head, key)`` pairs, sorted by head."""
@@ -392,84 +335,3 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
     if len(paths) != size:
         raise AssertionError("linking size differs from the matching size")
     return Linking(paths=tuple(paths))
-
-
-def linking_determinant_expansion(mdg: Mdg, realization: Realization,
-                                  rows: Sequence[int],
-                                  tails: Sequence[MdgVertex]) -> int:
-    """Signed sum over all disjoint path families from ``tails`` onto ``rows``.
-
-    Enumerates every family of vertex-disjoint layered paths that starts at
-    exactly the given input copies and ends onto exactly the given layer-0
-    states, multiplying each family's edge weights and signing it by the
-    parity of the head arrangement.  Equals the minor of the product stack on
-    those rows and columns; exponential, so gated to small instances.
-    """
-    if realization.kind != "finite":
-        raise ModelError("determinant expansion requires a finite-field realization")
-    if mdg.n > 4 or mdg.colors > 2 or mdg.depth > 3:
-        raise ModelError(
-            "instance too large for exhaustive path enumeration "
-            f"(n={mdg.n}, colors={mdg.colors}, depth={mdg.depth}; "
-            "need n<=4, colors<=2, depth<=3)")
-    rows = sorted(rows)
-    tails = sorted(tails)
-    if len(rows) != len(tails):
-        raise ModelError(f"{len(tails)} tails cannot match {len(rows)} rows")
-    p = realization.prime
-    assert p is not None
-
-    def all_paths(v: MdgVertex) -> list[tuple[tuple[MdgVertex, ...], int, int]]:
-        # (vertices, weight product, final row)
-        if v[0] == "x" and v[1] == 0:
-            return [((v,), 1, v[4])]
-        out = []
-        for head, key in mdg.edges_from(v):
-            w = realization.values[key]
-            for rest, prod, end in all_paths(head):
-                out.append(((v, *rest), w * prod % p, end))
-        return out
-
-    options = [
-        [(path, prod, end) for path, prod, end in all_paths(t) if end in rows]
-        for t in tails
-    ]
-    total = 0
-    used: set[MdgVertex] = set()
-    chosen_ends: list[int] = []
-
-    def recurse(idx: int, weight: int) -> None:
-        nonlocal total
-        if idx == len(tails):
-            perm = [rows.index(e) for e in chosen_ends]
-            sign = _permutation_sign(perm)
-            total = (total + sign * weight) % p
-            return
-        for path, prod, end in options[idx]:
-            if end in chosen_ends or used.intersection(path):
-                continue
-            used.update(path)
-            chosen_ends.append(end)
-            recurse(idx + 1, weight * prod % p)
-            chosen_ends.pop()
-            used.difference_update(path)
-
-    recurse(0, 1)
-    return total % p
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

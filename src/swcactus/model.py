@@ -20,6 +20,7 @@ error message.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -49,6 +50,17 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class ModelError(ValueError):
     """A malformed system document or invalid model argument."""
+
+
+def as_indices(values: Iterable) -> tuple[int, ...]:
+    """``values`` as ``int``s, each read with ``operator.index``, so that an
+    ``int`` or a numpy integer passes and a float or a numeric string raises
+    ``TypeError``, as a ``bool`` does: ``int()`` would read ``True`` as 1
+    and 1.7 as 1."""
+    values = tuple(values)
+    if bool in set(map(type, values)):
+        raise TypeError("a bool is not an index")
+    return tuple(map(operator.index, values))
 
 
 @lru_cache(maxsize=64)
@@ -91,7 +103,9 @@ class StructuredMatrix:
     column layout that the union graph, the layered graph, the rank probe
     and every :class:`Realization` share.  ``StructuredMatrix(rows, cols,
     nonzeros)`` takes any iterable of ``(row, col)`` pairs of integers,
-    repeats allowed, and keeps no pair; ``nonzeros`` is the frozenset of
+    repeats allowed, and keeps no pair; the dimensions and every index are
+    read by :func:`as_indices`, so a ``bool``, a float or a string is
+    refused with a :class:`ModelError`.  ``nonzeros`` is the frozenset of
     positions, derived from ``columns`` when first read.  Equality and hash
     follow the pattern.
     """
@@ -102,6 +116,11 @@ class StructuredMatrix:
 
     def __init__(self, rows: int, cols: int,
                  nonzeros: Iterable[tuple[int, int]] = frozenset()) -> None:
+        try:
+            rows, cols = as_indices((rows, cols))
+        except TypeError:
+            raise ModelError(f"matrix dimensions must be integers, got {rows!r} "
+                             f"and {cols!r}") from None
         if rows < 1:
             raise ModelError(f"matrix needs at least one row, got {rows}")
         if cols < 0:
@@ -129,21 +148,18 @@ class StructuredMatrix:
     def nnz(self) -> int:
         return sum(map(len, self.columns))
 
-    def columns_with_entries(self) -> frozenset[int]:
-        return frozenset(c for c, col in enumerate(self.columns) if col)
-
-    def column_rows(self, col: int) -> tuple[int, ...]:
-        """Row indices of the nonzeros in one column, ascending."""
-        return self.columns[col]
-
 
 def _column_rows(entries: Iterable, rows: int, cols: int
                  ) -> tuple[tuple[int, ...], ...]:
     """The ascending, distinct row indices of every column's entries, each
-    entry read as a pair of ``int``s."""
+    entry read as a pair of indices by :func:`as_indices`."""
     columns: list[list[int]] = [[] for _ in range(cols)]
-    for r, c in entries:
-        r, c = int(r), int(c)
+    for entry in entries:
+        try:
+            r, c = as_indices(entry)
+        except (TypeError, ValueError):  # not a pair of indices
+            raise ModelError(f"nonzero position must be a pair of integers, "
+                             f"got {entry!r}") from None
         if not (0 <= r < rows and 0 <= c < cols):
             raise ModelError(
                 f"nonzero position ({r + 1}, {c + 1}) lies outside a "
@@ -390,9 +406,6 @@ class Realization:
                 for tag, cols in zip("AB", pair)
                 for c, col in enumerate(cols)
                 for r, v in col}
-
-    def value(self, subsystem: int, which: str, row: int, col: int, default: Any = 0) -> Any:
-        return self.values.get((subsystem, which, row, col), default)
 
 
 def realized_dense(structure: SwitchedStructure, realization: Realization,

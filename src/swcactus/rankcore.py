@@ -224,30 +224,6 @@ def rank_ff(columns: Iterable[Sequence[int]], n: int, prime: int = DEFAULT_PRIME
     return reducer.rank
 
 
-def det_ff(columns: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME) -> int:
-    """Determinant of a square matrix given by columns, over GF(p)."""
-    n = len(columns)
-    mat = [[int(v) % prime for v in col] for col in columns]
-    for col in mat:
-        if len(col) != n:
-            raise ModelError("determinant needs a square matrix")
-    det = 1
-    for i in range(n):
-        pivot_col = next((j for j in range(i, n) if mat[j][i]), None)
-        if pivot_col is None:
-            return 0
-        if pivot_col != i:
-            mat[i], mat[pivot_col] = mat[pivot_col], mat[i]
-            det = prime - det
-        inv = pow(mat[i][i], -1, prime)
-        det = det * mat[i][i] % prime
-        for j in range(i + 1, n):
-            factor = mat[j][i] * inv % prime
-            if factor:
-                mat[j] = [(a - factor * b) % prime for a, b in zip(mat[j], mat[i])]
-    return det
-
-
 def _product(a_cols: Sequence[Sequence[tuple[int, int]]], column: dict[int, int],
              prime: int) -> dict[int, int]:
     """``A @ column`` mod p, for ``A`` given by its columns of ``(row,
@@ -267,13 +243,6 @@ def _product(a_cols: Sequence[Sequence[tuple[int, int]]], column: dict[int, int]
 def _input_columns(realization: Realization) -> list[dict[int, int]]:
     """Every ``B_i`` column in mode order, as a dict from row to value."""
     return [dict(entries) for _, b_cols in realization.columns for entries in b_cols]
-
-
-def _dense(column: dict[int, int], n: int) -> list[int]:
-    out = [0] * n
-    for r, v in column.items():
-        out[r] = v
-    return out
 
 
 def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
@@ -443,34 +412,6 @@ def probe_trials(structure: SwitchedStructure,
         if dim == ceiling:
             break
     return dims, layer_counts
-
-
-def layered_product_columns(structure: SwitchedStructure, realization: Realization,
-                            depth: int) -> tuple[list[list[int]], list[int]]:
-    """All product columns up to the given depth, with layer offsets.
-
-    Layer 0 holds the columns of every ``B_l`` in subsystem order; layer
-    ``i`` holds, block by block, each ``A_j`` applied to the whole previous
-    layer.  Returns ``(columns, offsets)`` where ``offsets[i]`` is the index
-    of the first column of layer ``i`` and ``offsets[depth + 1]`` the total
-    count.  Column order inside a layer is the block order itself, which is
-    what ties these indices to layered-graph vertices elsewhere.
-    """
-    if depth < 0:
-        raise ModelError(f"depth may not be negative, got {depth}")
-    if realization.kind != "finite":
-        raise ModelError("layered product columns require a finite-field realization")
-    n, p = structure.n, realization.prime
-    assert p is not None
-    a_sparse = [a_cols for a_cols, _ in realization.columns]
-    current = _input_columns(realization)
-    columns = [_dense(col, n) for col in current]
-    offsets = [0, len(current)]
-    for _ in range(depth):
-        current = [_product(entries, col, p) for entries in a_sparse for col in current]
-        columns.extend(_dense(col, n) for col in current)
-        offsets.append(len(columns))
-    return columns, offsets
 
 
 def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,

@@ -25,7 +25,7 @@ its ascending head tuple.  Rows ascend, so iterating them yields edges in
 :attr:`StructuredMatrix.columns`; nothing is sorted or regrouped, and a
 subgraph shares its parent's tuples.  :class:`ColoredEdge` objects exist
 only at the public boundary: ``edges`` (a view that builds them as it is
-read), ``edges_from``, ``edges_into`` and returned matchings.
+read), ``edges_from`` and returned matchings.
 
 Memo.  A graph never changes, so results derived from it are computed
 once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
-from .model import ModelError, SwitchedStructure
+from .model import ModelError, SwitchedStructure, as_indices
 
 
 @dataclass(frozen=True, order=True)
@@ -273,21 +273,6 @@ class UnionGraph:
         k = bisect_left(self._rows, row)
         return k < len(self._rows) and self._rows[k] == row and edge.head in self._adj[k]
 
-    def edges_into(self, head: int) -> tuple[ColoredEdge, ...]:
-        tails = [self._row_tail(row) for row, heads in zip(self._rows, self._adj)
-                 for h in heads if h == head]
-        return tuple(ColoredEdge(tail, head, color) for tail, color in tails)
-
-    @property
-    def state_edge_count(self) -> int:
-        return self._edge_count - self.input_edge_count
-
-    @property
-    def input_edge_count(self) -> int:
-        width, m = self._width, self._inputs
-        return sum(len(heads) for row, heads in zip(self._rows, self._adj)
-                   if row % width < m)
-
 
 class EdgeView(Sequence):
     """A graph's edges in ``edge_sort_key`` order, built when read."""
@@ -394,21 +379,19 @@ def input_search(g: UnionGraph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def max_independent_edges(g: UnionGraph,
-                          allowed_heads: Iterable[int] | None = None
-                          ) -> tuple[ColoredEdge, ...]:
+def max_independent_edges(g: UnionGraph) -> tuple[ColoredEdge, ...]:
     """Largest set of edges with distinct heads and color-distinct shared tails.
 
     Equivalently a maximum matching between rows of the concatenated system
     matrices and their structurally nonzero columns, so the returned size is
-    the generic rank of ``[A_1 .. A_N, B_1 .. B_N]`` (restricted to
-    ``allowed_heads`` when given).  Fully deterministic: ties are broken by
-    color, then input tails before state tails, then tail and head order.
-    The edges are those of :func:`row_matching`, in ``edge_sort_key`` order.
+    the generic rank of ``[A_1 .. A_N, B_1 .. B_N]``.  Fully deterministic:
+    ties are broken by color, then input tails before state tails, then
+    tail and head order.  The edges are those of :func:`row_matching`, in
+    ``edge_sort_key`` order.
     """
     rows = g._rows
     chosen: list[ColoredEdge] = []
-    for idx, head in enumerate(row_matching(g, allowed_heads)):
+    for idx, head in enumerate(row_matching(g)):
         if head >= 0:
             tail, color = g._row_tail(rows[idx])
             chosen.append(ColoredEdge(tail, head, color))
@@ -418,7 +401,8 @@ def max_independent_edges(g: UnionGraph,
 def row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
                  ) -> Sequence[int]:
     """The matching of :func:`max_independent_edges` by row: the head
-    matched to each row of ``g``, or ``-1``.
+    matched to each row of ``g``, or ``-1``.  With ``allowed_heads`` it is
+    a maximum matching onto those heads alone, as the cover fixpoint runs.
 
     Rows ascend in ``edge_sort_key`` order and hold one (tail, color) pair
     each, so the matched rows list the edges in that order.  The matching
@@ -624,7 +608,8 @@ class InputStateWalk:
 
     ``states[j]`` is the head of the ``j``-th edge and ``colors[j]`` its
     color; the first edge leaves ``source``, so ``colors[0]`` always equals
-    the source's subsystem.
+    the source's subsystem.  Every state and color is read by
+    :func:`model.as_indices`, so a ``bool``, a float or a string is refused.
     """
 
     source: InputVertex
@@ -632,8 +617,13 @@ class InputStateWalk:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        try:
+            states, colors = as_indices(self.states), as_indices(self.colors)
+        except TypeError:
+            raise ModelError(f"walk states and colors must be integers, got "
+                             f"{self.states!r} and {self.colors!r}") from None
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "colors", colors)
         if not self.states:
             raise ModelError("a walk needs at least one edge")
         if len(self.states) != len(self.colors):
@@ -651,12 +641,6 @@ class InputStateWalk:
     @property
     def end(self) -> int:
         return self.states[-1]
-
-    def describe(self) -> str:
-        parts = [format_vertex(self.source)]
-        for s, c in zip(self.states, self.colors):
-            parts.append(f"-[{c + 1}]-> x{s + 1}")
-        return " ".join(parts)
 
 
 def walk_violations(walk: InputStateWalk, g: UnionGraph) -> tuple[str, ...]:

@@ -1,7 +1,11 @@
 """Shared test utilities: brute-force oracles and instance generators.
 
 The oracles re-derive quantities by exhaustive enumeration so the production
-algorithms are checked against definitions, not against themselves.
+algorithms are checked against definitions, not against themselves.  None of
+them ships in the package: the exhaustive checks of the layered dynamic
+graph (the signed path expansion of a stack minor, the layered path of a
+walk and the exact disjointness test of two walks) and the dense product
+stack live here with the rest.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ import numpy as np
 
 from swcactus import (
     ColoredEdge,
+    InputStateWalk,
+    Mdg,
     ModelError,
     InputVertex,
+    Realization,
     StateVertex,
     StructuredMatrix,
     SwitchedStructure,
@@ -27,8 +34,9 @@ from swcactus import (
     reachable_states,
     sample_realization,
 )
+from swcactus.model import realized_dense
 from swcactus.rankcore import rank_ff
-from swcactus.unigraph import edge_sort_key
+from swcactus.unigraph import edge_sort_key, row_matching
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -128,6 +136,15 @@ def ref_max_independent_edges(g: UnionGraph, allowed_heads=None):
               for idx, (tail, color) in enumerate(lefts)
               if match_left[idx] is not None]
     return tuple(sorted(chosen, key=edge_sort_key))
+
+
+def matched_edges(g: UnionGraph, allowed_heads) -> tuple[ColoredEdge, ...]:
+    """The edges of ``row_matching(g, allowed_heads)``, in ``edge_sort_key``
+    order: ``max_independent_edges(g)`` with its heads restricted to
+    ``allowed_heads``."""
+    return tuple(ColoredEdge(tail, head, color)
+                 for row, head in zip(g._rows, row_matching(g, allowed_heads))
+                 if head >= 0 for tail, color in [g._row_tail(row)])
 
 
 def _vertex_key(v):
@@ -314,6 +331,196 @@ def brute_reachable_space_dim(structure: SwitchedStructure,
             break
         layers += 1
     return len(reducer.basis), layers
+
+
+def layered_product_columns(structure: SwitchedStructure, realization: Realization,
+                            depth: int) -> tuple[list[list[int]], list[int]]:
+    """All product columns up to the given depth, with layer offsets.
+
+    Layer 0 holds the columns of every ``B_l`` in subsystem order; layer
+    ``i`` holds each ``A_j`` in turn applied to the whole previous layer.
+    Returns ``(columns, offsets)`` where ``offsets[i]`` is the index of the
+    first column of layer ``i`` and ``offsets[depth + 1]`` the total count.
+    This is the column order that ``Mdg.input_column_index`` numbers.  The
+    products are dense row-by-column sums mod p over ``realized_dense``
+    matrices, so they share no code with the probe's sparse products.
+    """
+    if depth < 0:
+        raise ModelError(f"depth may not be negative, got {depth}")
+    if realization.kind != "finite":
+        raise ModelError("layered product columns require a finite-field realization")
+    p = realization.prime
+    modes = range(structure.subsystem_count)
+    a_dense = [realized_dense(structure, realization, i, "A") for i in modes]
+    current = [list(col) for i in modes
+               for col in zip(*realized_dense(structure, realization, i, "B"))]
+    columns = list(current)
+    offsets = [0, len(columns)]
+    for _ in range(depth):
+        current = [[sum(x * y for x, y in zip(row, col)) % p for row in a]
+                   for a in a_dense for col in current]
+        columns += current
+        offsets.append(len(columns))
+    return columns, offsets
+
+
+def det_ff(columns: Sequence[Sequence[int]], prime: int) -> int:
+    """Determinant of a square matrix given by columns, over GF(p)."""
+    n = len(columns)
+    mat = [[int(v) % prime for v in col] for col in columns]
+    for col in mat:
+        if len(col) != n:
+            raise ModelError("determinant needs a square matrix")
+    det = 1
+    for i in range(n):
+        pivot_col = next((j for j in range(i, n) if mat[j][i]), None)
+        if pivot_col is None:
+            return 0
+        if pivot_col != i:
+            mat[i], mat[pivot_col] = mat[pivot_col], mat[i]
+            det = prime - det
+        inv = pow(mat[i][i], -1, prime)
+        det = det * mat[i][i] % prime
+        for j in range(i + 1, n):
+            factor = mat[j][i] * inv % prime
+            if factor:
+                mat[j] = [(a - factor * b) % prime for a, b in zip(mat[j], mat[i])]
+    return det
+
+
+def linking_determinant_expansion(mdg: Mdg, realization: Realization,
+                                  rows: Sequence[int], tails: Sequence) -> int:
+    """Signed sum over all disjoint path families from ``tails`` onto ``rows``.
+
+    Enumerates every family of vertex-disjoint layered paths that starts at
+    exactly the given input copies and ends onto exactly the given layer-0
+    states, multiplying each family's edge weights and signing it by the
+    parity of the head arrangement.  Equals the minor of the product stack on
+    those rows and columns; exponential, so gated to small instances.
+    """
+    if realization.kind != "finite":
+        raise ModelError("determinant expansion requires a finite-field realization")
+    if mdg.n > 4 or mdg.colors > 2 or mdg.depth > 3:
+        raise ModelError(
+            "instance too large for exhaustive path enumeration "
+            f"(n={mdg.n}, colors={mdg.colors}, depth={mdg.depth}; "
+            "need n<=4, colors<=2, depth<=3)")
+    rows = sorted(rows)
+    tails = sorted(tails)
+    if len(rows) != len(tails):
+        raise ModelError(f"{len(tails)} tails cannot match {len(rows)} rows")
+    p = realization.prime
+
+    def all_paths(v):
+        # (vertices, weight product, final row)
+        if v[0] == "x" and v[1] == 0:
+            return [((v,), 1, v[4])]
+        out = []
+        for head, key in mdg.edges_from(v):
+            w = realization.values[key]
+            for rest, prod, end in all_paths(head):
+                out.append(((v, *rest), w * prod % p, end))
+        return out
+
+    options = [
+        [(path, prod, end) for path, prod, end in all_paths(t) if end in rows]
+        for t in tails
+    ]
+    total = 0
+    used: set = set()
+    chosen_ends: list[int] = []
+
+    def recurse(idx: int, weight: int) -> None:
+        nonlocal total
+        if idx == len(tails):
+            perm = [rows.index(e) for e in chosen_ends]
+            total = (total + _permutation_sign(perm) * weight) % p
+            return
+        for path, prod, end in options[idx]:
+            if end in chosen_ends or used.intersection(path):
+                continue
+            used.update(path)
+            chosen_ends.append(end)
+            recurse(idx + 1, weight * prod % p)
+            chosen_ends.pop()
+            used.difference_update(path)
+
+    recurse(0, 1)
+    return total % p
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _block_address(word: Sequence[int], base: int) -> tuple[int, int]:
+    """The layered-graph block ``(k, t)`` of a color word: ``k`` its first
+    color and ``t`` the rest packed big-endian in base ``base``."""
+    if not word:
+        return (0, 0)
+    t = 0
+    for c in word[1:]:
+        t = t * base + c
+    return (word[0], t)
+
+
+def mdg_path_vertices(walk: InputStateWalk, colors: int) -> tuple:
+    """The layered-graph path a union-graph walk traces, without the graph.
+
+    A walk of ``k`` edges starts at the input copy in layer ``k - 1`` whose
+    block word is the walk's color sequence after the first edge, then steps
+    down one layer per edge, shedding the leading color each time, and ends
+    at the walk's final state in layer 0.
+    """
+    k = walk.length
+    blk, t = _block_address(walk.colors[1:], colors)
+    path = [("u", k - 1, blk, t, walk.source.subsystem, walk.source.index)]
+    for i, state in enumerate(walk.states):
+        word = walk.colors[i + 1:]
+        blk, t = _block_address(word, colors)
+        path.append(("x", len(word), blk, t, state))
+    return tuple(path)
+
+
+def walks_provably_disjoint(w1: InputStateWalk, w2: InputStateWalk) -> bool | None:
+    """Exact vertex-disjointness test for the layered paths of two walks.
+
+    Copies of the two paths can only coincide at equal distance from the
+    walk ends, and then only if the color sequences covering that distance
+    agree.  Scanning from the ends, the first place the underlying walks
+    occupy the same vertex decides everything: differing color suffixes
+    there rule out a collision at every later distance as well, and
+    agreeing ones make that place a shared vertex.  Returns ``True`` when
+    the layered paths are vertex-disjoint and ``None`` when they share a
+    vertex, with no path materialized.  ``cactus.verify_cactus_walking``
+    builds its walk families disjoint by this first-meeting rule.
+    """
+    k1, k2 = w1.length, w2.length
+
+    def at(walk: InputStateWalk, q: int):
+        if q < walk.length:
+            return ("x", walk.states[walk.length - 1 - q])
+        return ("u", walk.source.subsystem, walk.source.index)
+
+    for q in range(min(k1, k2) + 1):
+        if at(w1, q) == at(w2, q):
+            if w1.colors[k1 - q:] == w2.colors[k2 - q:]:
+                return None
+            return True
+    return True
 
 
 def _wide_a(rng: random.Random, n: int, rows) -> StructuredMatrix:

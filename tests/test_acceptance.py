@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import det_ff, layered_product_columns, linking_determinant_expansion
 from swcactus import (
     DEFAULT_PRIME,
     averaged_pair_rank,
@@ -18,14 +19,11 @@ from swcactus import (
     check,
     dim_bounds,
     generic_rank,
-    layered_product_columns,
-    linking_determinant_expansion,
     max_independent_edges,
     max_linking,
     reachable_states,
     sample_realization,
 )
-from swcactus.rankcore import det_ff
 
 P = DEFAULT_PRIME
 
@@ -91,9 +89,9 @@ def test_ac3_frozen_layered_linking():
     r = sample_realization(s, seed=0)
     lgv = linking_determinant_expansion(mdg, r, linking.heads(),
                                         linking.tails())
-    a21 = r.value(0, "A", 1, 0)
-    a31 = r.value(1, "A", 2, 0)
-    b1 = r.value(0, "B", 0, 0)
+    a21 = r.values[(0, "A", 1, 0)]
+    a31 = r.values[(1, "A", 2, 0)]
+    b1 = r.values[(0, "B", 0, 0)]
     closed_form = (a21 * a31 * pow(b1, 3, P)) % P
     cols, _ = layered_product_columns(s, r, 2)
     idx = [mdg.input_column_index(t) for t in sorted(linking.tails())]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import mdg_path_vertices, walks_provably_disjoint
 import swcactus.cactus as cactus_mod
 from swcactus import (
     ModelError,
@@ -24,7 +25,6 @@ from swcactus import (
     walk_violations,
 )
 from swcactus.cactus import Decomposition, cactus_walks_for_bud, cactus_walks_for_stem
-from swcactus.mdg import mdg_path_vertices, walks_provably_disjoint
 from swcactus.rankcore import controllable_dim
 from swcactus.unigraph import (
     ColoredEdge,
@@ -528,8 +528,7 @@ def _edge_level_fixpoint(g):
     reachable = reachable_states(g)
     allowed = set(reachable)
     while True:
-        edges = max_independent_edges(
-            g, allowed_heads=None if len(allowed) == g.n else allowed)
+        edges = helpers.matched_edges(g, None if len(allowed) == g.n else allowed)
         decomp = decompose(edges, reachable)
         if not decomp.dropped:
             return decomp

@@ -9,6 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import (
+    det_ff,
+    layered_product_columns,
+    linking_determinant_expansion,
+    mdg_path_vertices,
+    walks_provably_disjoint,
+)
 import swcactus.mdg as mdg_mod
 from swcactus import (
     DEFAULT_PRIME,
@@ -21,15 +28,13 @@ from swcactus import (
     SwitchedStructure,
     build_mdg,
     build_union_graph,
-    layered_product_columns,
-    linking_determinant_expansion,
     max_linking,
     parse_system,
     sample_realization,
 )
 from swcactus.checker import input_rank
-from swcactus.mdg import layer_blocks, mdg_path_vertices, walks_provably_disjoint
-from swcactus.rankcore import det_ff, rank_ff
+from swcactus.mdg import layer_blocks
+from swcactus.rankcore import rank_ff
 from swcactus.unigraph import term_rank_ceiling
 
 P = DEFAULT_PRIME
@@ -200,9 +205,9 @@ def test_determinant_expansion_example1(example1):
     picked = [[cols[c][row] for row in linking.heads()]
               for c in (0, 2, 4)]
     assert lgv == det_ff(picked, P)
-    a21 = r.value(0, "A", 1, 0)
-    a31 = r.value(1, "A", 2, 0)
-    b1 = r.value(0, "B", 0, 0)
+    a21 = r.values[(0, "A", 1, 0)]
+    a31 = r.values[(1, "A", 2, 0)]
+    b1 = r.values[(0, "B", 0, 0)]
     assert lgv == (a21 * a31 * pow(b1, 3, P)) % P
 
 
@@ -262,7 +267,7 @@ def _assert_max_linking(nx, mdg, linking):
     assert linking.size == nx.maximum_flow_value(
         _split_graph(nx, mdg), "source", "sink")
 
-    inputs = set(mdg.all_input_vertices())
+    inputs = {u for layer in range(mdg.depth + 1) for u in mdg.input_vertices(layer)}
     used = set()
     for path in linking.paths:
         assert path[0] in inputs

@@ -30,9 +30,6 @@ from swcactus.model import is_prime, realization_to_dict, realized_dense
 def test_structured_matrix_bounds():
     m = StructuredMatrix(2, 3, frozenset({(0, 0), (1, 2)}))
     assert m.nnz == 2
-    assert m.columns_with_entries() == frozenset({0, 2})
-    assert m.column_rows(0) == (0,)
-    assert m.column_rows(1) == ()
     with pytest.raises(ModelError):
         StructuredMatrix(2, 2, frozenset({(2, 0)}))
     with pytest.raises(ModelError):
@@ -46,12 +43,14 @@ def test_structured_matrix_entries_are_plain_int_pairs():
     assert StructuredMatrix(2, 3, kept).nonzeros == kept
     inputs = ([(0, 0), [1, 2], (1, 2)],
               frozenset({(np.int64(0), np.int64(0)), (np.int32(1), 2)}),
-              [(np.int64(0), 0), (True, 2)])
+              [(np.int64(0), 0), (np.uint8(1), 2)])
     for entries in inputs:
         m = StructuredMatrix(2, 3, entries)
         assert type(m.nonzeros) is frozenset and m.nonzeros == kept
         assert all(type(r) is int and type(c) is int for r, c in m.nonzeros)
         assert m.columns == ((0,), (), (1,))
+    m = StructuredMatrix(np.int64(2), np.uint16(3), kept)
+    assert type(m.rows) is int and type(m.cols) is int and m.nonzeros == kept
     message = "nonzero position (3, 1) lies outside a 2x2 matrix"
     for entries in (frozenset({(2, 0)}), [(2, 0)], [[2, 0]],
                     frozenset({(np.int64(2), np.int64(0))})):
@@ -68,7 +67,24 @@ def test_columns_group_sorted_nonzeros(rows, cols, data):
     m = StructuredMatrix(rows, cols, nonzeros)
     assert m.columns == tuple(tuple(r for r, c in sorted(nonzeros) if c == col)
                               for col in range(cols))
-    assert all(m.column_rows(c) is m.columns[c] for c in range(cols))
+
+
+@pytest.mark.parametrize("entry", [
+    (1.7, 0), (0, 1.0), ("1", "1"), ("1", 0), (True, 0), (0, False),
+    (np.float64(1.0), 0), (np.True_, 0), (1, 0, 0), (1,), 5])
+def test_structured_matrix_refuses_entries_that_are_not_index_pairs(entry):
+    # int() would have read (1.7, 0) and (True, 0) as row 1 and ("1", "1")
+    # as (1, 1); the message names the entry, as the parser's does
+    message = f"nonzero position must be a pair of integers, got {entry!r}"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        StructuredMatrix(2, 2, [(0, 0), entry])
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (2.5, 2), (2, 2.0), ("2", 2), (True, 2), (2, True), (np.float64(2), 2)])
+def test_structured_matrix_refuses_dimensions_that_are_not_indices(rows, cols):
+    with pytest.raises(ModelError, match="matrix dimensions must be integers"):
+        StructuredMatrix(rows, cols)
 
 
 def test_zero_column_matrix_allowed():

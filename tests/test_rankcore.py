@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import det_ff, layered_product_columns
 import swcactus.rankcore as rankcore_mod
 from swcactus import (
     DEFAULT_PRIME,
@@ -18,12 +19,11 @@ from swcactus import (
     check,
     controllable_dim,
     input_rank,
-    layered_product_columns,
     reachable_space_dim,
     sample_realization,
 )
 from swcactus.model import Realization, StructuredMatrix, SwitchedStructure, is_prime
-from swcactus.rankcore import ColumnReducer, _slot_layout, det_ff, rank_ff
+from swcactus.rankcore import ColumnReducer, _slot_layout, rank_ff
 from swcactus.unigraph import _term_rank_ceiling, term_rank_ceiling
 
 P = DEFAULT_PRIME
@@ -319,6 +319,7 @@ def test_layers_bounded_by_missing_rank():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
+@example(seed=13)  # the rank needs both rows of an A column: a product that drops one shows
 def test_dim_matches_explicit_stack(seed):
     # the incremental basis probe and the explicit product stack are
     # independent constructions; their ranks must agree realization by
@@ -544,6 +545,7 @@ def test_slot_layout_bounds(prime, n):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
+@example(seed=0)  # the rank needs both rows of an A column: a product that drops one shows
 def test_dim_is_rank_of_full_stack(seed):
     # depth n - 1 is where the controllability stack stops growing
     rng = np.random.default_rng(seed)

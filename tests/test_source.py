@@ -1,12 +1,16 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "swcactus"
+import swcactus
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "swcactus"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -107,3 +111,45 @@ def test_only_the_model_reads_nonzeros():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "nonzeros"]
     assert readers == []
+
+
+# exported for library callers, though no stage of the package calls them:
+# the walk witness of a cover bound, its check, and the document writer
+ENTRY_POINTS = {"verify_cactus_walking", "cactus_walks_for_bud", "walk_violations",
+                "serialize_system"}
+
+
+def test_every_export_is_used_by_the_package():
+    # a name in ``__all__`` is read by some module other than its own
+    # definition and ``__init__.py``, unless it is one of the entry points
+    # above; an oracle that only the tests call belongs in tests/helpers.py
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"]
+    everywhere = sum(map(_references, trees), Counter())
+    own = Counter()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            own[name] += _references(node)[name]
+    unused = {name for name in swcactus.__all__ if everywhere[name] == own[name]}
+    assert unused == ENTRY_POINTS
+
+
+def test_exports_resolve_and_the_readme_names_only_exports():
+    # every name in ``__all__`` is on the package, once; every backticked
+    # name in the README's Library section is exported
+    exported = swcactus.__all__
+    assert [name for name in exported if not hasattr(swcactus, name)] == []
+    assert len(set(exported)) == len(exported)
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    named = re.findall(r"`([A-Za-z_]\w*)`", prose)
+    assert named
+    assert [name for name in named if name not in exported] == []
