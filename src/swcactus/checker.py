@@ -26,8 +26,8 @@ from .cactus import (
     conventional_cactus_cover,
     decompose,
 )
-from .mdg import MdgSizeError, build_mdg, layer_blocks, max_linking
-from .model import DEFAULT_PRIME, SwitchedStructure, system_to_dict
+from .mdg import MdgSizeError, build_mdg, max_linking
+from .model import DEFAULT_PRIME, SwitchedStructure, as_indices, system_to_dict
 from .rankcore import ControllabilityProbe, controllable_dim
 from .unigraph import (
     UnionGraph,
@@ -56,15 +56,11 @@ class DimBounds:
     ``lower`` counts a cover's states, ``upper`` is the smaller of the
     reachable-state count and a depth-limited linking size.  When the depth
     needed for a sound linking bound is out of reach (past the layer cap,
-    or an unrolling of more than ``mdg.VERTEX_CAP`` vertices),
-    ``used_linking_bound`` is False and ``upper`` falls back to the
-    reachable count alone.
-
-    The linking size is read, not computed, when a proven lower bound
-    already equals the term-rank ceiling c: the dimension is at least that
-    bound, so at least c; the linking at the needed depth bounds the
-    dimension from above and never exceeds c; so dim >= c >= linking >= dim
-    and the linking is c.  The caps apply as if it had run.
+    or an unrolling of more than ``mdg.VERTEX_CAP`` vertices that has to be
+    built), ``used_linking_bound`` is False and ``upper`` falls back to the
+    reachable count alone.  Where a proven lower bound reaches the
+    term-rank ceiling, the linking is read as that ceiling and nothing is
+    built, so the vertex cap does not apply (:func:`dim_bounds`).
     """
 
     lower: int
@@ -121,37 +117,33 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     and the linking size is taken to be c.  Sound: the dimension is at
     least that lower view, which is c; the full-depth linking is at most c
     (``mdg.max_linking``) and at least the dimension; so dim >= c >=
-    linking >= dim.  The ``layer_cap`` and the constant ``mdg.VERTEX_CAP``
-    still decide whether the linking bound is used (``mdg.layer_blocks``
-    checks the cap without building the graph), so the result is the one
-    the linking would give.
+    linking >= dim.  The vertex cap applies only where a graph is built;
+    ``layer_cap`` is read by :func:`model.as_indices`.
     """
+    (layer_cap,) = as_indices((layer_cap,), "layer_cap")
     g = graph if graph is not None else build_union_graph(structure)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
     lower = len(cover.covered)
     reachable_count = len(reachable_states(g))
     depth_needed = structure.n - input_rank(g)
+    fallback = DimBounds(lower=lower, upper=reachable_count,
+                         used_linking_bound=False, linking_layers=None)
     # a shallower linking can undershoot the true dimension, so it is not a
-    # sound upper bound; past either cap, fall back to reachability alone
-    if depth_needed <= layer_cap:
-        # no depth's linking exceeds the ceiling; ``check`` already computed
-        # it for the probe
-        ceiling = term_rank_ceiling(g)
+    # sound upper bound; past the layer cap, fall back to reachability alone
+    if depth_needed > layer_cap:
+        return fallback
+    # no depth's linking exceeds the ceiling, so a proven lower bound that
+    # reaches it pins the linking there; ``check`` already computed it
+    linking_size = term_rank_ceiling(g)
+    if max(lower, proven_lower) < linking_size:
         try:
-            if max(lower, proven_lower) == ceiling:
-                layer_blocks(structure, depth_needed)
-                linking_size = ceiling
-            else:
-                mdg = build_mdg(structure, depth_needed)
-                # the linking stops once it reaches the ceiling
-                linking_size = max_linking(mdg, ceiling).size
-        except MdgSizeError:
-            pass
-        else:
-            return DimBounds(lower=lower, upper=min(reachable_count, linking_size),
-                             used_linking_bound=True, linking_layers=depth_needed)
-    return DimBounds(lower=lower, upper=reachable_count,
-                     used_linking_bound=False, linking_layers=None)
+            mdg = build_mdg(structure, depth_needed)
+        except MdgSizeError:  # past the vertex cap
+            return fallback
+        # the linking stops once it reaches the ceiling
+        linking_size = max_linking(mdg, linking_size).size
+    return DimBounds(lower=lower, upper=min(reachable_count, linking_size),
+                     used_linking_bound=True, linking_layers=depth_needed)
 
 
 def check(structure: SwitchedStructure, *, seed: int = DEFAULT_SEED,

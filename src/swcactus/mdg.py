@@ -65,7 +65,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .model import ModelError, SwitchedStructure
+from .model import ModelError, SwitchedStructure, as_indices
 from .unigraph import hopcroft_karp
 
 VERTEX_CAP = 2_000_000
@@ -86,13 +86,16 @@ def _fold_word(word: Sequence[int], base: int) -> int:
 
 
 def layer_blocks(structure: SwitchedStructure, depth: int) -> list[int]:
-    """Block count of every layer ``0..depth``, ``N^i`` at layer ``i``.
+    """Block count of every layer ``0..depth``, ``N^i`` at layer ``i``, for
+    :class:`Mdg`: the one place where the vertex cap is checked.
 
-    Raises :class:`MdgSizeError` when the layers hold more than
-    ``VERTEX_CAP`` vertices in all, each block holding every state and
-    every input, so a caller can tell whether :class:`Mdg` would build
-    without building it.
+    ``depth`` is read by :func:`model.as_indices`.  Raises
+    :class:`MdgSizeError` when the layers hold more than ``VERTEX_CAP``
+    vertices in all, each block holding every state and every input.
     """
+    (depth,) = as_indices((depth,), "depth")
+    if depth < 0:
+        raise ModelError(f"depth may not be negative, got {depth}")
     per_block = structure.n + structure.total_inputs
     colors = structure.subsystem_count
     blocks = [1]
@@ -113,14 +116,11 @@ class Mdg:
     """Implicit layered graph down from ``depth`` to layer 0."""
 
     def __init__(self, structure: SwitchedStructure, depth: int) -> None:
-        if depth < 0:
-            raise ModelError(f"depth may not be negative, got {depth}")
-        self.depth = depth
+        self._blocks_at = layer_blocks(structure, depth)
+        self.depth = len(self._blocks_at) - 1
         self.n = structure.n
         self.colors = structure.subsystem_count
         self.total_inputs = structure.total_inputs
-
-        self._blocks_at = layer_blocks(structure, depth)
         per_block = self.n + self.total_inputs
         # id of the first vertex of every layer, plus one past the last
         self._layer_base = [0]

@@ -52,15 +52,20 @@ class ModelError(ValueError):
     """A malformed system document or invalid model argument."""
 
 
-def as_indices(values: Iterable) -> tuple[int, ...]:
+def as_indices(values: Iterable, what: str = "indices") -> tuple[int, ...]:
     """``values`` as ``int``s, each read with ``operator.index``, so that an
-    ``int`` or a numpy integer passes and a float or a numeric string raises
-    ``TypeError``, as a ``bool`` does: ``int()`` would read ``True`` as 1
-    and 1.7 as 1."""
+    ``int`` or a numpy integer passes and a float, a numeric string or a
+    ``bool`` raises :class:`ModelError` naming ``what``: ``int()`` would
+    read ``True`` as 1 and 1.7 as 1."""
     values = tuple(values)
-    if bool in set(map(type, values)):
-        raise TypeError("a bool is not an index")
-    return tuple(map(operator.index, values))
+    try:
+        if bool not in set(map(type, values)):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    one = len(values) == 1
+    raise ModelError(f"{what} must be {'an integer' if one else 'integers'}, "
+                     f"got {values[0] if one else values!r}")
 
 
 @lru_cache(maxsize=64)
@@ -116,11 +121,7 @@ class StructuredMatrix:
 
     def __init__(self, rows: int, cols: int,
                  nonzeros: Iterable[tuple[int, int]] = frozenset()) -> None:
-        try:
-            rows, cols = as_indices((rows, cols))
-        except TypeError:
-            raise ModelError(f"matrix dimensions must be integers, got {rows!r} "
-                             f"and {cols!r}") from None
+        rows, cols = as_indices((rows, cols), "matrix dimensions")
         if rows < 1:
             raise ModelError(f"matrix needs at least one row, got {rows}")
         if cols < 0:
@@ -449,13 +450,14 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
     the structural pattern exactly.  Real values are uniform on ``[-1, 1]``
     with zero rejected.  Positions are visited matrix by matrix, column by
     column, rows ascending (``StructuredMatrix.columns``), and stored in that
-    layout, so equal seeds give identical realizations.
+    layout, so equal seeds give identical realizations.  ``seed`` and
+    ``prime`` are read by :func:`as_indices`.
     """
     if field_kind not in ("finite", "real"):
         raise ModelError(f"unknown field kind {field_kind!r}; expected 'finite' or 'real'")
     p: int | None = None
     if field_kind == "finite":
-        p = int(prime)
+        (p,) = as_indices((prime,), "prime")
         if p <= _MIN_PRIME_EXCLUSIVE:
             raise ModelError(f"prime must exceed 2**31 for reliable generic ranks, got {p}")
         if p >= _MAX_PRIME_EXCLUSIVE:
@@ -466,7 +468,7 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
         # getrandbits(k) calls with the same rejection, so the same values
         width = p - 1
         k = width.bit_length()
-    seed = int(seed) & _UINT64_MASK
+    seed = as_indices((seed,), "seed")[0] & _UINT64_MASK
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     columns = []

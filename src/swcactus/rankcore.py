@@ -50,6 +50,7 @@ from .model import (
     ModelError,
     Realization,
     SwitchedStructure,
+    as_indices,
     realized_dense,
     sample_realization,
 )
@@ -364,8 +365,10 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
     every trial landed on the degenerate variety.  Every trial stops at the
     term-rank ceiling of ``graph``, the structure's union graph, built here
     when not given, and the trials stop as :func:`probe_trials` says.  Each
-    realization is drawn only when its trial runs.
+    realization is drawn only when its trial runs.  ``seed`` and ``trials``
+    are read by :func:`model.as_indices`.
     """
+    seed, trials = as_indices((seed, trials), "seed and trials")
     if trials < 1:
         raise ModelError(f"need at least one trial, got {trials}")
     g = graph if graph is not None else build_union_graph(structure)
@@ -432,7 +435,7 @@ def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,
             f"need {structure.subsystem_count} weights, got {len(weights)}")
     n, p = structure.n, realization.prime
     finite = realization.kind == "finite"
-    w = [int(x) % p if finite else float(x) for x in weights]
+    w = as_indices(weights, "weights") if finite else [float(x) for x in weights]
     cols = [[0] * n for _ in range(n + max(structure.input_counts))]
     for wi, (a_cols, b_cols) in zip(w, realization.columns):
         for col, entries in zip(cols, a_cols + b_cols):

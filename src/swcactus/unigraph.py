@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
@@ -144,7 +144,7 @@ class UnionGraph:
         self._shape(n, input_counts)
         by_row: dict[int, list[int]] = {}
         for e in edges:
-            self._check_edge(e)
+            e = self._check_edge(e)
             row = e.color * self._width + self._vertex_id(e.tail)
             by_row.setdefault(row, []).append(e.head)
         rows = sorted(by_row)
@@ -168,12 +168,12 @@ class UnionGraph:
         return sub
 
     def _shape(self, n: int, input_counts: tuple[int, ...]) -> None:
-        if n < 1:
+        (self.n,) = as_indices((n,), "graph state count")
+        if self.n < 1:
             raise ModelError(f"graph needs a positive state count, got {n}")
-        if not input_counts:
+        self.input_counts = as_indices(input_counts, "graph input counts")
+        if not self.input_counts:
             raise ModelError("graph needs at least one color")
-        self.n = int(n)
-        self.input_counts = tuple(int(m) for m in input_counts)
         self.colors = len(self.input_counts)
         bases = []
         total = 0
@@ -191,21 +191,24 @@ class UnionGraph:
         self._adj = adj
         self._edge_count = sum(map(len, adj))
 
-    def _check_edge(self, e: ColoredEdge) -> None:
-        if not (0 <= e.color < self.colors):
-            raise ModelError(f"edge color {e.color + 1} outside 1..{self.colors}")
-        if not (0 <= e.head < self.n):
-            raise ModelError(f"edge head {e.head + 1} outside 1..{self.n}")
-        t = e.tail
+    def _check_edge(self, e: ColoredEdge) -> ColoredEdge:
+        """``e``, every index read by :func:`model.as_indices`, if it fits."""
+        head, color = as_indices((e.head, e.color), "edge head and color")
+        if not (0 <= color < self.colors):
+            raise ModelError(f"edge color {color + 1} outside 1..{self.colors}")
+        if not (0 <= head < self.n):
+            raise ModelError(f"edge head {head + 1} outside 1..{self.n}")
+        t = type(e.tail)(*as_indices(astuple(e.tail), "edge tail"))
         if isinstance(t, InputVertex):
-            if t.subsystem != e.color:
+            if t.subsystem != color:
                 raise ModelError(
                     f"input edge from {format_vertex(t)} must carry color "
-                    f"{t.subsystem + 1}, got {e.color + 1}")
+                    f"{t.subsystem + 1}, got {color + 1}")
             if not (0 <= t.index < self.input_counts[t.subsystem]):
                 raise ModelError(f"input vertex {format_vertex(t)} does not exist")
         elif not (0 <= t.index < self.n):
             raise ModelError(f"state tail {format_vertex(t)} outside 1..{self.n}")
+        return ColoredEdge(t, head, color)
 
     def _vertex_id(self, vertex: Vertex) -> int | None:
         if isinstance(vertex, InputVertex):
@@ -619,7 +622,7 @@ class InputStateWalk:
     def __post_init__(self) -> None:
         try:
             states, colors = as_indices(self.states), as_indices(self.colors)
-        except TypeError:
+        except (TypeError, ModelError):  # not a sequence of indices
             raise ModelError(f"walk states and colors must be integers, got "
                              f"{self.states!r} and {self.colors!r}") from None
         object.__setattr__(self, "states", states)

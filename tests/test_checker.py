@@ -16,6 +16,7 @@ from swcactus import (
     CheckReport,
     ConsistencyError,
     MdgSizeError,
+    ModelError,
     StructuredMatrix,
     SwitchedStructure,
     best_cactus_cover,
@@ -192,15 +193,48 @@ def test_check_links_once_below_the_ceiling(chain10, monkeypatch):
 
 
 def test_skipped_linking_keeps_the_vertex_cap(monkeypatch):
-    # the probe reaches the ceiling, but the depth-10 unrolling of four
-    # modes is past the vertex cap, so the linking bound is not used
+    # the probe reaches the ceiling, so the linking is read as c and nothing
+    # is built; the vertex cap guards only graphs that are built, so the
+    # depth-10 unrolling of four modes, past it, does not void the bound
     calls = _spy_linking(monkeypatch)
-    report = check(helpers.gapped_structure(1, 11, 4))
+    s = helpers.gapped_structure(1, 11, 4)
+    with pytest.raises(MdgSizeError):
+        mdg_mod.layer_blocks(s, 10)
+    report = check(s)
     assert report.probe.dim == term_rank_ceiling(report.graph) == 10
-    assert report.bounds.upper == 11
-    assert not report.bounds.used_linking_bound
-    assert report.bounds.linking_layers is None
+    assert report.bounds == checker_mod.DimBounds(4, 10, True, 10)
     assert calls == Counter()
+
+
+def test_linking_past_the_vertex_cap_falls_back(monkeypatch):
+    # the cover's 4 is below c = 10, so the linking must run, and building
+    # its depth-10 graph hits the vertex cap: upper falls back to |R|
+    calls = _spy_linking(monkeypatch)
+    bounds = dim_bounds(helpers.gapped_structure(1, 11, 4))
+    assert bounds == checker_mod.DimBounds(4, 11, False, None)
+    assert calls == Counter(build_mdg=1)
+
+
+@pytest.mark.parametrize("layer_cap", [1.5, 12.0, "12", True])
+def test_dim_bounds_refuses_a_layer_cap_that_is_not_an_index(chain10, layer_cap):
+    with pytest.raises(ModelError, match="layer_cap must be an integer"):
+        dim_bounds(chain10, layer_cap=layer_cap)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": True}, {"trials": 2.0}, {"seed": 1.7}, {"seed": True},
+    {"prime": 2147483659.9}, {"layer_cap": 1.5}])
+def test_check_refuses_arguments_that_are_not_indices(example1, kwargs):
+    # int() would have run one trial for True, seed 1 for 1.7 and the prime
+    # 2147483659 for 2147483659.9
+    with pytest.raises(ModelError, match="must be"):
+        check(example1, **kwargs)
+
+
+def test_check_reads_numpy_integer_arguments(example1):
+    report = check(example1, seed=np.int64(5), trials=np.int32(2),
+                   layer_cap=np.int64(12))
+    assert report_to_dict(report) == report_to_dict(check(example1, seed=5, trials=2))
 
 
 def test_input_rank(example1, chain10):

@@ -55,6 +55,22 @@ def test_layer_sizes(example1):
     assert mdg.vertex_count == sum((3 + 2) * 2 ** i for i in range(4))
 
 
+@pytest.mark.parametrize("depth", [1.5, 2.0, "2", True])
+def test_depth_must_be_an_index(example1, depth):
+    # int() would have read 1.5 as a 15-vertex graph that max_linking then
+    # failed on with a bare TypeError
+    with pytest.raises(ModelError, match="depth must be an integer"):
+        build_mdg(example1, depth)
+    with pytest.raises(ModelError, match="depth must be an integer"):
+        layer_blocks(example1, depth)
+
+
+def test_depth_reads_numpy_integers(example1):
+    mdg = build_mdg(example1, np.int64(2))
+    assert type(mdg.depth) is int
+    assert max_linking(mdg) == max_linking(build_mdg(example1, 2))
+
+
 def test_vertex_lists_refuse_layers_outside_the_graph(example1):
     mdg = build_mdg(example1, 2)
     assert mdg.vertex_count == 35

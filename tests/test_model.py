@@ -459,6 +459,26 @@ def test_sample_realization_validates(example1):
         sample_realization(example1, prime=(1 << 61) + 1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": "1"}, "seed must be an integer, got '1'"),
+    ({"prime": 2147483659.9}, "prime must be an integer, got 2147483659.9"),
+    ({"prime": float(DEFAULT_PRIME)}, "prime must be an integer")])
+def test_sample_realization_refuses_seeds_and_primes_that_are_not_indices(
+        example1, kwargs, message):
+    # int() would have drawn seed 1's values for 1.7 and run over the prime
+    # 2147483659 for 2147483659.9
+    with pytest.raises(ModelError, match=re.escape(message)):
+        sample_realization(example1, **kwargs)
+
+
+def test_sample_realization_reads_numpy_integers(example1):
+    r = sample_realization(example1, seed=np.int64(7), prime=np.uint64(DEFAULT_PRIME))
+    assert r == sample_realization(example1, seed=7)
+    assert type(r.seed) is int and type(r.prime) is int
+
+
 @pytest.mark.parametrize("prime", [(1 << 64) - 59, 318665857834031151167461,
                                    1 << 63])
 def test_sample_realization_rejects_primes_past_int64(example1, monkeypatch, prime):

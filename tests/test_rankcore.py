@@ -342,6 +342,29 @@ def test_averaged_pair_rank_example1(example1):
         averaged_pair_rank(example1, r, [1])
 
 
+@pytest.mark.parametrize("weights", [[1.9, 2], [1, "2"], [True, 2]])
+def test_averaged_pair_rank_refuses_finite_weights_that_are_not_indices(
+        example1, weights):
+    # int() would have truncated 1.9 to 1 on a finite realization
+    r = sample_realization(example1, seed=0)
+    with pytest.raises(ModelError, match="weights must be integers"):
+        averaged_pair_rank(example1, r, weights)
+
+
+def test_averaged_pair_rank_reads_weights_mod_p(example1):
+    r = sample_realization(example1, seed=0)
+    for weights in ([3, 5], [np.int64(3), 5], [3 + P, 5 - 2 * P]):
+        assert averaged_pair_rank(example1, r, weights) == averaged_pair_rank(
+            example1, r, [3, 5])
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 2.0}, {"trials": True},
+                                    {"seed": 1.7}, {"seed": False}])
+def test_controllable_dim_refuses_arguments_that_are_not_indices(example1, kwargs):
+    with pytest.raises(ModelError, match="seed and trials must be integers"):
+        controllable_dim(example1, **kwargs)
+
+
 def test_averaged_pair_rank_real(example1):
     r = sample_realization(example1, field_kind="real", seed=1)
     assert averaged_pair_rank(example1, r, [0.3, 0.7]) <= 2

@@ -153,3 +153,16 @@ def test_exports_resolve_and_the_readme_names_only_exports():
     named = re.findall(r"`([A-Za-z_]\w*)`", prose)
     assert named
     assert [name for name in named if name not in exported] == []
+
+
+def test_only_the_layered_graph_checks_the_vertex_cap():
+    # the vertex cap guards graphs that are built: ``mdg.layer_blocks``
+    # checks it as ``Mdg`` sizes itself, so no other module reads the cap
+    # or asks whether a graph would fit without building it
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "mdg.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if {"VERTEX_CAP", "layer_blocks"} & {getattr(node, "id", None),
+                                                   getattr(node, "attr", None),
+                                                   getattr(node, "name", None)}]
+    assert readers == []

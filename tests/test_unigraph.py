@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,37 @@ def test_union_graph_validates():
         UnionGraph(0, (1,), [])
     with pytest.raises(ModelError):
         UnionGraph(2, (), [])
+
+
+@pytest.mark.parametrize("n, input_counts, edges, message", [
+    (2.7, (1,), [], "graph state count must be an integer, got 2.7"),
+    (True, (1,), [], "graph state count must be an integer, got True"),
+    (2, (1.9,), [], "graph input counts must be an integer, got 1.9"),
+    (2, (1, "1"), [], "graph input counts must be integers"),
+    (2, (1,), [ColoredEdge(InputVertex(0, 0), True, 0)],
+     "edge head and color must be integers"),
+    (2, (1,), [ColoredEdge(StateVertex(0), 1, 0.0)],
+     "edge head and color must be integers"),
+    (2, (1,), [ColoredEdge(InputVertex(0, 0.0), 1, 0)], "edge tail must be integers"),
+    (2, (1,), [ColoredEdge(InputVertex(False, 0), 1, 0)], "edge tail must be integers"),
+    (2, (1,), [ColoredEdge(StateVertex(1.0), 0, 0)], "edge tail must be an integer")])
+def test_union_graph_refuses_values_that_are_not_indices(n, input_counts, edges,
+                                                         message):
+    # int() would have built a 2-state graph from 2.7 and (1.9,); a range
+    # check alone would have listed an edge with head True
+    with pytest.raises(ModelError, match=re.escape(message)):
+        UnionGraph(n, input_counts, edges)
+
+
+def test_union_graph_reads_numpy_integers():
+    i = np.int64
+    g = UnionGraph(i(2), (i(1),), [ColoredEdge(InputVertex(i(0), i(0)), i(1), i(0)),
+                                   ColoredEdge(StateVertex(i(1)), i(0), i(0))])
+    assert list(g.edges) == [ColoredEdge(InputVertex(0, 0), 1, 0),
+                             ColoredEdge(StateVertex(1), 0, 0)]
+    assert type(g.n) is int and all(type(m) is int for m in g.input_counts)
+    assert all(type(e.head) is int and type(e.color) is int
+               and type(e.tail.index) is int for e in g.edges)
 
 
 def test_subgraphs_copy_the_parent_shape(boost, monkeypatch):
