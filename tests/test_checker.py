@@ -221,13 +221,17 @@ def test_dim_bounds_refuses_a_layer_cap_that_is_not_an_index(chain10, layer_cap)
         dim_bounds(chain10, layer_cap=layer_cap)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"trials": True}, {"trials": 2.0}, {"seed": 1.7}, {"seed": True},
-    {"prime": 2147483659.9}, {"layer_cap": 1.5}])
-def test_check_refuses_arguments_that_are_not_indices(example1, kwargs):
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": True}, "seed and trials must be integers"),
+    ({"trials": 2.0}, "seed and trials must be integers"),
+    ({"seed": 1.7}, "seed and trials must be integers"),
+    ({"seed": True}, "seed and trials must be integers"),
+    ({"prime": 2147483659.9}, "prime must be an integer"),
+    ({"layer_cap": 1.5}, "layer_cap must be an integer")])
+def test_check_refuses_arguments_that_are_not_indices(example1, kwargs, message):
     # int() would have run one trial for True, seed 1 for 1.7 and the prime
     # 2147483659 for 2147483659.9
-    with pytest.raises(ModelError, match="must be"):
+    with pytest.raises(ModelError, match=message):
         check(example1, **kwargs)
 
 
