@@ -110,6 +110,8 @@ def _pieces(tails: list[int], heads: list[int], reachable: frozenset[int]
     label: list[int | None] = [None] * len(heads)  # _STEM, _DROPPED or a group
     group_kept: list[bool] = []
     for i in range(len(heads)):
+        if label[i] is not None:
+            continue
         walk = []
         j = i
         while label[j] is None:
@@ -210,24 +212,25 @@ def _cover_fixpoint(g: UnionGraph) -> Decomposition:
     The rounds work on :func:`row_matching` and :func:`_pieces`, the integer
     forms of :func:`max_independent_edges` and :func:`decompose`: the
     matched rows ascend in ``edge_sort_key`` order, and each row names its
-    tail.  Edge objects are built only for the pieces of the last round.
+    tail, read for the matched rows alone.  Every round starts its matching
+    cold; once bans leave the allowed heads few of the graph's edges, a
+    round matches on just the rows holding them (``row_matching``'s compact
+    form), so later rounds cost what they still touch.  Edge objects are
+    built only for the pieces of the last round.
     """
     reachable = reachable_states(g)
     allowed = set(reachable)
-    width, m = g._width, g._inputs
-    row_tails = [-1 if t < m else t - m for t in (row % width for row in g._rows)]
+    width, m, rows = g._width, g._inputs, g._rows
     while True:
-        match = row_matching(g, None if len(allowed) == g.n else allowed)
-        matched = [i for i, head in enumerate(match) if head >= 0]
-        heads = [match[i] for i in matched]
-        stems, cycle_groups, dropped = _pieces(
-            [row_tails[i] for i in matched], heads, reachable)
+        matched, heads = row_matching(g, None if len(allowed) == g.n else allowed)
+        tails = [-1 if t < m else t - m for t in (rows[k] % width for k in matched)]
+        stems, cycle_groups, dropped = _pieces(tails, heads, reachable)
         if not dropped:
             break
         allowed.difference_update(heads[i] for i in dropped)
 
     def edge(i: int) -> ColoredEdge:
-        tail, color = g._row_tail(g._rows[matched[i]])
+        tail, color = g._row_tail(rows[matched[i]])
         return ColoredEdge(tail, heads[i], color)
     return _assemble(edge, stems, cycle_groups, dropped)
 

@@ -14,78 +14,52 @@ edges carry pairwise distinct colors.  Its size equals the generic rank of
 the row-concatenation of all system matrices, which is why it drives both
 the controllability test and the cover construction downstream.
 
-Layout.  Vertices are numbered once, inputs first (by subsystem, then
-column) and then the states, which is :func:`vertex_sort_key` order.  The
-edges of one (tail, color) pair form a *row*, one left vertex of the
-matching, numbered ``color * V + tail`` with ``V`` vertices and kept as
-its ascending head tuple.  Rows ascend, so iterating them yields edges in
-:func:`edge_sort_key` order, and a color's rows are contiguous, so
-:func:`restrict_to_color` takes slices.  The head tuple of a row is column
-``tail`` of that color's ``B_i`` or ``A_i``, taken as it is from
-:attr:`StructuredMatrix.columns`; nothing is sorted or regrouped, and a
-subgraph shares its parent's tuples.  :class:`ColoredEdge` objects exist
-only at the public boundary: ``edges`` (a view that builds them as it is
+Layout.  Vertices are numbered inputs first (by subsystem, then column),
+then states: :func:`vertex_sort_key` order.  The edges of one (tail,
+color) pair form a *row*, a left vertex of the matching, numbered ``color
+* V + tail`` with ``V`` vertices and kept as its ascending head tuple:
+column ``tail`` of that color's ``B_i`` or ``A_i`` as it is in
+:attr:`StructuredMatrix.columns`, shared by every subgraph.  Rows ascend,
+so they list edges in :func:`edge_sort_key` order and a color's rows are
+one slice (:func:`restrict_to_color`).  :class:`ColoredEdge` objects exist
+only at the public boundary: ``edges`` (a view that builds only the edges
 read), ``edges_from`` and returned matchings.
 
-Memo.  A graph never changes, so results derived from it are computed
-once and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
-function and its arguments: :func:`reachable_states` keeps ``_reachable``,
-the state set of the one breadth-first search, :func:`input_search`;
-:func:`restrict_to_color` keeps ``_color_slice`` per color, except that a
-one-color graph is its own color slice, so the two share one memo;
-:func:`row_matching` without ``allowed_heads`` keeps ``_row_matching``, the
-unrestricted matching as one head (or ``-1``) per row; every row matching
-keeps ``_rows_into``, the rows holding each head, once a phase has both a
-free row and a free head; and :func:`term_rank_ceiling` keeps
-``_term_rank_ceiling``.
-:func:`generic_rank`, the ceiling, a cover fixpoint's first round and
-:func:`max_independent_edges` all read that one row matching, so each
-graph runs one unrestricted matching; the input rank and a ceiling below
-full reachability are :func:`generic_rank` of a row slice, whose matching
-is not kept.  The checker keeps the input rank itself as ``_input_rank``.
-The cactus module keeps ``_cover_fixpoint``, whose rounds run on row
-matchings and build edges only for the cover they return, and
-``shortest_walk_tree``, which reads its parents off :func:`input_search`
-and so runs the same search again on the graphs whose walks it builds.
-``edges_from`` keeps nothing: it finds the vertex's rows by bisection.  A
-graph is dropped with its memo.
+Memo.  A graph never changes, so what is derived from it is computed once
+and kept on it by ``UnionGraph._once(compute, *args)``, keyed by the
+function and its arguments: ``_reachable``, the states that
+:func:`input_search` reaches; ``_color_slice`` per color (a one-color
+graph is its own slice); ``_row_matching``, the unrestricted matching,
+which :func:`generic_rank`, the ceiling, a cover fixpoint's first round
+and :func:`max_independent_edges` all read; ``_rows_into``, the rows
+holding each head, once a phase has a free row and a free head or a
+restricted matching on over ``_COMPACT_SETUP`` edges sizes its problem;
+``_edge_offsets`` once ``edges`` is indexed; ``_term_rank_ceiling``; and
+other modules' ``_input_rank``, ``_cover_fixpoint`` and
+``shortest_walk_tree``.  A row slice's matching is not kept.
 
-Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput.
-1973) is the one augmenting-path loop of the package, with an explicit
-stack in place of recursion, so an augmenting path may run through every
-state.  It has two callers: :func:`row_matching` runs it on the rows, with
-heads outside ``allowed_heads`` held by a sentinel row that no search may
-displace, and ``mdg.max_linking`` runs it on the layered graph.  Rows and
-heads are tried in the same order as a recursive search would, so the
-matching is fully determined by the graph.  A warm start is read from
-``match_right``: an entry naming a row ``0 <= i < len(adj)`` is kept as a
-match and only grown by augmenting paths.  Only the ceiling-stopped
-``max_linking`` passes one, the matching of the previous, shallower depth;
-every other call starts cold, from free heads and sentinels alone.  On a
-cold start every left sits on layer 0 of the first phase, so that phase's
-search is a plain loop: each left, in order, takes its first free head.
-:func:`row_matching` also hands the kernel the graph's rows per head, and
-each later phase then searches back from the free heads (free head, a row
-holding it, that row's matched head, ...) to mark the *live* rows, those
-with an alternating path to a free head, and layers and searches only
-those.  The matching is the same: a row that is not live stays so after
-any augmentation, every row on a successful search is live, every
-alternating predecessor of a live row is live (so live rows keep their
-layers), and a search into a row that is not live could only fail, which
-changes nothing.  The loop stops when no free row is live.  On the
-3-mode, n=2000 wide graph of the ``cover`` benchmark (seed 1), a cover
-round's cold start leaves about 4,000 free rows and one or two free heads,
-and 6-61 rows are live in a phase.  ``max_linking`` passes no rows per
-head, so its phases layer every free row: on the n=600 chain, building the
-lists for its 360,600 rows cost more than the search saved.
+Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput. 1973)
+is the one augmenting-path loop of the package, on an explicit stack.
+:func:`row_matching` runs it on the rows, ``mdg.max_linking`` on the layered
+graph (when ceiling-stopped, warm from the previous depth); lefts and heads
+are tried in a recursive search's order, so the matching is determined by
+the graph.  Onto ``allowed_heads`` the rows are matched in one of two forms
+with one result (see ``_row_matching``): the *sentinel* form runs on every
+row, each other head held by a sentinel; the *compact* form, taken when the
+allowed heads hold few edges (a cover fixpoint's later rounds), runs on just
+the rows and heads it keeps.  With the rows per head, each phase after a
+cold start's greedy one searches only the *live* rows, those with an
+alternating path to a free head: 6-61 of about 4,000 free rows on the
+``cover`` benchmark's 3-mode n=2000 graph (seed 1).  ``max_linking`` lists
+no rows per head: on the n=600 chain that cost more than it saved.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Union
 
 from .model import ModelError, SwitchedStructure, as_indices
@@ -132,12 +106,9 @@ def format_vertex(vertex: Vertex) -> str:
 
 
 class UnionGraph:
-    """Immutable colored multigraph on flat integer arrays.
-
-    ``input_counts`` keeps one entry per subsystem even when that subsystem
-    has no inputs, so downstream layer-size arithmetic stays aligned with the
-    original structure.
-    """
+    """Immutable colored multigraph on flat integer arrays.  ``input_counts``
+    keeps one entry per subsystem, with or without inputs, so layer sizes
+    downstream stay aligned with the structure."""
 
     def __init__(self, n: int, input_counts: tuple[int, ...],
                  edges: Iterable[ColoredEdge]) -> None:
@@ -150,16 +121,8 @@ class UnionGraph:
         rows = sorted(by_row)
         self._set_rows(rows, [tuple(sorted(by_row[row])) for row in rows])
 
-    @classmethod
-    def _blank(cls, n: int, input_counts: tuple[int, ...]) -> UnionGraph:
-        """A graph whose edges are still to be set, from valid rows."""
-        g = cls.__new__(cls)
-        g._shape(n, input_counts)
-        return g
-
     def _sub(self) -> UnionGraph:
-        """A graph of this one's validated shape whose rows are still to be
-        set, with a memo of its own."""
+        """A graph of this one's validated shape, rows to be set, own memo."""
         sub = UnionGraph.__new__(UnionGraph)
         sub.n, sub.input_counts, sub.colors = self.n, self.input_counts, self.colors
         sub._input_base, sub._inputs = self._input_base, self._inputs
@@ -178,6 +141,9 @@ class UnionGraph:
         bases = []
         total = 0
         for m in self.input_counts:
+            if m < 0:
+                raise ModelError(f"graph input counts must not be negative, "
+                                 f"got {self.input_counts}")
             bases.append(total)
             total += m
         self._input_base = tuple(bases)
@@ -187,8 +153,7 @@ class UnionGraph:
 
     def _set_rows(self, rows: list[int], adj: list[tuple[int, ...]]) -> None:
         """Ascending row ids and each row's ascending head tuple."""
-        self._rows = rows
-        self._adj = adj
+        self._rows, self._adj = rows, adj
         self._edge_count = sum(map(len, adj))
 
     def _check_edge(self, e: ColoredEdge) -> ColoredEdge:
@@ -198,6 +163,8 @@ class UnionGraph:
             raise ModelError(f"edge color {color + 1} outside 1..{self.colors}")
         if not (0 <= head < self.n):
             raise ModelError(f"edge head {head + 1} outside 1..{self.n}")
+        if not isinstance(e.tail, (StateVertex, InputVertex)):
+            raise ModelError(f"edge tail must be a vertex, got {e.tail!r}")
         t = type(e.tail)(*as_indices(astuple(e.tail), "edge tail"))
         if isinstance(t, InputVertex):
             if t.subsystem != color:
@@ -232,11 +199,8 @@ class UnionGraph:
         return [ColoredEdge(tail, h, color) for h in heads]
 
     def _once(self, compute: Callable, *args):
-        """``compute(self, *args)``, computed on the first call and kept.
-
-        The memo is keyed by ``compute`` itself and ``args``, so callers in
-        different modules cannot clash.
-        """
+        """``compute(self, *args)``, computed on the first call and kept,
+        keyed by ``compute`` itself so that modules cannot clash."""
         key = (compute, *args)
         try:
             return self._memo[key]
@@ -278,7 +242,8 @@ class UnionGraph:
 
 
 class EdgeView(Sequence):
-    """A graph's edges in ``edge_sort_key`` order, built when read."""
+    """A graph's edges in ``edge_sort_key`` order, built when read; an index
+    finds its row by bisection over the rows' cumulative edge counts."""
 
     __slots__ = ("_graph",)
 
@@ -289,16 +254,33 @@ class EdgeView(Sequence):
         return self._graph._edge_count
 
     def __getitem__(self, index):
-        return tuple(self)[index]
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        g, i = self._graph, range(len(self))[index]
+        offsets = g._once(_edge_offsets)
+        k = bisect_right(offsets, i) - 1
+        tail, color = g._row_tail(g._rows[k])
+        return ColoredEdge(tail, g._adj[k][i - offsets[k]], color)
 
     def __iter__(self) -> Iterator[ColoredEdge]:
         g = self._graph
         for row, heads in zip(g._rows, g._adj):
             yield from g._row_edges(row, heads)
 
+    def __reversed__(self) -> Iterator[ColoredEdge]:
+        g = self._graph
+        for row, heads in zip(reversed(g._rows), reversed(g._adj)):
+            yield from reversed(g._row_edges(row, heads))
+
+
+def _edge_offsets(g: UnionGraph) -> list[int]:
+    """Per row, where its edges start in ``edges``; then the edge count."""
+    return list(accumulate(map(len, g._adj), initial=0))
+
 
 def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
-    g = UnionGraph._blank(structure.n, structure.input_counts)
+    g = UnionGraph.__new__(UnionGraph)  # rows are set below, from valid columns
+    g._shape(structure.n, structure.input_counts)
     rows: list[int] = []
     adj: list[tuple[int, ...]] = []
     for i, (a, b) in enumerate(structure.subsystems):
@@ -314,11 +296,9 @@ def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
 
 
 def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
-    """Subgraph keeping only the given color's edges (state set unchanged).
-
-    The color's rows are a contiguous slice of ``g``'s rows, sharing their
-    head tuples; the subgraph is built once per graph and color.  A
-    one-color graph is its own slice, so what is kept on it serves both.
+    """Subgraph keeping only the given color's edges (state set unchanged):
+    a slice of ``g``'s rows, sharing their head tuples, built once per graph
+    and color.  A one-color graph is its own slice, and its memo serves both.
     """
     if not (0 <= color < g.colors):
         raise ModelError(f"color {color + 1} outside 1..{g.colors}")
@@ -358,27 +338,29 @@ def _reachable(g: UnionGraph) -> frozenset[int]:
 
 
 def input_search(g: UnionGraph) -> tuple[list[int], list[int]]:
-    """Breadth-first search from the input vertices, over every color.
-
-    Tails are searched in vertex-id order for the inputs, then in the order
-    their states are reached; a tail's rows ascend (color-major) and each
-    row's heads ascend.  Returns the reached states in that order and, per
-    state, the position in ``g._rows`` of the row that reached it first
-    (``-1`` for a state not reached).  Nothing is kept.
-    """
-    width, m, adj = g._width, g._inputs, g._adj
-    out: list[list[int]] = [[] for _ in range(width)]
-    for k, row in enumerate(g._rows):
-        out[row % width].append(k)
+    """Breadth-first search from the input vertices, over every color:
+    input tails by vertex id, then state tails as reached; a tail's rows
+    ascend (color-major), each row's heads ascend.  Returns the reached
+    states in that order and, per state, the position in ``g._rows`` of the
+    row that reached it first (``-1`` if none).  Two int lists link a tail's
+    rows (its first; per row, the next), so no list is built per tail."""
+    width, m, rows, adj = g._width, g._inputs, g._rows, g._adj
+    first, after = [-1] * width, [-1] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        t = rows[k] % width
+        after[k] = first[t]
+        first[t] = k
     parent = [-1] * g.n
     order: list[int] = []
     # ``order`` grows while it is read: breadth-first
     for t in chain(range(m), (m + v for v in order)):
-        for k in out[t]:
+        k = first[t]
+        while k >= 0:
             for h in adj[k]:
                 if parent[h] < 0:
                     parent[h] = k
                     order.append(h)
+            k = after[k]
     return order, parent
 
 
@@ -386,49 +368,80 @@ def max_independent_edges(g: UnionGraph) -> tuple[ColoredEdge, ...]:
     """Largest set of edges with distinct heads and color-distinct shared tails.
 
     Equivalently a maximum matching between rows of the concatenated system
-    matrices and their structurally nonzero columns, so the returned size is
-    the generic rank of ``[A_1 .. A_N, B_1 .. B_N]``.  Fully deterministic:
-    ties are broken by color, then input tails before state tails, then
-    tail and head order.  The edges are those of :func:`row_matching`, in
-    ``edge_sort_key`` order.
-    """
-    rows = g._rows
-    chosen: list[ColoredEdge] = []
-    for idx, head in enumerate(row_matching(g)):
-        if head >= 0:
-            tail, color = g._row_tail(rows[idx])
-            chosen.append(ColoredEdge(tail, head, color))
-    return tuple(chosen)
+    matrices and their structurally nonzero columns, so its size is the
+    generic rank of ``[A_1 .. A_N, B_1 .. B_N]``: :func:`row_matching`'s
+    edges, in order, ties broken by color, inputs first, tail and head."""
+    return tuple(ColoredEdge(tail, head, color)
+                 for k, head in zip(*row_matching(g))
+                 for tail, color in [g._row_tail(g._rows[k])])
 
 
 def row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
-                 ) -> Sequence[int]:
-    """The matching of :func:`max_independent_edges` by row: the head
-    matched to each row of ``g``, or ``-1``.  With ``allowed_heads`` it is
-    a maximum matching onto those heads alone, as the cover fixpoint runs.
-
-    Rows ascend in ``edge_sort_key`` order and hold one (tail, color) pair
-    each, so the matched rows list the edges in that order.  The matching
-    without ``allowed_heads`` is computed once per graph and kept.
-    """
+                 ) -> tuple[list[int], list[int]]:
+    """The matching of :func:`max_independent_edges` by row: the positions
+    in ``g._rows`` of the matched rows, ascending (``edge_sort_key`` order),
+    and each one's head; with ``allowed_heads``, a maximum matching onto
+    those heads alone.  The one without is kept, so its lists must not be
+    changed (lists: small tuples outlive a dropped graph in the interpreter's
+    free lists, which raised peak RSS by 0.4-0.8 MB)."""
     if allowed_heads is None:
         return g._once(_row_matching)
     return _row_matching(g, allowed_heads)
 
 
+_COMPACT_EDGE, _COMPACT_SETUP = 16, 64  # measured in ``_row_matching``
+
+
 def _row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
-                  ) -> tuple[int, ...]:
-    size = len(g._adj)
-    # a head outside allowed_heads is held by the sentinel left ``size``
+                  ) -> tuple[list[int], list[int]]:
+    """:func:`row_matching`, computed.
+
+    Onto ``allowed_heads``, the sentinel form runs on every row, each other
+    head held by the sentinel left ``len(g._adj)``; the compact form runs on
+    the rows holding an allowed head, each with just its allowed heads,
+    renumbered in order.  The compact form is taken when ``_COMPACT_EDGE *
+    held + _COMPACT_SETUP < g._edge_count``, ``held`` being the edges into
+    the allowed heads, read off ``_rows_into``.  The two agree, because in
+    the sentinel form:
+      1. a sentinel-held head is never taken by the cold start, never free
+         nor held by a row, so never searched back through, and never
+         layered or followed (the sentinel's distance equals no layer);
+      2. a row with no allowed head is so never matched, live, layered or
+         searched; it only keeps the test "no free row" from stopping a
+         phase that, with no live free row, stops anyway;
+      3. the kept rows and heads keep their order under a monotone
+         renumbering, so roots, queue and every search are the same.
+    Timed per call on wide graphs of 82-24,000 edges with random allowed
+    sets (2-CPU machine, best of 7), the compact form costs the sentinel
+    form's at ``held`` of a tenth of the edges, half at a twentieth, and a
+    tenth to a third at the 1-3% of most later fixpoint rounds; its fixed
+    cost is the sentinel form's on 30-60 edges."""
+    adj, n = g._adj, g.n
+    lefts = None  # the compact form's rows, when it is taken
     if allowed_heads is None:
-        match_right = [-1] * g.n
+        match_right = [-1] * n
     else:
-        match_right = [size] * g.n
-        for h in allowed_heads:
-            if 0 <= h < g.n:
+        keep = sorted({h for h in allowed_heads if 0 <= h < n})
+        into = g._once(_rows_into) if g._edge_count > _COMPACT_SETUP else None
+        held = sum(map(len, map(into.__getitem__, keep))) if into else 0
+        if into and _COMPACT_EDGE * held + _COMPACT_SETUP < g._edge_count:
+            lefts = sorted({k for h in keep for k in into[h]})
+            at = dict(zip(keep, range(len(keep))))
+            adj = [[at[h] for h in adj[k] if h in at] for k in lefts]
+            left_at = dict(zip(lefts, range(len(lefts))))
+            kept_into = [[left_at[k] for k in into[h]] for h in keep]
+            match_right = [-1] * len(keep)
+        else:
+            match_right = [len(adj)] * n
+            for h in keep:
                 match_right[h] = -1
-    return tuple(hopcroft_karp(g._adj, match_right,
-                               lambda: g._once(_rows_into)))
+    match_left = hopcroft_karp(adj, match_right, (lambda: g._once(_rows_into))
+                               if lefts is None else (lambda: kept_into))
+    matched = [i for i, head in enumerate(match_left) if head >= 0]
+    heads = list(map(match_left.__getitem__, matched))
+    if lefts is None:
+        return matched, heads
+    return list(map(lefts.__getitem__, matched)), list(map(keep.__getitem__, heads))
 
 
 def _rows_into(g: UnionGraph) -> list[list[int]]:
@@ -446,42 +459,35 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
     """Maximum bipartite matching; the head of every left, or ``-1``.
 
     ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
-    ``match_right[h]`` is the left holding head ``h``: ``-1`` if it is
-    free, ``len(adj)`` for a sentinel that no search may displace, and any
-    other left ``i`` for a matching to start from, which must pair ``h``
-    with a head in ``adj[i]`` and hold each left at most once.  It is
-    updated in place.  Lefts and heads are tried in the same order as a
-    recursive search would, so the matching is fully determined by ``adj``
-    and the starting matching.
+    ``match_right[h]``, updated in place, is the left holding head ``h``:
+    ``-1`` if free, ``len(adj)`` for a sentinel no search may displace, or
+    a left ``i`` to start from (``h`` in ``adj[i]``, each left once).
+    Lefts and heads are tried in a recursive search's order, so the
+    matching is fully determined by ``adj`` and the start.
 
-    ``rows_into``, when given, returns per head the lefts whose ``adj``
-    holds it; it is called once, when a phase first has both a free left
-    and a free head.  Each phase then searches back from the free heads
-    (free head, a left holding it, that left's matched head, ...) and runs
-    only on the *live* lefts, those with an alternating path to a free
-    head, stopping when no free left is live.  The matching is the same as without it:
-      1. a left that is not live stays so after any augmentation: every
-         head in its alternating reach is a sentinel or matched to a left
-         that is not live, while every head on an augmenting path is free
-         or matched to a live left, so no path touches that reach;
-      2. every left on a successful search path is live, and every
-         alternating predecessor of a live left is live, so the layers of
-         live lefts are the same as when every free left is layered;
-      3. a search entering a left that is not live can only fail, and a
-         failed search changes no match.
+    ``rows_into``, when given, returns per head the lefts holding it, and is
+    called once, when a phase first has a free left and a free head.  Each
+    phase then searches back from the free heads (a left holding one, its
+    matched head, ...) and runs only on the *live* lefts, those with an
+    alternating path to a free head, until no free left is live.  The
+    matching is the same as without it:
+      1. a left that is not live stays so: its alternating reach holds only
+         sentinels and heads of lefts that are not live, and an augmenting
+         path only free heads and heads of live lefts;
+      2. every left on a successful search path is live, as is every
+         alternating predecessor of a live left, so live lefts keep layers;
+      3. a search entering a left that is not live fails, changing nothing.
     """
     size = len(adj)
     match_left = [-1] * size
-    # entries other than free heads and sentinels are a matching to start
-    # from; the counts skip the scan when there are none
+    # a matching to start from, if any entry is not a free head or sentinel
     if match_right.count(-1) + match_right.count(size) < len(match_right):
         for head, left in enumerate(match_right):
             if 0 <= left < size:
                 match_left[left] = head
     else:
-        # a cold start puts every left on layer 0, where no augmenting path
-        # runs through a matched left, so the first phase's search is each
-        # left, in order, taking its first free head
+        # a cold start layers every left 0, where no augmenting path runs
+        # through a matched left: each left takes its first free head
         for idx, heads in enumerate(adj):
             for head in heads:
                 if match_right[head] < 0:
@@ -490,15 +496,16 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
                     break
     inf = size + 1
     into = None
+    # an augmentation frees no head, so each phase filters the last one's
+    free: Sequence[int] = range(len(match_right))
     while True:
         if rows_into is None:
             # every free left is a root; the sentinel's layer never qualifies
-            dist = [inf if m >= 0 else 0 for m in match_left]
-            dist.append(-2)
+            dist = [inf if m >= 0 else 0 for m in match_left] + [-2]
             roots = [idx for idx in range(size) if match_left[idx] < 0]
         else:
             # an augmenting path runs from a free left to a free head
-            free = [head for head, left in enumerate(match_right) if left < 0]
+            free = [head for head in free if match_right[head] < 0]
             if not free or -1 not in match_left:
                 return match_left
             if into is None:
@@ -519,9 +526,9 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
         if not found:
             return match_left
         # one depth-first augmenting search per root, on an explicit stack:
-        # path[j] is a left and pos[j] the position after the head it is
-        # trying, so heads are tried in order as in a recursion; a root
-        # stays free until its own search augments
+        # path[j] is a left and pos[j] the position after the head it tries,
+        # so heads are tried as in a recursion; a root stays free until its
+        # own search augments
         for root in roots:
             path = [root]
             pos = [0]
@@ -555,12 +562,8 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
 def _live_lefts(into: Sequence[Sequence[int]], free: list[int],
                 match_left: list[int], inf: int) -> tuple[list[int], list[int]]:
     """Layer-0 distances of the lefts with an alternating path to a head in
-    ``free``, and the free ones among them, ascending.
-
-    A live left reads ``0`` if free and ``inf`` if matched, to be layered;
-    every other left, and the sentinel at ``len(match_left)``, reads ``-2``,
-    which no layer equals.
-    """
+    ``free`` (``0`` if free, ``inf`` if matched) and the free ones, sorted;
+    every other left and the sentinel read ``-2``, which no layer equals."""
     dist = [-2] * (len(match_left) + 1)
     roots: list[int] = []
     heads = list(free)
@@ -584,9 +587,8 @@ def term_rank_ceiling(g: UnionGraph) -> int:
 
     The reachable subspace lies in the span of every ``B_i`` column and of
     the ``A_i`` columns in ``R``, so its dimension is at most that stack's
-    term rank (Hosoe, IEEE TAC 1980).  Every head of such a column lies in
-    ``R``, so the value is also at most ``|R|``.  Computed once per graph.
-    """
+    term rank (Hosoe, IEEE TAC 1980), and every head of such a column lies
+    in ``R``, so the value is at most ``|R|``.  Computed once per graph."""
     return g._once(_term_rank_ceiling)
 
 
@@ -595,14 +597,13 @@ def _term_rank_ceiling(g: UnionGraph) -> int:
     if len(reach) == g.n:
         return generic_rank(g)
     m = g._inputs
-    # rows whose tail is an input or a reachable state; their heads are all
-    # reachable, so no head needs filtering
+    # rows whose tail is an input or a reachable state, all heads reachable
     return generic_rank(_row_slice(g, lambda t: t < m or t - m in reach))
 
 
 def generic_rank(g: UnionGraph) -> int:
     """Generic rank of the row-concatenation of all system matrices."""
-    return sum(head >= 0 for head in row_matching(g))
+    return len(row_matching(g)[0])
 
 
 @dataclass(frozen=True)
@@ -610,9 +611,8 @@ class InputStateWalk:
     """A walk that starts at an input vertex and then moves through states.
 
     ``states[j]`` is the head of the ``j``-th edge and ``colors[j]`` its
-    color; the first edge leaves ``source``, so ``colors[0]`` always equals
-    the source's subsystem.  Every state and color is read by
-    :func:`model.as_indices`, so a ``bool``, a float or a string is refused.
+    color, so ``colors[0]`` is ``source``'s subsystem.  Both are read by
+    :func:`model.as_indices`: a ``bool``, a float or a string is refused.
     """
 
     source: InputVertex
@@ -653,12 +653,9 @@ def walk_violations(walk: InputStateWalk, g: UnionGraph) -> tuple[str, ...]:
     for pos, (head, color) in enumerate(zip(walk.states, walk.colors), start=1):
         if not (0 <= head < g.n):
             problems.append(f"step {pos}: state x{head + 1} outside 1..{g.n}")
-            tail = StateVertex(head)
-            continue
-        edge = ColoredEdge(tail, head, color)
-        if not (0 <= color < g.colors):
+        elif not (0 <= color < g.colors):
             problems.append(f"step {pos}: color {color + 1} outside 1..{g.colors}")
-        elif not g._has_edge(edge):
+        elif not g._has_edge(ColoredEdge(tail, head, color)):
             problems.append(
                 f"step {pos}: no color-{color + 1} edge from "
                 f"{format_vertex(tail)} to x{head + 1}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -143,8 +143,8 @@ def matched_edges(g: UnionGraph, allowed_heads) -> tuple[ColoredEdge, ...]:
     order: ``max_independent_edges(g)`` with its heads restricted to
     ``allowed_heads``."""
     return tuple(ColoredEdge(tail, head, color)
-                 for row, head in zip(g._rows, row_matching(g, allowed_heads))
-                 if head >= 0 for tail, color in [g._row_tail(row)])
+                 for k, head in zip(*row_matching(g, allowed_heads))
+                 for tail, color in [g._row_tail(g._rows[k])])
 
 
 def _vertex_key(v):
@@ -625,6 +625,25 @@ def ref_parse_columns(raw, *, where: str, row_ids, cols: int):
     for r, c in sorted(ref_parse_positions(raw, where=where, rows=rows, cols=cols)):
         columns[c].append(r)
     return tuple(map(tuple, columns))
+
+
+def ref_input_search(g: UnionGraph) -> tuple[list[int], list[int]]:
+    """``unigraph.input_search`` as it was when it bucketed the rows per
+    tail before searching, kept as the oracle for its order and parents."""
+    width, m, adj = g._width, g._inputs, g._adj
+    out: list[list[int]] = [[] for _ in range(width)]
+    for k, row in enumerate(g._rows):
+        out[row % width].append(k)
+    parent = [-1] * g.n
+    order: list[int] = []
+    # ``order`` grows while it is read: breadth-first
+    for t in chain(range(m), (m + v for v in order)):
+        for k in out[t]:
+            for h in adj[k]:
+                if parent[h] < 0:
+                    parent[h] = k
+                    order.append(h)
+    return order, parent
 
 
 def ref_pieces(tails: list[int], heads: list[int], reachable

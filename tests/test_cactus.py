@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import mdg_path_vertices, walks_provably_disjoint
 import swcactus.cactus as cactus_mod
+import swcactus.unigraph as unigraph_mod
 from swcactus import (
     ModelError,
     StateVertex,
@@ -528,7 +529,8 @@ def _edge_level_fixpoint(g):
     reachable = reachable_states(g)
     allowed = set(reachable)
     while True:
-        edges = helpers.matched_edges(g, None if len(allowed) == g.n else allowed)
+        edges = helpers.ref_max_independent_edges(
+            g, None if len(allowed) == g.n else allowed)
         decomp = decompose(edges, reachable)
         if not decomp.dropped:
             return decomp
@@ -544,6 +546,48 @@ def test_fixpoint_equals_edge_level_loop(seed, density):
     g = build_union_graph(helpers.random_structure(rng, max_n=12, density=density))
     for graph in (g, *(restrict_to_color(g, c) for c in range(g.colors))):
         assert cactus_mod._cover_fixpoint(graph) == _edge_level_fixpoint(graph)
+
+
+def _counted_kernel(monkeypatch) -> list[int]:
+    """The number of lefts of every ``hopcroft_karp`` call from now on."""
+    lefts: list[int] = []
+    kernel = unigraph_mod.hopcroft_karp
+
+    def counted(adj, match_right, rows_into=None):
+        lefts.append(len(adj))
+        return kernel(adj, match_right, rows_into)
+    monkeypatch.setattr(unigraph_mod, "hopcroft_karp", counted)
+    return lefts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fixpoint_equals_edge_level_loop_on_wide_colors(seed, monkeypatch):
+    # the per-color graphs of a wide system have 301 rows and keep a few
+    # dozen heads after the first round, so later rounds match on the
+    # compact form, which must give the reference's matching
+    lefts = _counted_kernel(monkeypatch)
+    g = build_union_graph(helpers.wide_structure(seed, 300, 3))
+    compact = 0
+    for c in range(g.colors):
+        graph = restrict_to_color(g, c)
+        lefts.clear()
+        assert cactus_mod._cover_fixpoint(graph) == _edge_level_fixpoint(graph)
+        compact += sum(k < len(graph._adj) for k in lefts)
+    assert compact >= 3
+
+
+def test_later_fixpoint_rounds_match_on_fewer_rows(monkeypatch):
+    # a guard on work, not time: every per-color fixpoint of this system
+    # takes three rounds, and each round after the first hands the kernel
+    # fewer lefts than the color graph has rows
+    lefts = _counted_kernel(monkeypatch)
+    g = build_union_graph(helpers.wide_structure(2, 300, 3))
+    for c in range(g.colors):
+        graph = restrict_to_color(g, c)
+        lefts.clear()
+        cactus_mod._cover_fixpoint(graph)
+        assert len(lefts) == 3 and lefts[0] == len(graph._adj) == 301
+        assert all(k < len(graph._adj) for k in lefts[1:])
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from swcactus.unigraph import (
     edge_sort_key,
     format_vertex,
     hopcroft_karp,
+    input_search,
     term_rank_ceiling,
 )
 
@@ -104,6 +106,20 @@ def test_union_graph_refuses_values_that_are_not_indices(n, input_counts, edges,
     # check alone would have listed an edge with head True
     with pytest.raises(ModelError, match=re.escape(message)):
         UnionGraph(n, input_counts, edges)
+
+
+def test_union_graph_refuses_negative_input_counts_and_non_vertex_tails():
+    # a count of -1 gave a graph of width 1, whose state and input row ids
+    # overlap; a tuple tail raised a bare TypeError from ``astuple``
+    with pytest.raises(ModelError, match=re.escape(
+            "graph input counts must not be negative, got (-1,)")):
+        UnionGraph(2, (-1,), [])
+    with pytest.raises(ModelError, match=re.escape(
+            "graph input counts must not be negative, got (1, -2)")):
+        UnionGraph(2, (1, -2), [])
+    with pytest.raises(ModelError,
+                       match=re.escape("edge tail must be a vertex, got (0,)")):
+        UnionGraph(2, (1,), [ColoredEdge((0,), 1, 0)])
 
 
 def test_union_graph_reads_numpy_integers():
@@ -309,6 +325,23 @@ def test_matching_equals_reference_wide(seed, n, modes):
             == helpers.ref_max_independent_edges(g, allowed_heads=allowed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from([0.1, 0.3, 0.5]))
+def test_compact_and_sentinel_forms_equal_the_reference(seed, density):
+    # each form forced through its crossover constants, on any allowed set
+    # from none to every head: whole edge tuples, so ties break alike
+    rng = np.random.default_rng(seed)
+    g = build_union_graph(helpers.random_structure(rng, max_n=12, density=density))
+    keep = rng.random()
+    allowed = [h for h in range(g.n) if rng.random() < keep]
+    expected = helpers.ref_max_independent_edges(g, allowed_heads=allowed)
+    for edge, setup in ((0, -1), (1, 10 ** 9)):
+        with mock.patch.multiple(unigraph_mod, _COMPACT_EDGE=edge,
+                                 _COMPACT_SETUP=setup):
+            assert helpers.matched_edges(g, allowed) == expected
+
+
 @pytest.mark.parametrize("seed, n, modes", [(1, 100, 3), (2, 250, 2), (3, 400, 3)])
 def test_matching_size_matches_networkx(seed, n, modes):
     nx = pytest.importorskip("networkx")
@@ -388,6 +421,75 @@ def test_edge_view_indexing_agrees_with_iteration():
             assert view[part] == tuple(edges[part])
         with pytest.raises(IndexError):
             view[len(edges)]
+
+
+def test_edge_view_builds_only_what_is_read(monkeypatch):
+    # 1,806 edges in 903 rows: an index finds its row by bisection, so
+    # reading every index, forwards and backwards, builds no row's edge
+    # list, and ``reversed`` builds each row's list once
+    g = build_union_graph(helpers.wide_structure(1, 300, 3))
+    edges = list(g.edges)
+    view = g.edges
+    assert len(view) == len(edges) == 1806
+    built = []
+    row_edges = UnionGraph._row_edges
+
+    def counted(self, row, heads):
+        built.append(row)
+        return row_edges(self, row, heads)
+    monkeypatch.setattr(UnionGraph, "_row_edges", counted)
+    for i in range(-len(edges), len(edges)):
+        assert view[i] == edges[i]
+    for part in (slice(None), slice(1, None, 2), slice(-3, None), slice(None, None, -1),
+                 slice(900, 905), slice(2, 1), slice(-1, -1807, -7), slice(1805, 5000)):
+        assert view[part] == tuple(edges[part])
+    assert view.index(edges[-1]) == len(edges) - 1
+    assert built == []
+    for bad in (len(edges), -len(edges) - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert list(reversed(view)) == edges[::-1]
+    assert built == g._rows[::-1]
+
+
+@st.composite
+def _search_graphs(draw):
+    # one to four colors, inputs with and without rows, every tail with
+    # rows in any of the colors
+    n = draw(st.integers(min_value=1, max_value=7))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=2),
+                           min_size=1, max_size=4))
+    heads = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3, unique=True)
+    edges = []
+    for color, m in enumerate(counts):
+        tails = [InputVertex(color, k) for k in range(m)]
+        tails += [StateVertex(v) for v in range(n)]
+        edges += [ColoredEdge(tail, h, color) for tail in tails for h in draw(heads)]
+    return UnionGraph(n, tuple(counts), edges)
+
+
+def _assert_search_equals_the_bucket_search(g):
+    order, parent = input_search(g)
+    assert (order, parent) == helpers.ref_input_search(g)
+    tree = cactus_mod.shortest_walk_tree(g)
+    with mock.patch.object(cactus_mod, "input_search", helpers.ref_input_search):
+        assert cactus_mod.shortest_walk_tree(g) == tree
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_graphs())
+def test_input_search_equals_the_bucket_search(g):
+    # the same visit order and parent rows as bucketing every tail's rows,
+    # so the walk tree read off them is unchanged
+    _assert_search_equals_the_bucket_search(g)
+
+
+@pytest.mark.parametrize("seed, n, modes", [(1, 300, 3), (2, 120, 6)])
+def test_input_search_equals_the_bucket_search_wide(seed, n, modes):
+    g = build_union_graph(helpers.wide_structure(seed, n, modes))
+    for graph in (g, *(restrict_to_color(g, c) for c in range(g.colors))):
+        assert _assert_search_equals_the_bucket_search(graph)
 
 
 def test_color_slices_share_pattern_columns(chain10):
