@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import ModelError
+from .model import ModelError, as_indices
 from .unigraph import (
     ColoredEdge,
     InputStateWalk,
@@ -359,9 +359,10 @@ def cactus_walks_for_bud(group, g: UnionGraph, loops: int) -> dict[int, InputSta
     Each walk runs from an input to the group's entry vertex along shortest
     walks, circles the cycle ``loops`` times, and follows the group's unique
     edge path to the target.  The loop count is the degree of freedom used to
-    pull different groups' walks apart in the layered graph; a negative one
-    raises :class:`ModelError`.
+    pull different groups' walks apart in the layered graph.  It is read by
+    :func:`model.as_indices`, and a negative one raises :class:`ModelError`.
     """
+    (loops,) = as_indices((loops,), "loop count")
     if loops < 0:
         raise ModelError(f"loop count may not be negative, got {loops}")
     return _route_walks(_bud_route(group, g), loops)

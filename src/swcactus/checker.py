@@ -27,7 +27,8 @@ from .cactus import (
     decompose,
 )
 from .mdg import MdgSizeError, build_mdg, max_linking
-from .model import DEFAULT_PRIME, SwitchedStructure, as_indices, system_to_dict
+from .model import (DEFAULT_PRIME, ModelError, SwitchedStructure, as_indices,
+                    system_to_dict)
 from .rankcore import ControllabilityProbe, controllable_dim
 from .unigraph import (
     UnionGraph,
@@ -117,13 +118,20 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     and the linking size is taken to be c.  Sound: the dimension is at
     least that lower view, which is c; the full-depth linking is at most c
     (``mdg.max_linking``) and at least the dimension; so dim >= c >=
-    linking >= dim.  The vertex cap applies only where a graph is built;
-    ``layer_cap`` is read by :func:`model.as_indices`.
+    linking >= dim.  No dimension passes c, so a ``proven_lower`` above it
+    raises :class:`ModelError`.  The vertex cap applies only where a graph
+    is built; ``layer_cap`` and ``proven_lower`` are read by
+    :func:`model.as_indices`.
     """
     (layer_cap,) = as_indices((layer_cap,), "layer_cap")
+    (proven_lower,) = as_indices((proven_lower,), "proven_lower")
     g = graph if graph is not None else build_union_graph(structure)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
     lower = len(cover.covered)
+    # the cover's count is at most c, so only a bound above it can pass c
+    if proven_lower > lower and proven_lower > term_rank_ceiling(g):
+        raise ModelError(f"proven_lower {proven_lower} exceeds the term-rank "
+                         f"ceiling {term_rank_ceiling(g)}")
     reachable_count = len(reachable_states(g))
     depth_needed = structure.n - input_rank(g)
     fallback = DimBounds(lower=lower, upper=reachable_count,

@@ -45,18 +45,13 @@ the package: the signed expansion over path families that reproduces a
 minor of the product stack, the layered path of a union-graph walk, and the
 exact pairwise disjointness test of two walks' paths.
 
-Given a ceiling c that no depth can exceed, the linking unrolls only as
-far as it needs: it matches layers ``0..d`` for the depths d met by halving
-the full depth (rounding up) down to 1, shallowest first, starts each run
-from the previous run's matching, and stops once the linking size reaches
-c.  Ids run layer by layer, so the rows of layers ``0..d`` are the first
-rows of the full list and a shallower matching is a matching of every
-deeper graph.  With c the term-rank ceiling
-``unigraph.term_rank_ceiling`` and l_d the linking size at depth d:
-  1. l_d' <= l_d for d' <= d, since layers ``0..d'`` are an induced subgraph;
-  2. l_d <= c, since the paths' last edges are independent union-graph edges
-     from inputs or states in R (layer-1 block k holds color k);
-  3. so l_d' = c gives l_d = c, and the shallow paths are a maximum linking.
+Given a ceiling c that no depth can exceed, such as the term-rank ceiling
+``unigraph.term_rank_ceiling``, the linking unrolls only as far as it
+needs: it matches layers ``0..d``, cold, for the depths d met by halving
+the full depth down to 1, shallowest first, and stops once its size
+reaches c, at the linking of the depth-d graph itself.  Linking sizes
+never fall with depth nor pass c, so that is a maximum linking of the
+full depth (see :func:`max_linking`).
 """
 
 from __future__ import annotations
@@ -203,9 +198,9 @@ class Mdg:
         the block index is the vertex's word reversed, because the last
         color applied is the outermost product factor.
         """
-        kind, layer, k, t, l, q = vertex
-        if kind != "u":
-            raise ModelError(f"not an input vertex: {vertex!r}")
+        if not (self._contains(vertex) and vertex[0] == "u"):
+            raise ModelError(f"not an input vertex of this graph: {vertex!r}")
+        _, layer, k, t, l, q = vertex
         word = self.word_of(layer, k, t)
         m = self.total_inputs
         offset = sum(m * self._blocks_at[i] for i in range(layer))
@@ -283,18 +278,18 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
     Paths are listed by tail id.
 
     With ``ceiling`` None the matching runs once, on the full depth.  With
-    a ceiling it runs on layers ``0..d`` for d = ..., ceil(D/4), ceil(D/2),
-    D, where D is ``mdg.depth`` halved (rounding up) down to 1, each run
-    started from the previous one's matching (the rows of layers ``0..d``
-    are the first rows of the full list), and returns as soon as the
-    linking size reaches ``ceiling``.  Halving from the full depth keeps
-    the last run before it at about half of it, so the schedule costs
-    little when the ceiling is reached late or never.  Pass a ceiling that
-    no depth can exceed, such as ``unigraph.term_rank_ceiling`` of the
-    structure's union graph; with l_d the linking size at depth d and c
-    that ceiling:
-      1. l_d' <= l_d for d' <= d: layers ``0..d'`` are an induced subgraph
-         with the same vertex ids;
+    a ceiling it runs cold on layers ``0..d`` for d = ..., ceil(D/4),
+    ceil(D/2), D, where D is ``mdg.depth`` halved (rounding up) down to 1,
+    and returns once the linking size reaches ``ceiling``: the linking of
+    ``build_mdg(structure, d)``, whose rows are the first rows of the full
+    list.  A warm start from the last run would skip the greedy first
+    phase and leave every row of the new layers to the phases.  Halving
+    keeps the last run before the full depth at about half of it, so the
+    schedule costs little when the ceiling is reached late or never.
+    ``ceiling`` is read by :func:`model.as_indices`; pass one that no depth
+    can exceed, such as ``unigraph.term_rank_ceiling`` of the structure's
+    union graph.  With l_d the linking size at depth d and c that ceiling:
+      1. l_d' <= l_d for d' <= d: layers ``0..d'`` are an induced subgraph;
       2. l_d <= c: every path's last edge enters a distinct layer-0 state
          from a layer-0 input copy (a distinct ``B`` column) or from a
          layer-1 copy of a reachable state (block k means color k, so a
@@ -303,8 +298,8 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
       3. so l_d' = c gives l_d = c, and the shallow paths are a maximum
          linking of the full-depth graph.
     """
+    ceiling = None if ceiling is None else as_indices((ceiling,), "ceiling")[0]
     adj: list[tuple[int, ...]] = []
-    match_right: list[int] = []
     # the full depth halved, rounding up, down to 1; run shallowest first
     depths = [mdg.depth]
     while ceiling is not None and depths[-1] > 1:
@@ -314,8 +309,7 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
         for layer in range(built, depth + 1):
             _append_rows(mdg, layer, adj)
         built = depth + 1
-        match_right += [-1] * (len(adj) - len(match_right))
-        match = hopcroft_karp(adj, match_right)
+        match = hopcroft_karp(adj, [-1] * len(adj))
         # a maximum matching holds one match per path and one per state
         # copy above layer 0
         size = len(adj) - match.count(-1) - sum(

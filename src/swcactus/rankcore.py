@@ -258,13 +258,14 @@ def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
     when None), also in the middle of a round.  Pass a ceiling that no
     realization can exceed, such as ``unigraph.term_rank_ceiling``: every
     later column would then be dependent, so the result is the same as
-    without it.  A real realization ignores ``ceiling``.
+    without it; it is read by :func:`model.as_indices`.  A real
+    realization ignores ``ceiling``.
     """
     if realization.kind == "real":
         return _reachable_space_dim_real(structure, realization)
     n, p = structure.n, realization.prime
     assert p is not None
-    top = n if ceiling is None else ceiling
+    top = n if ceiling is None else as_indices((ceiling,), "ceiling")[0]
     a_sparse = [a_cols for a_cols, _ in realization.columns]
     reducer = ColumnReducer(n, p)
     # S_{k+1} = S_k + sum_i A_i S_k, and A_i S_{k-1} already lies in S_k, so

@@ -41,17 +41,19 @@ other modules' ``_input_rank``, ``_cover_fixpoint`` and
 Matching.  :func:`hopcroft_karp` (Hopcroft and Karp, SIAM J. Comput. 1973)
 is the one augmenting-path loop of the package, on an explicit stack.
 :func:`row_matching` runs it on the rows, ``mdg.max_linking`` on the layered
-graph (when ceiling-stopped, warm from the previous depth); lefts and heads
-are tried in a recursive search's order, so the matching is determined by
-the graph.  Onto ``allowed_heads`` the rows are matched in one of two forms
-with one result (see ``_row_matching``): the *sentinel* form runs on every
-row, each other head held by a sentinel; the *compact* form, taken when the
-allowed heads hold few edges (a cover fixpoint's later rounds), runs on just
-the rows and heads it keeps.  With the rows per head, each phase after a
-cold start's greedy one searches only the *live* rows, those with an
-alternating path to a free head: 6-61 of about 4,000 free rows on the
-``cover`` benchmark's 3-mode n=2000 graph (seed 1).  ``max_linking`` lists
-no rows per head: on the n=600 chain that cost more than it saved.
+graph; every run starts cold, and lefts and heads are tried in a recursive
+search's order, so the matching is determined by the graph.  Onto
+``allowed_heads`` the rows are matched in one of two forms with one result
+(see ``_row_matching``): the *sentinel* form runs on every row, each other
+head held by a sentinel; the *compact* form, taken when the allowed heads
+hold few edges (a cover fixpoint's later rounds), runs on just the rows and
+heads it keeps.  With the rows per head, each phase after a cold start's
+greedy one searches only the *live* rows, those with an alternating path
+to a free head: 6-61 of about 4,000 free rows on the ``cover`` benchmark's
+3-mode n=2000 graph (seed 1).  ``max_linking`` lists no rows per head: at
+full depth, live-row phases took 0.89 s against 0.66 s on the one-mode
+n=600 chain and 2.60 s against 1.18 s on ``gapped(1, 9, 4)`` (medians of
+5, 2-CPU machine), at 317-365 against 201-235 B per layered vertex.
 """
 
 from __future__ import annotations
@@ -267,11 +269,6 @@ class EdgeView(Sequence):
         for row, heads in zip(g._rows, g._adj):
             yield from g._row_edges(row, heads)
 
-    def __reversed__(self) -> Iterator[ColoredEdge]:
-        g = self._graph
-        for row, heads in zip(reversed(g._rows), reversed(g._adj)):
-            yield from reversed(g._row_edges(row, heads))
-
 
 def _edge_offsets(g: UnionGraph) -> list[int]:
     """Per row, where its edges start in ``edges``; then the edge count."""
@@ -299,7 +296,9 @@ def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
     """Subgraph keeping only the given color's edges (state set unchanged):
     a slice of ``g``'s rows, sharing their head tuples, built once per graph
     and color.  A one-color graph is its own slice, and its memo serves both.
+    ``color`` is read by :func:`model.as_indices`.
     """
+    (color,) = as_indices((color,), "color")
     if not (0 <= color < g.colors):
         raise ModelError(f"color {color + 1} outside 1..{g.colors}")
     if g.colors == 1:  # before the memo, so the graph keeps no reference to itself
@@ -459,11 +458,11 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
     """Maximum bipartite matching; the head of every left, or ``-1``.
 
     ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
-    ``match_right[h]``, updated in place, is the left holding head ``h``:
-    ``-1`` if free, ``len(adj)`` for a sentinel no search may displace, or
-    a left ``i`` to start from (``h`` in ``adj[i]``, each left once).
-    Lefts and heads are tried in a recursive search's order, so the
-    matching is fully determined by ``adj`` and the start.
+    ``match_right[h]``, updated in place, is the left holding head ``h``;
+    on entry it is ``-1`` if free or ``len(adj)`` for a sentinel no search
+    may displace.  Every run starts cold, and lefts and heads are tried in
+    a recursive search's order, so the matching is fully determined by
+    ``adj`` and the sentinels.
 
     ``rows_into``, when given, returns per head the lefts holding it, and is
     called once, when a phase first has a free left and a free head.  Each
@@ -480,20 +479,14 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
     """
     size = len(adj)
     match_left = [-1] * size
-    # a matching to start from, if any entry is not a free head or sentinel
-    if match_right.count(-1) + match_right.count(size) < len(match_right):
-        for head, left in enumerate(match_right):
-            if 0 <= left < size:
-                match_left[left] = head
-    else:
-        # a cold start layers every left 0, where no augmenting path runs
-        # through a matched left: each left takes its first free head
-        for idx, heads in enumerate(adj):
-            for head in heads:
-                if match_right[head] < 0:
-                    match_left[idx] = head
-                    match_right[head] = idx
-                    break
+    # a cold start layers every left 0, where no augmenting path runs
+    # through a matched left: each left takes its first free head
+    for idx, heads in enumerate(adj):
+        for head in heads:
+            if match_right[head] < 0:
+                match_left[idx] = head
+                match_right[head] = idx
+                break
     inf = size + 1
     into = None
     # an augmentation frees no head, so each phase filters the last one's

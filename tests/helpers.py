@@ -575,6 +575,22 @@ def pinched_structure(seed: int, n: int, modes: int) -> SwitchedStructure:
         for i in range(modes)))
 
 
+def spider_structure(legs: int, length: int, modes: int) -> SwitchedStructure:
+    """One input, in mode 1, into the hub ``x_0``, and ``legs`` legs of
+    ``length`` states each: the hub feeds the first state of every leg, and
+    each leg is a path away from it.  All ``modes`` modes share this ``A``
+    pattern, so the probe's rank stays below the term-rank ceiling (7 < 8
+    at 5 legs of 2 in 2 modes) and the bounds run the layered linking."""
+    n = 1 + legs * length
+    firsts = range(1, n, length)
+    a = StructuredMatrix(n, n, frozenset(
+        [(first, 0) for first in firsts]
+        + [(j + 1, j) for first in firsts for j in range(first, first + length - 1)]))
+    return SwitchedStructure(n=n, subsystems=tuple(
+        (a, _input_at(n, [0]) if i == 0 else StructuredMatrix(n, 0))
+        for i in range(modes)))
+
+
 def chain_document(n: int) -> dict:
     """Mode 1 has ``x_i -> x_i`` for i < n and ``x_i -> x_{i+1}``; mode 2
     has one input into ``x_1``.  Its matching needs an augmenting path

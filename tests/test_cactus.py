@@ -265,6 +265,15 @@ def test_bud_walks_refuse_negative_loops(boost):
         cactus_walks_for_bud(d.cycle_groups[0], g, -1)
 
 
+@pytest.mark.parametrize("loops", [1.5, True, "1"])
+def test_bud_walks_refuse_a_loop_count_that_is_not_an_index(boost, loops):
+    # 1.5 failed with a bare TypeError and True ran one loop
+    g = build_union_graph(boost)
+    d = decompose(max_independent_edges(g), reachable_states(g))
+    with pytest.raises(ModelError, match="loop count must be an integer"):
+        cactus_walks_for_bud(d.cycle_groups[0], g, loops)
+
+
 def test_walks_refuse_chains_that_do_not_end():
     # two self-loops are not one cycle group, nor is a self-loop plus an
     # edge from outside the group, and a two-cycle is no stem set

@@ -192,6 +192,17 @@ def test_check_links_once_below_the_ceiling(chain10, monkeypatch):
     assert calls == Counter(build_mdg=1, max_linking=1)
 
 
+def test_spider_links_below_the_ceiling(monkeypatch):
+    # one mode's pattern twice: the probe reaches the hub, two first leg
+    # states and four of the five leg ends (one per two-color word), 7,
+    # below c = 8; the cover covers 5, and the linking pins upper at 7
+    calls = _spy_linking(monkeypatch)
+    report = check(helpers.spider_structure(5, 2, 2))
+    assert report.probe.dim == 7 < term_rank_ceiling(report.graph) == 8
+    assert report.bounds == checker_mod.DimBounds(5, 7, True, 10)
+    assert calls == Counter(build_mdg=1, max_linking=1)
+
+
 def test_skipped_linking_keeps_the_vertex_cap(monkeypatch):
     # the probe reaches the ceiling, so the linking is read as c and nothing
     # is built; the vertex cap guards only graphs that are built, so the
@@ -219,6 +230,23 @@ def test_linking_past_the_vertex_cap_falls_back(monkeypatch):
 def test_dim_bounds_refuses_a_layer_cap_that_is_not_an_index(chain10, layer_cap):
     with pytest.raises(ModelError, match="layer_cap must be an integer"):
         dim_bounds(chain10, layer_cap=layer_cap)
+
+
+@pytest.mark.parametrize("proven_lower", [2.5, True, "2"])
+def test_dim_bounds_refuses_a_proven_lower_that_is_not_an_index(chain10, proven_lower):
+    with pytest.raises(ModelError, match="proven_lower must be an integer"):
+        dim_bounds(chain10, proven_lower=proven_lower)
+
+
+def test_dim_bounds_refuses_a_proven_lower_above_the_ceiling(chain10):
+    # no dimension passes c = 9; 99 used to skip the linking and read
+    # upper 9, where the linking gives 8
+    assert dim_bounds(chain10) == checker_mod.DimBounds(8, 8, True, 9)
+    assert dim_bounds(chain10, proven_lower=9) == checker_mod.DimBounds(8, 9, True, 9)
+    for proven_lower in (10, 99):
+        with pytest.raises(ModelError, match=f"proven_lower {proven_lower} exceeds "
+                                             "the term-rank ceiling 9"):
+            dim_bounds(chain10, proven_lower=proven_lower)
 
 
 @pytest.mark.parametrize("kwargs, message", [

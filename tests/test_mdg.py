@@ -294,16 +294,30 @@ def _assert_max_linking(nx, mdg, linking):
         used.update(path)
 
 
+def _stop_depth(s, depth: int, ceiling: int) -> int:
+    """The first depth of ``max_linking``'s schedule, the full ``depth``
+    halved (rounding up) down to 1 and run shallowest first, whose own
+    linking reaches ``ceiling``; ``depth`` if none does."""
+    schedule = [depth]
+    while schedule[-1] > 1:
+        schedule.append((schedule[-1] + 1) // 2)
+    return next((d for d in reversed(schedule)
+                 if max_linking(build_mdg(s, d)).size == ceiling), depth)
+
+
 def _assert_linkings_match_networkx(nx, s):
     """At depth ``n`` minus the input rank, the linking with and without the
     ceiling is maximum; below it, linking sizes never fall with depth and
-    never pass the ceiling, which is what makes stopping there exact."""
+    never pass the ceiling, which is what makes stopping there exact.  The
+    ceiling-stopped linking is the one of the depth where it stopped."""
     g = build_union_graph(s)
     ceiling = term_rank_ceiling(g)
     depth = s.n - input_rank(g)
     mdg = build_mdg(s, depth)
     _assert_max_linking(nx, mdg, max_linking(mdg))
-    _assert_max_linking(nx, mdg, max_linking(mdg, ceiling))
+    stopped = max_linking(mdg, ceiling)
+    _assert_max_linking(nx, mdg, stopped)
+    assert stopped == max_linking(build_mdg(s, _stop_depth(s, depth, ceiling)))
     sizes = [max_linking(build_mdg(s, d)).size for d in range(depth + 1)]
     assert sizes == sorted(sizes)
     assert sizes[-1] <= ceiling
@@ -336,6 +350,53 @@ def test_ceiling_stops_at_a_shallow_layer():
     linking = max_linking(mdg, term_rank_ceiling(g))
     assert linking.size == 8
     assert max(v[1] for path in linking.paths for v in path) <= 2
+
+
+@pytest.mark.parametrize("seed, n, modes", [(1, 9, 4), (1, 10, 3), (2, 9, 3),
+                                             (0, 7, 3)])
+def test_ceiling_stopped_linking_is_its_stop_depth_linking(seed, n, modes):
+    # each reaches its ceiling at depth 2; a run warm-started from the
+    # depth-1 matching ended on other paths than the depth-2 graph's own
+    s = helpers.gapped_structure(seed, n, modes)
+    g = build_union_graph(s)
+    ceiling = term_rank_ceiling(g)
+    mdg = build_mdg(s, s.n - input_rank(g))
+    assert _stop_depth(s, mdg.depth, ceiling) == 2
+    assert max_linking(mdg, ceiling) == max_linking(build_mdg(s, 2))
+
+
+def test_every_linking_run_starts_cold(monkeypatch):
+    # the spider's linking, 7, stays below its ceiling of 8, so all five
+    # depths of the schedule run (1, 2, 3, 5, 10), and the full depth once
+    # more without a ceiling: each gets a fresh all-free match_right
+    starts = []
+    kernel = mdg_mod.hopcroft_karp
+
+    def spied(adj, match_right, *rest):
+        starts.append(match_right == [-1] * len(adj))
+        return kernel(adj, match_right, *rest)
+    monkeypatch.setattr(mdg_mod, "hopcroft_karp", spied)
+    s = helpers.spider_structure(5, 2, 2)
+    mdg = build_mdg(s, 10)
+    assert max_linking(mdg, 8) == max_linking(mdg)
+    assert max_linking(mdg).size == 7
+    assert starts == [True] * 7
+
+
+@pytest.mark.parametrize("ceiling", [True, 8.0, "8"])
+def test_max_linking_refuses_a_ceiling_that_is_not_an_index(chain10, ceiling):
+    # True was read as a ceiling of 1
+    with pytest.raises(ModelError, match="ceiling must be an integer"):
+        max_linking(build_mdg(chain10, 9), ceiling)
+
+
+@pytest.mark.parametrize("vertex", [("x", 0, 0, 0, 1), ("u", 0, 0, 0, 2, 7),
+                                    ("u", 3, 0, 0, 0, 0)])
+def test_input_column_index_refuses_other_vertices(example1, vertex):
+    # a state copy failed on unpacking and a missing input slot in
+    # ``tuple.index``, both with a bare ValueError
+    with pytest.raises(ModelError, match="not an input vertex of this graph"):
+        build_mdg(example1, 2).input_column_index(vertex)
 
 
 def test_family_helpers_draw_like_the_benchmark(monkeypatch):

@@ -625,6 +625,15 @@ def test_ceiling_stops_mid_round(seed):
     assert len(adds) < round_adds
 
 
+@pytest.mark.parametrize("ceiling", [True, 2.0, "3"])
+def test_probe_refuses_a_ceiling_that_is_not_an_index(example1, ceiling):
+    # True was read as a ceiling of 1, which the rank passes at once
+    r = sample_realization(example1, seed=1)
+    with pytest.raises(ModelError, match="ceiling must be an integer"):
+        reachable_space_dim(example1, r, ceiling)
+    assert reachable_space_dim(example1, r, None) == reachable_space_dim(example1, r)
+
+
 def test_probe_reads_ceiling_from_graph(chain10):
     g = build_union_graph(chain10)
     assert controllable_dim(chain10, graph=g) == controllable_dim(chain10)
