@@ -270,7 +270,9 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = False,
         sub.add_argument("--format", choices=("json", "dot"), default="json")
     if seeded:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sub.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+        sub.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                         help="the probe's field: a prime between 2**31 and "
+                              "2**63 (default %(default)s = 2**32 - 5)")
     if layered:
         sub.add_argument("--layer-cap", type=int, default=DEFAULT_LAYER_CAP)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Iterable
 
-DEFAULT_PRIME = (1 << 61) - 1
+DEFAULT_PRIME = (1 << 32) - 5  # the largest prime below 2**32
 # Realization values must stay exact; primes this large force Python-int
 # arithmetic downstream (int64 products would overflow).
 _MIN_PRIME_EXCLUSIVE = 1 << 31

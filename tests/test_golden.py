@@ -13,6 +13,7 @@ import helpers
 from swcactus.cli import main
 
 GOLDEN_DIR = helpers.DATA_DIR / "golden"
+P61 = str((1 << 61) - 1)
 
 # (golden file, command line, exit code); check exits 1 when uncontrollable
 CASES = [
@@ -52,6 +53,12 @@ CASES = [
     # linking of 5 out of 2548 layered vertices, where the matching leaves
     # chains that stop short of layer 0
     ("mdg_gapped6.json", ["mdg", "probe/gapped6.json"], 0),
+    # the probe over 2**61 - 1, the default prime before 2**32 - 5: only the
+    # prime line differs from the default output
+    ("check_example1_p61.json", ["check", "example1.json", "--prime", P61], 0),
+    ("check_chain10_p61.json", ["check", "chain10.json", "--prime", P61], 1),
+    ("check_boost_p61.json", ["check", "boost.json", "--prime", P61], 0),
+    ("check_wide60_p61.json", ["check", "probe/wide60.json", "--prime", P61], 1),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from swcactus.rankcore import ColumnReducer, _slot_layout, rank_ff
 from swcactus.unigraph import _term_rank_ceiling, term_rank_ceiling
 
 P = DEFAULT_PRIME
-# a prime just past the probe's 2**31 floor, the default, the largest 64-bit
-# prime and one past 64 bits
-PRIMES = ((1 << 31) + 11, DEFAULT_PRIME, (1 << 64) - 59, (1 << 89) - 1)
+# a prime just past the probe's 2**31 floor, the default (2**32 - 5), the
+# default before it, the largest 64-bit prime and one past 64 bits
+P61 = (1 << 61) - 1
+PRIMES = ((1 << 31) + 11, DEFAULT_PRIME, P61, (1 << 64) - 59, (1 << 89) - 1)
 # the primes on either side of the fold-shift branch at 40 bits: 2**40 mod p
 # = 2**40 - p, so c = b exactly when p > 2**40 - 2**20
 _EDGE = (1 << 40) - (1 << 20)
@@ -161,6 +163,46 @@ def test_rank_ff_known():
     assert rank_ff([[1, 0], [0, 1], [1, 1]], 2, P) == 2
     assert rank_ff([], 3, P) == 0
     assert rank_ff([[0, 0, 0]], 3, P) == 0
+
+
+@pytest.mark.parametrize("n, prime, message", [
+    (2, 4, "prime must be a prime, got 4"),  # Z/4 is no field
+    (2, True, "prime must be an integer, got True"),  # was read as 1
+    (2, 2.5, "prime must be an integer, got 2.5"),
+    (-3, 7, "n must be non-negative, got -3"),
+    (2.0, 7, "n must be an integer, got 2.0"),
+])
+def test_reducer_refuses_a_bad_modulus_or_size(n, prime, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        ColumnReducer(n, prime)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        rank_ff([[1, 0]], n, prime)
+
+
+def test_probe_refuses_a_hand_built_realization_over_a_ring(example1):
+    drawn = sample_realization(example1, seed=1)
+    r = Realization(kind="finite", prime=1 << 32, seed=1, columns=drawn.columns)
+    with pytest.raises(ModelError, match="prime must be a prime"):
+        reachable_space_dim(example1, r)
+
+
+@pytest.mark.parametrize("row", [-1, 3, 5])
+def test_reducer_refuses_dict_rows_outside_range(row):
+    # row -1 took row 2's slot, and row 5 raised a bare IndexError
+    red = ColumnReducer(3, 7)
+    with pytest.raises(ModelError, match=f"column row {row} is outside range\\(3\\)"):
+        red.add({0: 1, row: 1})
+    assert red.rank == 0 and red._slot_of == [-1, -1, -1]
+    assert not red.add({}) and red.add({2: 1, 0: 0})
+
+
+def test_small_primes_match_plain_elimination():
+    # the reducer takes any prime, also ones the probe's sampler refuses
+    rng = random.Random(5)
+    for prime in (2, 3, 5, 7, 31):
+        for n in (1, 2, 5):
+            cols = _sparse_columns(rng, n, prime)
+            assert rank_ff(cols, n, prime) == helpers.brute_rank_ff(cols, n, prime)
 
 
 def test_rank_ff_matches_numpy():
@@ -560,9 +602,11 @@ def test_slot_layout_bounds(prime, n):
         assert x >= top and (x >> c) * radix + (1 << c) - 1 < x
         x = (x >> c) * radix + (1 << c) - 1
     assert x < top and radix + (1 << c) - 1 < top
-    if prime == DEFAULT_PRIME:
+    if prime == P61:
         assert narrow and radix == 1 and folds == 2
-    assert narrow == (prime in ((1 << 64) - 59, (1 << 89) - 1, DEFAULT_PRIME,
+    if prime == DEFAULT_PRIME:
+        assert c == 32 and radix == 5 and folds == 2
+    assert narrow == (prime in (DEFAULT_PRIME, P61, (1 << 64) - 59, (1 << 89) - 1,
                                 BOUNDARY_PRIMES[1]))
 
 
@@ -638,3 +682,52 @@ def test_probe_reads_ceiling_from_graph(chain10):
     g = build_union_graph(chain10)
     assert controllable_dim(chain10, graph=g) == controllable_dim(chain10)
     assert (_term_rank_ceiling,) in g._memo
+
+
+def _assert_same_probe_over_p61(s):
+    # the default prime and 2**61 - 1 give the same dimensions and depths
+    probe, p61 = controllable_dim(s), controllable_dim(s, prime=P61)
+    assert probe.prime == DEFAULT_PRIME and p61.prime == P61
+    assert (probe.dim, probe.layers_used, probe.trial_dims) == (
+        p61.dim, p61.layers_used, p61.trial_dims)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_default_prime_probes_as_p61(seed):
+    rng = np.random.default_rng(seed)
+    _assert_same_probe_over_p61(helpers.random_structure(rng, max_n=8, max_colors=3))
+
+
+@pytest.mark.parametrize("build, args", [
+    (helpers.wide_structure, (1, 60, 3)),
+    (helpers.wide_structure, (11, 60, 3)),  # uncontrollable: probe/wide60.json
+    (helpers.gapped_structure, (0, 6, 3)),
+    (helpers.gapped_structure, (1, 11, 4)),
+    (helpers.spider_structure, (5, 2, 2)),  # probe below the ceiling
+    (helpers.spider_structure, (6, 2, 2)),
+])
+def test_default_prime_probes_as_p61_on_families(build, args):
+    _assert_same_probe_over_p61(build(*args))
+
+
+# README's per-trial undershoot bound n**2 / (p - 1) at the default prime,
+# for n = 70 (`wide`) and n = 3000 (`cover`)
+DOCUMENTED_BOUNDS = ((70, "1.2e-6"), (3000, "2.1e-3"))
+
+
+def test_documented_undershoot_bound():
+    readme = (helpers.DATA_DIR.parent.parent / "README.md").read_text()
+    docs = [" ".join(text.split()) for text in (readme, rankcore_mod.__doc__)]
+    for n, figure in DOCUMENTED_BOUNDS:
+        assert n * n / (DEFAULT_PRIME - 1) < float(figure)
+        assert all(f"{figure} at n = {n}" in text for text in docs)
+    # d <= c * (layers_used + 1) on every document the goldens run, at the
+    # goldens' seed
+    for path in sorted(helpers.DATA_DIR.glob("*.json")) + sorted(
+            helpers.DATA_DIR.glob("probe/*.json")):
+        s = helpers.parse_system(path.read_text())
+        probe = controllable_dim(s, seed=1729)
+        c = term_rank_ceiling(build_union_graph(s))
+        bound = c * (probe.layers_used + 1) / (DEFAULT_PRIME - 1)
+        assert bound < float(DOCUMENTED_BOUNDS[0][1])
