@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import ModelError, as_indices
 from .unigraph import (
@@ -74,14 +74,16 @@ def _check_independent(edges: tuple[ColoredEdge, ...]) -> None:
         raise ModelError("edge set is not independent: repeated tail and color")
 
 
-def decompose(edges, reachable: frozenset[int]) -> Decomposition:
+def decompose(edges, reachable: Iterable[int]) -> Decomposition:
     """Split an independent edge set into its cover pieces.
 
     Each edge belongs to the piece its chain of in-edges ends in: an input
     (stem), a cycle (cycle group) or a state with no in-edge (rootless,
     dropped).  Cycle groups with any unreachable vertex are dropped too,
-    since no walk from an input could ever wind through them.
+    since no walk from an input could ever wind through them.  ``reachable``
+    is read by :func:`model.as_indices`.
     """
+    reachable = frozenset(as_indices(reachable, "reachable states"))
     edges = tuple(sorted(edges, key=edge_sort_key))
     _check_independent(edges)
     tails = [-1 if isinstance(e.tail, InputVertex) else e.tail.index
@@ -213,10 +215,10 @@ def _cover_fixpoint(g: UnionGraph) -> Decomposition:
     forms of :func:`max_independent_edges` and :func:`decompose`: the
     matched rows ascend in ``edge_sort_key`` order, and each row names its
     tail, read for the matched rows alone.  Every round starts its matching
-    cold; once bans leave the allowed heads few of the graph's edges, a
-    round matches on just the rows holding them (``row_matching``'s compact
-    form), so later rounds cost what they still touch.  Edge objects are
-    built only for the pieces of the last round.
+    cold; once bans leave under half the states allowed, a round's cold
+    start scans just the rows holding an allowed head, so later rounds cost
+    what they still touch.  Edge objects are built only for the pieces of
+    the last round.
     """
     reachable = reachable_states(g)
     allowed = set(reachable)

@@ -39,6 +39,7 @@ from .unigraph import (
     max_independent_edges,
     reachable_states,
     term_rank_ceiling,
+    union_graph_of,
 )
 
 DEFAULT_SEED = 1729
@@ -121,11 +122,12 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     linking >= dim.  No dimension passes c, so a ``proven_lower`` above it
     raises :class:`ModelError`.  The vertex cap applies only where a graph
     is built; ``layer_cap`` and ``proven_lower`` are read by
-    :func:`model.as_indices`.
+    :func:`model.as_indices`.  ``graph``, when given, must be the
+    structure's union graph (:func:`unigraph.union_graph_of`).
     """
     (layer_cap,) = as_indices((layer_cap,), "layer_cap")
     (proven_lower,) = as_indices((proven_lower,), "proven_lower")
-    g = graph if graph is not None else build_union_graph(structure)
+    g = union_graph_of(structure, graph)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
     lower = len(cover.covered)
     # the cover's count is at most c, so only a bound above it can pass c

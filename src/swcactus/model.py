@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Any, Iterable
 
 DEFAULT_PRIME = (1 << 32) - 5  # the largest prime below 2**32
@@ -392,13 +393,16 @@ class Realization:
     ``columns``.
 
     ``values`` is derived: it maps ``(subsystem, "A"|"B", row, col)`` to the
-    value, in draw order, and is built on first read.
+    value, in draw order, and is built on first read.  ``structure`` is the
+    one :func:`sample_realization` drew it for, if any; it takes no part in
+    equality.
     """
 
     kind: str
     prime: int | None
     seed: int
     columns: tuple[tuple[tuple[tuple[tuple[int, Any], ...], ...], ...], ...]
+    structure: SwitchedStructure | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def values(self) -> dict[tuple[int, str, int, int], Any]:
@@ -407,6 +411,25 @@ class Realization:
                 for tag, cols in zip("AB", pair)
                 for c, col in enumerate(cols)
                 for r, v in col}
+
+
+def check_realization(structure: SwitchedStructure, realization: Realization) -> None:
+    """Raise :class:`ModelError` unless ``realization`` has ``structure``'s
+    subsystem count and, per matrix, its column count and column rows; one
+    drawn for ``structure`` itself passes at once."""
+    if realization.structure is structure:
+        return
+    drawn = realization.columns
+    if len(drawn) != structure.subsystem_count:
+        raise ModelError(f"realization has {len(drawn)} subsystems, the "
+                         f"structure {structure.subsystem_count}")
+    for i, (pair, mats) in enumerate(zip(drawn, structure.subsystems)):
+        for tag, cols, mat in zip("AB", pair, mats):
+            if (list(map(len, cols)) != list(map(len, mat.columns))
+                    or list(map(operator.itemgetter(0), chain.from_iterable(cols)))
+                    != list(chain.from_iterable(mat.columns))):
+                raise ModelError(f"realization columns of {tag}_{i + 1} are not "
+                                 f"the structure's")
 
 
 def realized_dense(structure: SwitchedStructure, realization: Realization,
@@ -492,4 +515,5 @@ def sample_realization(structure: SwitchedStructure, *, field_kind: str = "finit
                 cols.append(tuple(col))
             blocks.append(tuple(cols))
         columns.append(tuple(blocks))
-    return Realization(kind=field_kind, prime=p, seed=seed, columns=tuple(columns))
+    return Realization(kind=field_kind, prime=p, seed=seed, columns=tuple(columns),
+                       structure=structure)

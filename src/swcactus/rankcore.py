@@ -55,11 +55,12 @@ from .model import (
     Realization,
     SwitchedStructure,
     as_indices,
+    check_realization,
     is_prime,
     realized_dense,
     sample_realization,
 )
-from .unigraph import UnionGraph, build_union_graph, term_rank_ceiling
+from .unigraph import UnionGraph, term_rank_ceiling, union_graph_of
 
 _REAL_RANK_REL_TOL = 1e-9
 
@@ -273,8 +274,10 @@ def reachable_space_dim(structure: SwitchedStructure, realization: Realization,
     realization can exceed, such as ``unigraph.term_rank_ceiling``: every
     later column would then be dependent, so the result is the same as
     without it; it is read by :func:`model.as_indices`.  A real
-    realization ignores ``ceiling``.
+    realization ignores ``ceiling``.  A realization of another pattern
+    raises :class:`ModelError` (:func:`model.check_realization`).
     """
+    check_realization(structure, realization)
     if realization.kind == "real":
         return _reachable_space_dim_real(structure, realization)
     n, p = structure.n, realization.prime
@@ -379,14 +382,15 @@ def controllable_dim(structure: SwitchedStructure, *, seed: int = 0,
     structural controllability up to the (astronomically small) chance that
     every trial landed on the degenerate variety.  Every trial stops at the
     term-rank ceiling of ``graph``, the structure's union graph, built here
-    when not given, and the trials stop as :func:`probe_trials` says.  Each
-    realization is drawn only when its trial runs.  ``seed`` and ``trials``
-    are read by :func:`model.as_indices`.
+    when not given (:func:`unigraph.union_graph_of`), and the trials stop as
+    :func:`probe_trials` says.  Each realization is drawn only when its
+    trial runs.  ``seed`` and ``trials`` are read by
+    :func:`model.as_indices`.
     """
     seed, trials = as_indices((seed, trials), "seed and trials")
     if trials < 1:
         raise ModelError(f"need at least one trial, got {trials}")
-    g = graph if graph is not None else build_union_graph(structure)
+    g = union_graph_of(structure, graph)
     dims, layer_counts = probe_trials(
         structure, trial_realizations(structure, seed, trials, prime),
         term_rank_ceiling(g))
@@ -444,7 +448,9 @@ def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,
     ``[A | B]`` mixes column ``k`` of every ``A_i``, column ``n + k`` column
     ``k`` of every ``B_i``, read from ``realization.columns``.  The stack
     then takes ``rank_ff`` over GF(p), or a numerical rank over the reals.
+    A realization of another pattern raises :class:`ModelError`.
     """
+    check_realization(structure, realization)
     if len(weights) != structure.subsystem_count:
         raise ModelError(
             f"need {structure.subsystem_count} weights, got {len(weights)}")

@@ -33,7 +33,7 @@ graph is its own slice); ``_row_matching``, the unrestricted matching,
 which :func:`generic_rank`, the ceiling, a cover fixpoint's first round
 and :func:`max_independent_edges` all read; ``_rows_into``, the rows
 holding each head, once a phase has a free row and a free head or a
-restricted matching on over ``_COMPACT_SETUP`` edges sizes its problem;
+matching onto under half the states picks the rows it scans;
 ``_edge_offsets`` once ``edges`` is indexed; ``_term_rank_ceiling``; and
 other modules' ``_input_rank``, ``_cover_fixpoint`` and
 ``shortest_walk_tree``.  A row slice's matching is not kept.
@@ -43,17 +43,15 @@ is the one augmenting-path loop of the package, on an explicit stack.
 :func:`row_matching` runs it on the rows, ``mdg.max_linking`` on the layered
 graph; every run starts cold, and lefts and heads are tried in a recursive
 search's order, so the matching is determined by the graph.  Onto
-``allowed_heads`` the rows are matched in one of two forms with one result
-(see ``_row_matching``): the *sentinel* form runs on every row, each other
-head held by a sentinel; the *compact* form, taken when the allowed heads
-hold few edges (a cover fixpoint's later rounds), runs on just the rows and
-heads it keeps.  With the rows per head, each phase after a cold start's
-greedy one searches only the *live* rows, those with an alternating path
-to a free head: 6-61 of about 4,000 free rows on the ``cover`` benchmark's
-3-mode n=2000 graph (seed 1).  ``max_linking`` lists no rows per head: at
-full depth, live-row phases took 0.89 s against 0.66 s on the one-mode
-n=600 chain and 2.60 s against 1.18 s on ``gapped(1, 9, 4)`` (medians of
-5, 2-CPU machine), at 317-365 against 201-235 B per layered vertex.
+``allowed_heads`` every other head is held by a sentinel, and a cold start
+onto few heads scans only their rows (``_row_matching``).  With the rows
+per head, each phase after a cold start's greedy one searches only the
+*live* rows, those with an alternating path to a free head: 6-61 of about
+4,000 free rows on the ``cover`` benchmark's 3-mode n=2000 graph (seed 1).
+``max_linking`` lists no rows per head: at full depth, live-row phases
+took 0.89 s against 0.66 s on the one-mode n=600 chain and 2.60 s against
+1.18 s on ``gapped(1, 9, 4)`` (medians of 5, 2-CPU machine), at 317-365
+against 201-235 B per layered vertex.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count
 from typing import Callable, Iterable, Iterator, Union
 
 from .model import ModelError, SwitchedStructure, as_indices
@@ -110,7 +108,10 @@ def format_vertex(vertex: Vertex) -> str:
 class UnionGraph:
     """Immutable colored multigraph on flat integer arrays.  ``input_counts``
     keeps one entry per subsystem, with or without inputs, so layer sizes
-    downstream stay aligned with the structure."""
+    downstream stay aligned with the structure.  ``_structure`` is the one
+    :func:`build_union_graph` built it from, if any."""
+
+    _structure: SwitchedStructure | None = None
 
     def __init__(self, n: int, input_counts: tuple[int, ...],
                  edges: Iterable[ColoredEdge]) -> None:
@@ -278,18 +279,35 @@ def _edge_offsets(g: UnionGraph) -> list[int]:
 def build_union_graph(structure: SwitchedStructure) -> UnionGraph:
     g = UnionGraph.__new__(UnionGraph)  # rows are set below, from valid columns
     g._shape(structure.n, structure.input_counts)
-    rows: list[int] = []
-    adj: list[tuple[int, ...]] = []
-    for i, (a, b) in enumerate(structure.subsystems):
-        # one row per non-empty column; per color, input rows come first
-        base = i * g._width
-        for first, mat in ((base + g._input_base[i], b), (base + g._inputs, a)):
-            for c, heads in enumerate(mat.columns):
-                if heads:
-                    rows.append(first + c)
-                    adj.append(heads)
-    g._set_rows(rows, adj)
+    g._set_rows(*_structure_rows(g, structure))
+    g._structure = structure
     return g
+
+
+def _structure_rows(g: UnionGraph, structure: SwitchedStructure
+                    ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The row ids and head tuples of ``structure`` in ``g``'s layout: a row
+    per non-empty column, per color inputs first; the tuples are the columns."""
+    blocks = [(i * g._width + first, mat)
+              for i, (a, b) in enumerate(structure.subsystems)
+              for first, mat in ((g._input_base[i], b), (g._inputs, a))]
+    return (list(chain.from_iterable(compress(count(k), m.columns) for k, m in blocks)),
+            list(filter(None, chain.from_iterable(m.columns for _, m in blocks))))
+
+
+def union_graph_of(structure: SwitchedStructure, graph: UnionGraph | None = None
+                   ) -> UnionGraph:
+    """``graph``, or ``structure``'s union graph built when it is None.  A graph
+    whose state count, input counts or rows are not the structure's raises
+    :class:`ModelError`; one built from ``structure`` itself passes at once."""
+    if graph is None:
+        return build_union_graph(structure)
+    if not (isinstance(graph, UnionGraph) and (graph._structure is structure or (
+            graph.n == structure.n and graph.input_counts == structure.input_counts
+            and (graph._rows, graph._adj) == _structure_rows(graph, structure)))):
+        raise ModelError("graph is not this structure's union graph: its state "
+                         "count, input counts or rows differ")
+    return graph
 
 
 def restrict_to_color(g: UnionGraph, color: int) -> UnionGraph:
@@ -388,59 +406,30 @@ def row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
     return _row_matching(g, allowed_heads)
 
 
-_COMPACT_EDGE, _COMPACT_SETUP = 16, 64  # measured in ``_row_matching``
-
-
 def _row_matching(g: UnionGraph, allowed_heads: Iterable[int] | None = None
                   ) -> tuple[list[int], list[int]]:
-    """:func:`row_matching`, computed.
-
-    Onto ``allowed_heads``, the sentinel form runs on every row, each other
-    head held by the sentinel left ``len(g._adj)``; the compact form runs on
-    the rows holding an allowed head, each with just its allowed heads,
-    renumbered in order.  The compact form is taken when ``_COMPACT_EDGE *
-    held + _COMPACT_SETUP < g._edge_count``, ``held`` being the edges into
-    the allowed heads, read off ``_rows_into``.  The two agree, because in
-    the sentinel form:
-      1. a sentinel-held head is never taken by the cold start, never free
-         nor held by a row, so never searched back through, and never
-         layered or followed (the sentinel's distance equals no layer);
-      2. a row with no allowed head is so never matched, live, layered or
-         searched; it only keeps the test "no free row" from stopping a
-         phase that, with no live free row, stops anyway;
-      3. the kept rows and heads keep their order under a monotone
-         renumbering, so roots, queue and every search are the same.
-    Timed per call on wide graphs of 82-24,000 edges with random allowed
-    sets (2-CPU machine, best of 7), the compact form costs the sentinel
-    form's at ``held`` of a tenth of the edges, half at a twentieth, and a
-    tenth to a third at the 1-3% of most later fixpoint rounds; its fixed
-    cost is the sentinel form's on 30-60 edges."""
+    """:func:`row_matching`, computed on the graph's own rows and heads.
+    Onto ``allowed_heads`` every other head is held by the sentinel left
+    ``len(g._adj)``; under half the states allowed, the cold start scans
+    only the rows holding an allowed head, and the result is read off them.
+    Which rows are scanned changes only the cost, never the matching: a row
+    with no allowed head holds only sentinel heads, so is never matched."""
     adj, n = g._adj, g.n
-    lefts = None  # the compact form's rows, when it is taken
+    scan = None
     if allowed_heads is None:
         match_right = [-1] * n
     else:
-        keep = sorted({h for h in allowed_heads if 0 <= h < n})
-        into = g._once(_rows_into) if g._edge_count > _COMPACT_SETUP else None
-        held = sum(map(len, map(into.__getitem__, keep))) if into else 0
-        if into and _COMPACT_EDGE * held + _COMPACT_SETUP < g._edge_count:
-            lefts = sorted({k for h in keep for k in into[h]})
-            at = dict(zip(keep, range(len(keep))))
-            adj = [[at[h] for h in adj[k] if h in at] for k in lefts]
-            left_at = dict(zip(lefts, range(len(lefts))))
-            kept_into = [[left_at[k] for k in into[h]] for h in keep]
-            match_right = [-1] * len(keep)
-        else:
-            match_right = [len(adj)] * n
-            for h in keep:
-                match_right[h] = -1
-    match_left = hopcroft_karp(adj, match_right, (lambda: g._once(_rows_into))
-                               if lefts is None else (lambda: kept_into))
-    matched = [i for i, head in enumerate(match_left) if head >= 0]
-    heads = list(map(match_left.__getitem__, matched))
-    if lefts is None:
-        return matched, heads
-    return list(map(lefts.__getitem__, matched)), list(map(keep.__getitem__, heads))
+        match_right = [len(adj)] * n
+        keep = {h for h in allowed_heads if 0 <= h < n}
+        for h in keep:
+            match_right[h] = -1
+        if 2 * len(keep) < n:
+            into = g._once(_rows_into)
+            scan = sorted(set(chain.from_iterable(map(into.__getitem__, keep))))
+    match_left = hopcroft_karp(adj, match_right, lambda: g._once(_rows_into), scan)
+    matched = [k for k in (range(len(adj)) if scan is None else scan)
+               if match_left[k] >= 0]
+    return matched, list(map(match_left.__getitem__, matched))
 
 
 def _rows_into(g: UnionGraph) -> list[list[int]]:
@@ -453,8 +442,8 @@ def _rows_into(g: UnionGraph) -> list[list[int]]:
 
 
 def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
-                  rows_into: Callable[[], Sequence[Sequence[int]]] | None = None
-                  ) -> list[int]:
+                  rows_into: Callable[[], Sequence[Sequence[int]]] | None = None,
+                  scan: Sequence[int] | None = None) -> list[int]:
     """Maximum bipartite matching; the head of every left, or ``-1``.
 
     ``adj[i]`` lists the heads of left ``i`` in the order they are tried.
@@ -476,12 +465,16 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
       2. every left on a successful search path is live, as is every
          alternating predecessor of a live left, so live lefts keep layers;
       3. a search entering a left that is not live fails, changing nothing.
+
+    ``scan``, when given, lists the lefts the cold start scans, ascending;
+    every other left must hold only sentinel heads, so is never matched.
     """
     size = len(adj)
     match_left = [-1] * size
     # a cold start layers every left 0, where no augmenting path runs
     # through a matched left: each left takes its first free head
-    for idx, heads in enumerate(adj):
+    for idx, heads in (enumerate(adj) if scan is None
+                       else zip(scan, map(adj.__getitem__, scan))):
         for head in heads:
             if match_right[head] < 0:
                 match_left[idx] = head
@@ -489,8 +482,10 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int],
                 break
     inf = size + 1
     into = None
-    # an augmentation frees no head, so each phase filters the last one's
-    free: Sequence[int] = range(len(match_right))
+    # an augmentation frees no head, so each phase filters the last one's;
+    # a left not scanned holds no free head
+    free: Iterable[int] = (range(len(match_right)) if scan is None
+                           else {head for idx in scan for head in adj[idx]})
     while True:
         if rows_into is None:
             # every free left is a root; the sentinel's layer never qualifies

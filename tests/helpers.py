@@ -10,12 +10,13 @@ stack live here with the rest.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from collections import deque
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -804,3 +805,39 @@ def ref_hopcroft_karp(adj: Sequence[Sequence[int]], match_right: list[int]) -> l
                     break
                 path.append(other)
                 pos.append(0)
+
+
+class KernelCall(NamedTuple):
+    """One ``hopcroft_karp`` call: its arguments by name, defaults filled
+    in and ``match_right`` as the kernel left it; ``match_right`` as it was
+    on entry; and the kernel's result."""
+
+    args: dict
+    start: list[int]
+    result: list[int]
+
+    @property
+    def scanned(self) -> Sequence[int]:
+        """The lefts the cold start scanned, ascending."""
+        scan = self.args["scan"]
+        return range(len(self.args["adj"])) if scan is None else scan
+
+
+def spy_kernel(monkeypatch, module, **forced) -> list[KernelCall]:
+    """Every call that ``module`` makes to ``unigraph.hopcroft_karp`` from
+    now on, recorded as it returns; ``forced`` replaces named arguments of
+    each call before the kernel runs."""
+    calls: list[KernelCall] = []
+    kernel = module.hopcroft_karp
+    signature = inspect.signature(kernel)
+
+    def spied(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        bound.arguments.update(forced)
+        start = list(bound.arguments["match_right"])
+        result = kernel(*bound.args, **bound.kwargs)
+        calls.append(KernelCall(dict(bound.arguments), start, result))
+        return result
+    monkeypatch.setattr(module, "hopcroft_karp", spied)
+    return calls

@@ -86,6 +86,21 @@ def test_decompose_cycle_kept_iff_reachable():
     assert set(dropped.dropped) == set(cycle)
 
 
+def test_decompose_reads_reachable_as_indices():
+    # a list of reachable states once raised AttributeError on its missing
+    # ``issuperset`` as soon as the edge set held a cycle
+    cycle = (
+        ColoredEdge(InputVertex(0, 0), 0, 0),
+        ColoredEdge(StateVertex(1), 2, 0),
+        ColoredEdge(StateVertex(2), 1, 0),
+    )
+    assert decompose(cycle, [0, 1, 2]) == decompose(cycle, frozenset({0, 1, 2}))
+    assert decompose(cycle, [0]) == decompose(cycle, frozenset({0}))
+    for reachable in ([0, 1.0, 2], [True], ["2"]):
+        with pytest.raises(ModelError, match="reachable states must be"):
+            decompose(cycle, reachable)
+
+
 def test_decompose_rejects_dependent_edges():
     clash = (
         ColoredEdge(StateVertex(0), 1, 0),
@@ -557,46 +572,35 @@ def test_fixpoint_equals_edge_level_loop(seed, density):
         assert cactus_mod._cover_fixpoint(graph) == _edge_level_fixpoint(graph)
 
 
-def _counted_kernel(monkeypatch) -> list[int]:
-    """The number of lefts of every ``hopcroft_karp`` call from now on."""
-    lefts: list[int] = []
-    kernel = unigraph_mod.hopcroft_karp
-
-    def counted(adj, match_right, rows_into=None):
-        lefts.append(len(adj))
-        return kernel(adj, match_right, rows_into)
-    monkeypatch.setattr(unigraph_mod, "hopcroft_karp", counted)
-    return lefts
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fixpoint_equals_edge_level_loop_on_wide_colors(seed, monkeypatch):
     # the per-color graphs of a wide system have 301 rows and keep a few
-    # dozen heads after the first round, so later rounds match on the
-    # compact form, which must give the reference's matching
-    lefts = _counted_kernel(monkeypatch)
+    # dozen heads after the first round, so later rounds scan only the rows
+    # holding an allowed head, which must give the reference's matching
+    calls = helpers.spy_kernel(monkeypatch, unigraph_mod)
     g = build_union_graph(helpers.wide_structure(seed, 300, 3))
-    compact = 0
+    fewer = 0
     for c in range(g.colors):
         graph = restrict_to_color(g, c)
-        lefts.clear()
+        calls.clear()
         assert cactus_mod._cover_fixpoint(graph) == _edge_level_fixpoint(graph)
-        compact += sum(k < len(graph._adj) for k in lefts)
-    assert compact >= 3
+        fewer += sum(len(call.scanned) < len(graph._adj) for call in calls)
+    assert fewer >= 3
 
 
 def test_later_fixpoint_rounds_match_on_fewer_rows(monkeypatch):
     # a guard on work, not time: every per-color fixpoint of this system
-    # takes three rounds, and each round after the first hands the kernel
-    # fewer lefts than the color graph has rows
-    lefts = _counted_kernel(monkeypatch)
+    # takes three rounds, and each round after the first has its cold
+    # start scan fewer rows than the color graph has
+    calls = helpers.spy_kernel(monkeypatch, unigraph_mod)
     g = build_union_graph(helpers.wide_structure(2, 300, 3))
     for c in range(g.colors):
         graph = restrict_to_color(g, c)
-        lefts.clear()
+        calls.clear()
         cactus_mod._cover_fixpoint(graph)
-        assert len(lefts) == 3 and lefts[0] == len(graph._adj) == 301
-        assert all(k < len(graph._adj) for k in lefts[1:])
+        rows = [len(call.scanned) for call in calls]
+        assert len(rows) == 3 and rows[0] == len(graph._adj) == 301
+        assert all(k < len(graph._adj) for k in rows[1:])
 
 
 @pytest.mark.parametrize("seed", [1, 2])

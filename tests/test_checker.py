@@ -27,7 +27,10 @@ from swcactus import (
     dim_bounds,
     input_rank,
     max_linking,
+    parse_system,
     report_to_dict,
+    restrict_to_color,
+    serialize_system,
 )
 from swcactus.cactus import decompose
 from swcactus.checker import edge_to_dict
@@ -465,3 +468,27 @@ def test_certificate_check_reports_dropped_edges(example1, monkeypatch):
         "covered": sorted(v + 1 for v in certificate.covered - {first.head}),
         "dropped": [edge_to_dict(first)],
     }
+
+
+def test_dim_bounds_refuses_a_graph_of_another_structure():
+    # an 8-state graph once gave a 30-state structure's bounds as 30 and 30
+    gapped, wide = helpers.gapped_structure(1, 8, 3), helpers.wide_structure(1, 30, 3)
+    for structure, other in ((gapped, wide), (wide, gapped)):
+        with pytest.raises(ModelError, match="graph is not this structure's union graph"):
+            dim_bounds(structure, graph=build_union_graph(other))
+    # the same state and input counts, other rows; a color slice; and one
+    # more state, isolated, which leaves a one-color graph's rows as they are
+    shifted = helpers.wide_structure(2, 30, 3)
+    g = build_union_graph(wide)
+    one = helpers.gapped_structure(1, 8, 1)
+    for structure, graph in ((wide, build_union_graph(shifted)),
+                             (wide, restrict_to_color(g, 0)), (wide, "graph"),
+                             (one, UnionGraph(9, one.input_counts,
+                                              build_union_graph(one).edges))):
+        with pytest.raises(ModelError, match="graph is not this structure's union graph"):
+            dim_bounds(structure, graph=graph)
+    # an equal structure parsed again, and the public constructor's graph
+    again = parse_system(serialize_system(wide))
+    rebuilt = UnionGraph(wide.n, wide.input_counts, g.edges)
+    for graph in (g, rebuilt):
+        assert dim_bounds(again, graph=graph) == dim_bounds(wide)

@@ -369,18 +369,13 @@ def test_every_linking_run_starts_cold(monkeypatch):
     # the spider's linking, 7, stays below its ceiling of 8, so all five
     # depths of the schedule run (1, 2, 3, 5, 10), and the full depth once
     # more without a ceiling: each gets a fresh all-free match_right
-    starts = []
-    kernel = mdg_mod.hopcroft_karp
-
-    def spied(adj, match_right, *rest):
-        starts.append(match_right == [-1] * len(adj))
-        return kernel(adj, match_right, *rest)
-    monkeypatch.setattr(mdg_mod, "hopcroft_karp", spied)
+    calls = helpers.spy_kernel(monkeypatch, mdg_mod)
     s = helpers.spider_structure(5, 2, 2)
     mdg = build_mdg(s, 10)
     assert max_linking(mdg, 8) == max_linking(mdg)
     assert max_linking(mdg).size == 7
-    assert starts == [True] * 7
+    # the kernel's result has one entry per left of the call
+    assert [call.start == [-1] * len(call.result) for call in calls] == [True] * 7
 
 
 @pytest.mark.parametrize("ceiling", [True, 8.0, "8"])

@@ -20,8 +20,10 @@ from swcactus import (
     check,
     controllable_dim,
     input_rank,
+    parse_system,
     reachable_space_dim,
     sample_realization,
+    serialize_system,
 )
 from swcactus.model import Realization, StructuredMatrix, SwitchedStructure, is_prime
 from swcactus.rankcore import ColumnReducer, _slot_layout, rank_ff
@@ -731,3 +733,42 @@ def test_documented_undershoot_bound():
         c = term_rank_ceiling(build_union_graph(s))
         bound = c * (probe.layers_used + 1) / (DEFAULT_PRIME - 1)
         assert bound < float(DOCUMENTED_BOUNDS[0][1])
+
+
+def test_controllable_dim_refuses_a_graph_of_another_structure():
+    # the 8-state graph's ceiling, 7, was the 30-state structure's answer
+    wide = helpers.wide_structure(1, 30, 3)
+    with pytest.raises(ModelError, match="graph is not this structure's union graph"):
+        controllable_dim(wide, graph=build_union_graph(helpers.gapped_structure(1, 8, 3)))
+    assert controllable_dim(wide, graph=build_union_graph(wide)).dim == 30
+
+
+def test_realization_of_another_structure_is_refused():
+    # averaged_pair_rank raised a bare IndexError, and reachable_space_dim
+    # gave the other structure's answer, (30, 2)
+    other = sample_realization(helpers.wide_structure(2, 30, 3), seed=5)
+    with pytest.raises(ModelError, match="realization columns of A_1"):
+        averaged_pair_rank(helpers.gapped_structure(1, 8, 3), other, [1, 2, 3])
+    wide = helpers.wide_structure(1, 30, 3)
+    for kind in ("finite", "real"):
+        drawn = sample_realization(helpers.wide_structure(2, 30, 3), field_kind=kind, seed=5)
+        with pytest.raises(ModelError, match="realization columns of A_1"):
+            reachable_space_dim(wide, drawn)
+    # fewer subsystems; and a B column's rows moved to the next column
+    with pytest.raises(ModelError, match="realization has 3 subsystems, the structure 2"):
+        reachable_space_dim(helpers.wide_structure(2, 30, 2), other)
+    b = StructuredMatrix(3, 2, [(0, 0), (1, 0), (2, 1)])
+    moved = StructuredMatrix(3, 2, [(0, 0), (1, 1), (2, 1)])
+    a = StructuredMatrix(3, 3, [(1, 0), (2, 1)])
+    structure = SwitchedStructure(3, ((a, b),))
+    drawn = sample_realization(SwitchedStructure(3, ((a, moved),)), seed=1)
+    with pytest.raises(ModelError, match="realization columns of B_1"):
+        reachable_space_dim(structure, drawn)
+    with pytest.raises(ModelError, match="realization columns of B_1"):
+        averaged_pair_rank(structure, drawn, [1])
+    # an equal structure parsed again, and a hand-built realization, pass
+    # the comparison
+    own = sample_realization(wide, seed=5)
+    copy = Realization(kind=own.kind, prime=own.prime, seed=own.seed, columns=own.columns)
+    again = parse_system(serialize_system(wide))
+    assert reachable_space_dim(again, own) == reachable_space_dim(wide, copy) == (30, 2)

@@ -332,21 +332,30 @@ def test_matching_equals_reference_wide(seed, n, modes):
             == helpers.ref_max_independent_edges(g, allowed_heads=allowed))
 
 
+def _candidate_rows(g, allowed):
+    """The positions of the rows holding an allowed head, ascending."""
+    return [k for k, heads in enumerate(g._adj) if not allowed.isdisjoint(heads)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9),
        st.sampled_from([0.1, 0.3, 0.5]))
-def test_compact_and_sentinel_forms_equal_the_reference(seed, density):
-    # each form forced through its crossover constants, on any allowed set
-    # from none to every head: whole edge tuples, so ties break alike
+def test_every_scan_list_gives_the_reference_matching(seed, density):
+    # the cold start forced to scan every row, then only the rows holding
+    # an allowed head, on any allowed set from none to every head: whole
+    # edge tuples, so ties break alike, and no other row is ever matched
     rng = np.random.default_rng(seed)
     g = build_union_graph(helpers.random_structure(rng, max_n=12, density=density))
     keep = rng.random()
     allowed = [h for h in range(g.n) if rng.random() < keep]
     expected = helpers.ref_max_independent_edges(g, allowed_heads=allowed)
-    for edge, setup in ((0, -1), (1, 10 ** 9)):
-        with mock.patch.multiple(unigraph_mod, _COMPACT_EDGE=edge,
-                                 _COMPACT_SETUP=setup):
+    candidates = _candidate_rows(g, set(allowed))
+    for scan in (None, candidates):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = helpers.spy_kernel(mp, unigraph_mod, scan=scan)
             assert helpers.matched_edges(g, allowed) == expected
+        assert all({k for k, h in enumerate(call.result) if h >= 0} <= set(candidates)
+                   for call in calls)
 
 
 @pytest.mark.parametrize("seed, n, modes", [(1, 100, 3), (2, 250, 2), (3, 400, 3)])
@@ -657,7 +666,7 @@ def test_hopcroft_karp_equals_the_full_phase_oracle(seed):
     # left-heavy random graphs, up to three times as many lefts as heads
     # and 0-3 heads per left, 0-30% of the heads held by the sentinel: the
     # matching and the updated match_right equal the oracle's, with and
-    # without the search back from the free heads
+    # without the search back from the free heads and with every scan list
     rng = np.random.default_rng(seed)
     heads = int(rng.integers(1, 13))
     adj = [tuple(int(h) for h in rng.permutation(heads)[:int(rng.integers(0, 4))])
@@ -667,30 +676,31 @@ def test_hopcroft_karp_equals_the_full_phase_oracle(seed):
     match_right = [size if rng.random() < held else -1 for _ in range(heads)]
     expected_right = list(match_right)
     expected_left = helpers.ref_hopcroft_karp(adj, expected_right)
+    # a cold start that scans only the lefts holding a head no sentinel
+    # holds gives the same matching
+    held = [left for left, row in enumerate(adj)
+            if any(match_right[h] < 0 for h in row)]
     for rows_into in (None, lambda: _heads_into(adj, heads)):
-        right = list(match_right)
-        assert hopcroft_karp(adj, right, rows_into) == expected_left
-        assert right == expected_right
+        for scan in (None, held):
+            right = list(match_right)
+            assert hopcroft_karp(adj, right, rows_into, scan) == expected_left
+            assert right == expected_right
 
 
 def test_cover_rounds_equal_the_full_phase_oracle(monkeypatch):
     # every matching of the all-color and per-color fixpoints on a wide
     # system, compared with the oracle from the same start
-    calls = []
-    kernel = unigraph_mod.hopcroft_karp
-
-    def checked(adj, match_right, rows_into=None):
-        expected_right = list(match_right)
-        expected_left = helpers.ref_hopcroft_karp(adj, expected_right)
-        match_left = kernel(adj, match_right, rows_into)
-        assert match_left == expected_left and match_right == expected_right
-        calls.append(rows_into is not None)
-        return match_left
-    monkeypatch.setattr(unigraph_mod, "hopcroft_karp", checked)
+    calls = helpers.spy_kernel(monkeypatch, unigraph_mod)
     g = build_union_graph(helpers.wide_structure(1, 300, 3))
     cactus_mod.best_cactus_cover(g)
     cactus_mod.conventional_cactus_cover(g)
-    assert len(calls) > 4 and all(calls)
+    assert len(calls) > 4
+    for call in calls:
+        expected_right = list(call.start)
+        expected_left = helpers.ref_hopcroft_karp(call.args["adj"], expected_right)
+        assert call.result == expected_left
+        assert call.args["match_right"] == expected_right
+        assert call.args["rows_into"] is not None
 
 
 class _CountedRows(list):
@@ -724,6 +734,19 @@ def test_phases_read_only_live_lefts():
     assert match_right == expected_right
     assert expected_left[0] == 9 and expected_left[last] == 0
     assert adj.read <= {0, last}
+
+
+@pytest.mark.parametrize("seed, kept", [(1, 12), (2, 40), (3, 140)])
+def test_cold_start_reads_only_rows_holding_an_allowed_head(seed, kept):
+    # under half the states allowed: no row without an allowed head is
+    # read, by the cold start or any phase, and the matching is the
+    # reference's
+    g = build_union_graph(helpers.wide_structure(seed, 300, 3))
+    allowed = {int(h) for h in np.random.default_rng(seed).permutation(g.n)[:kept]}
+    expected = helpers.ref_max_independent_edges(g, allowed_heads=allowed)
+    g._adj = _CountedRows(g._adj)
+    assert helpers.matched_edges(g, allowed) == expected
+    assert g._adj.read == set(_candidate_rows(g, allowed))
 
 
 def test_rows_into_built_only_when_a_phase_has_a_free_row_and_head():
