@@ -58,11 +58,13 @@ class DimBounds:
     ``lower`` counts a cover's states, ``upper`` is the smaller of the
     reachable-state count and a depth-limited linking size.  When the depth
     needed for a sound linking bound is out of reach (past the layer cap,
-    or an unrolling of more than ``mdg.VERTEX_CAP`` vertices that has to be
-    built), ``used_linking_bound`` is False and ``upper`` falls back to the
-    reachable count alone.  Where a proven lower bound reaches the
-    term-rank ceiling, the linking is read as that ceiling and nothing is
-    built, so the vertex cap does not apply (:func:`dim_bounds`).
+    or a depth of the linking's schedule whose unrolling has more than
+    ``mdg.VERTEX_CAP`` vertices), ``used_linking_bound`` is False and
+    ``upper`` falls back to the reachable count alone.  The vertex cap
+    applies per depth built: where a shallow depth's linking or a proven
+    lower bound reaches the term-rank ceiling, no deeper graph is built
+    (:func:`dim_bounds`).  ``linking_layers`` is the depth the bound holds
+    for, whatever depth the linking stopped at.
     """
 
     lower: int
@@ -114,18 +116,27 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     dimension; the default may mix colors and is never smaller.
 
     ``proven_lower`` is a lower bound on the dimension the caller has
-    already proven, such as the rank of a realization.  When it or the
-    cover's count equals the term-rank ceiling c, no layered graph is built
-    and the linking size is taken to be c.  Sound: the dimension is at
-    least that lower view, which is c; the full-depth linking is at most c
-    (``mdg.max_linking``) and at least the dimension; so dim >= c >=
-    linking >= dim.  No dimension passes c, so a ``proven_lower`` above it
-    raises :class:`ModelError`.  The vertex cap applies only where a graph
-    is built; ``layer_cap`` and ``proven_lower`` are read by
-    :func:`model.as_indices`.  ``graph``, when given, must be the
-    structure's union graph (:func:`unigraph.union_graph_of`).
+    already proven, such as the rank of a realization; no dimension passes
+    the term-rank ceiling c, so one above c raises :class:`ModelError`.
+    The linking runs on layers ``0..d`` for the depths d met by halving the
+    needed depth D (rounding up) down to 1, shallowest first, and stops at
+    the first d whose linking size is c; where ``proven_lower`` or the
+    cover's count is already c, it is read as c and nothing is built.  Both
+    stops are exact.  With l_d the linking size at depth d, l_d <= l_D for
+    d <= D (layers ``0..d`` are an induced subgraph), and dim <= l_D <= c:
+    every path's last edge enters a distinct layer-0 state from a layer-0
+    input copy or from a layer-1 copy of a reachable state in block k, so
+    the last edges use distinct ``B`` or ``A_k`` columns, an independent
+    edge set of the union graph.  So c at depth d or in a lower view pins
+    l_D = c.  The vertex cap applies per depth built: a depth past it falls
+    back to the reachable count.  ``layer_cap`` and ``proven_lower`` are
+    read by :func:`model.as_indices`, and a negative ``layer_cap`` raises
+    :class:`ModelError`.  ``graph``, when given, must be the structure's
+    union graph (:func:`unigraph.union_graph_of`).
     """
     (layer_cap,) = as_indices((layer_cap,), "layer_cap")
+    if layer_cap < 0:
+        raise ModelError(f"layer_cap may not be negative, got {layer_cap}")
     (proven_lower,) = as_indices((proven_lower,), "proven_lower")
     g = union_graph_of(structure, graph)
     cover = conventional_cactus_cover(g) if conventional else best_cactus_cover(g)
@@ -142,16 +153,20 @@ def dim_bounds(structure: SwitchedStructure, *, conventional: bool = False,
     # sound upper bound; past the layer cap, fall back to reachability alone
     if depth_needed > layer_cap:
         return fallback
-    # no depth's linking exceeds the ceiling, so a proven lower bound that
-    # reaches it pins the linking there; ``check`` already computed it
-    linking_size = term_rank_ceiling(g)
-    if max(lower, proven_lower) < linking_size:
-        try:
-            mdg = build_mdg(structure, depth_needed)
-        except MdgSizeError:  # past the vertex cap
-            return fallback
-        # the linking stops once it reaches the ceiling
-        linking_size = max_linking(mdg, linking_size).size
+    ceiling = linking_size = term_rank_ceiling(g)
+    if max(lower, proven_lower) < ceiling:
+        # the needed depth halved, rounding up, down to 1; shallowest first
+        depths = [depth_needed]
+        while depths[-1] > 1:
+            depths.append((depths[-1] + 1) // 2)
+        for depth in reversed(depths):
+            try:
+                mdg = build_mdg(structure, depth)
+            except MdgSizeError:  # past the vertex cap
+                return fallback
+            linking_size = max_linking(mdg).size
+            if linking_size == ceiling:
+                break
     return DimBounds(lower=lower, upper=min(reachable_count, linking_size),
                      used_linking_bound=True, linking_layers=depth_needed)
 

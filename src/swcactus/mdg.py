@@ -34,8 +34,8 @@ Layer 0 uses ``k = t = 0``.  Tuples are built only for the vertices a caller
 asks about and for the paths of a returned linking.
 
 A vertex-disjoint path family from input copies onto layer-0 states bounds
-the generic rank of the depth-limited product stack.  Maximum families are
-found as a bipartite matching (Ingleton and Piff 1973), by the union
+the generic rank of the depth-limited product stack.  A maximum family is
+found as one bipartite matching (Ingleton and Piff 1973), by the union
 graph's Hopcroft-Karp loop: one row per vertex id, listing its heads, with
 every state copy above layer 0 listing itself first so that it can stay
 off every path.  The matching, followed down from each input copy, gives
@@ -44,14 +44,6 @@ checks of these claims are test oracles in ``tests/helpers.py``, not part of
 the package: the signed expansion over path families that reproduces a
 minor of the product stack, the layered path of a union-graph walk, and the
 exact pairwise disjointness test of two walks' paths.
-
-Given a ceiling c that no depth can exceed, such as the term-rank ceiling
-``unigraph.term_rank_ceiling``, the linking unrolls only as far as it
-needs: it matches layers ``0..d``, cold, for the depths d met by halving
-the full depth down to 1, shallowest first, and stops once its size
-reaches c, at the linking of the depth-d graph itself.  Linking sizes
-never fall with depth nor pass c, so that is a maximum linking of the
-full depth (see :func:`max_linking`).
 """
 
 from __future__ import annotations
@@ -239,30 +231,33 @@ class Linking:
         return tuple(path[-1][4] for path in self.paths)
 
 
-def _append_rows(mdg: Mdg, layer: int, adj: list[tuple[int, ...]]) -> None:
-    """Append the matching rows of every vertex of ``layer``, in id order.
+def _rows(mdg: Mdg) -> list[tuple[int, ...]]:
+    """The matching row of every vertex, in id order.
 
     An input copy lists its ``B`` column's state copies in its own block; a
     state copy above layer 0 lists itself, then its ``A_k`` column heads in
     the block below; a layer-0 state lists nothing.
     """
     n = mdg.n
-    # ids of the first state copy of every block
-    for base in mdg._ids(layer)[1][::n]:
-        for l, q in mdg._input_slots:
-            adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
-    if layer == 0:
-        adj += [()] * n
-        return
-    # block (k, t) feeds block t of the layer below
-    below = mdg._ids(layer - 1)[1][::n]
-    for k in range(mdg.colors):
-        for base in below:
-            for rows in mdg._a_cols[k]:
-                adj.append((len(adj), *[base + r for r in rows]))
+    adj: list[tuple[int, ...]] = []
+    for layer in range(mdg.depth + 1):
+        # ids of the first state copy of every block
+        for base in mdg._ids(layer)[1][::n]:
+            for l, q in mdg._input_slots:
+                adj.append(tuple([base + r for r in mdg._b_cols[l][q]]))
+        if layer == 0:
+            adj += [()] * n
+            continue
+        # block (k, t) feeds block t of the layer below
+        below = mdg._ids(layer - 1)[1][::n]
+        for k in range(mdg.colors):
+            for base in below:
+                for rows in mdg._a_cols[k]:
+                    adj.append((len(adj), *[base + r for r in rows]))
+    return adj
 
 
-def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
+def max_linking(mdg: Mdg) -> Linking:
     """Maximum vertex-disjoint linking from all input copies to layer 0.
 
     A linking is a matching in disguise (Ingleton and Piff 1973).  Every
@@ -276,50 +271,17 @@ def max_linking(mdg: Mdg, ceiling: int | None = None) -> Linking:
     is dropped.  Rows are built in vertex-id order, heads sorted after the
     self entry, so equal inputs always produce the identical linking.
     Paths are listed by tail id.
-
-    With ``ceiling`` None the matching runs once, on the full depth.  With
-    a ceiling it runs cold on layers ``0..d`` for d = ..., ceil(D/4),
-    ceil(D/2), D, where D is ``mdg.depth`` halved (rounding up) down to 1,
-    and returns once the linking size reaches ``ceiling``: the linking of
-    ``build_mdg(structure, d)``, whose rows are the first rows of the full
-    list.  A warm start from the last run would skip the greedy first
-    phase and leave every row of the new layers to the phases.  Halving
-    keeps the last run before the full depth at about half of it, so the
-    schedule costs little when the ceiling is reached late or never.
-    ``ceiling`` is read by :func:`model.as_indices`; pass one that no depth
-    can exceed, such as ``unigraph.term_rank_ceiling`` of the structure's
-    union graph.  With l_d the linking size at depth d and c that ceiling:
-      1. l_d' <= l_d for d' <= d: layers ``0..d'`` are an induced subgraph;
-      2. l_d <= c: every path's last edge enters a distinct layer-0 state
-         from a layer-0 input copy (a distinct ``B`` column) or from a
-         layer-1 copy of a reachable state (block k means color k, so a
-         distinct ``A_k`` column), an independent edge set of the union
-         graph whose tails are inputs or states in R;
-      3. so l_d' = c gives l_d = c, and the shallow paths are a maximum
-         linking of the full-depth graph.
     """
-    ceiling = None if ceiling is None else as_indices((ceiling,), "ceiling")[0]
-    adj: list[tuple[int, ...]] = []
-    # the full depth halved, rounding up, down to 1; run shallowest first
-    depths = [mdg.depth]
-    while ceiling is not None and depths[-1] > 1:
-        depths.append((depths[-1] + 1) // 2)
-    built = 0  # layers whose rows are in adj
-    for depth in reversed(depths):
-        for layer in range(built, depth + 1):
-            _append_rows(mdg, layer, adj)
-        built = depth + 1
-        match = hopcroft_karp(adj, [-1] * len(adj))
-        # a maximum matching holds one match per path and one per state
-        # copy above layer 0
-        size = len(adj) - match.count(-1) - sum(
-            len(mdg._ids(layer)[1]) for layer in range(1, depth + 1))
-        if size == ceiling:
-            break
+    adj = _rows(mdg)
+    match = hopcroft_karp(adj, [-1] * len(adj))
+    # a maximum matching holds one match per path and one per state copy
+    # above layer 0
+    size = len(adj) - match.count(-1) - sum(
+        len(mdg._ids(layer)[1]) for layer in range(1, mdg.depth + 1))
 
     targets = mdg._ids(0)[1]
     paths: list[tuple[MdgVertex, ...]] = []
-    for layer in range(depth + 1):
+    for layer in range(mdg.depth + 1):
         for vid in mdg._ids(layer)[0]:
             path = [vid]
             while match[path[-1]] >= 0:

@@ -311,7 +311,9 @@ def _reachable_space_dim_real(structure: SwitchedStructure,
                               realization: Realization) -> tuple[int, int]:
     """``reachable_space_dim`` over the reals, for demonstration.
 
-    Grows the dense stack round by round until a round adds no rank.  It
+    Keeps an orthonormal basis of the span reached so far and grows it by
+    every mode's products of that basis, round by round, until a round adds
+    no rank, so a round multiplies at most ``n`` columns per mode.  It
     takes no ceiling: its rank is a numerical rank under a tolerance, not
     an exact one, so the ceiling's proof does not cover it.
     """
@@ -322,30 +324,28 @@ def _reachable_space_dim_real(structure: SwitchedStructure,
               for i in range(structure.subsystem_count)]
     b_cols = [np.array(realized_dense(structure, realization, i, "B"), dtype=float)
               for i in range(structure.subsystem_count)]
-    stack = np.hstack([b for b in b_cols if b.size] or [np.zeros((n, 0))])
-    if stack.size == 0:
-        return 0, 0
-    rank = _real_rank(stack)
+    basis = _real_basis(np.hstack([b for b in b_cols if b.size] or [np.zeros((n, 0))]))
     layers = 0
-    while rank < n:
-        grown = np.hstack([stack] + [a @ stack for a in a_mats])
-        new_rank = _real_rank(grown)
-        if new_rank == rank:
+    while basis.shape[1] < n:
+        grown = _real_basis(np.hstack([basis] + [a @ basis for a in a_mats]))
+        if grown.shape[1] == basis.shape[1]:
             break
-        stack, rank = grown, new_rank
+        basis = grown
         layers += 1
-    return rank, layers
+    return basis.shape[1], layers
 
 
-def _real_rank(mat) -> int:
-    """Numerical rank of a nonempty float matrix, its tolerance relative
-    to the largest column norm."""
+def _real_basis(mat):
+    """Orthonormal basis of the column span of a float matrix: its left
+    singular vectors whose singular values pass the numerical-rank
+    tolerance, relative to the largest column norm."""
     import numpy as np
 
+    if mat.shape[1] == 0:
+        return mat
     top = np.linalg.norm(mat, axis=0).max()
-    if top == 0.0:
-        return 0
-    return int(np.linalg.matrix_rank(mat, tol=_REAL_RANK_REL_TOL * top))
+    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, sv > _REAL_RANK_REL_TOL * top]
 
 
 @dataclass(frozen=True)
@@ -466,4 +466,4 @@ def averaged_pair_rank(structure: SwitchedStructure, realization: Realization,
         return rank_ff(cols, n, p)
     import numpy as np
 
-    return _real_rank(np.array(cols, dtype=float).T)
+    return _real_basis(np.array(cols, dtype=float).T).shape[1]

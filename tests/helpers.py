@@ -841,3 +841,35 @@ def spy_kernel(monkeypatch, module, **forced) -> list[KernelCall]:
         return result
     monkeypatch.setattr(module, "hopcroft_karp", spied)
     return calls
+
+
+def halving_schedule(depth: int) -> list[int]:
+    """The depths the bounds' linking runs, shallowest first: ``depth``
+    halved, rounding up, down to 1."""
+    depths = [depth]
+    while depths[-1] > 1:
+        depths.append((depths[-1] + 1) // 2)
+    return depths[::-1]
+
+
+def spy_bounds_linkings(monkeypatch) -> list[list]:
+    """Every layered graph that ``checker.dim_bounds`` builds from now on,
+    as a ``[depth, linking]`` pair in build order.  The linking stays None
+    until ``max_linking`` runs on that graph, and for a build past the
+    vertex cap; a second linking of one graph fails the spy."""
+    import swcactus.checker as checker_mod
+
+    built: list[list] = []
+    build, link = checker_mod.build_mdg, checker_mod.max_linking
+
+    def spied_build(structure, depth):
+        built.append([depth, None])
+        return build(structure, depth)
+
+    def spied_link(mdg):
+        assert built[-1] == [mdg.depth, None], "linked twice or not built"
+        built[-1][1] = link(mdg)
+        return built[-1][1]
+    monkeypatch.setattr(checker_mod, "build_mdg", spied_build)
+    monkeypatch.setattr(checker_mod, "max_linking", spied_link)
+    return built

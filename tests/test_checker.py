@@ -167,66 +167,91 @@ def test_bounds_read_from_the_ceiling_equal_the_linking():
     assert paths[True, False] > 0 and paths[False, False] > 0
 
 
-def _spy_linking(monkeypatch) -> Counter:
-    calls: Counter = Counter()
-    for name in ("build_mdg", "max_linking"):
-        def counted(*args, _name=name, _original=getattr(checker_mod, name),
-                    **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(checker_mod, name, counted)
-    return calls
-
-
 def test_check_skips_the_linking_at_the_ceiling(example1, monkeypatch):
     # the probe's rank 3 is the ceiling, so no layered graph is built
-    calls = _spy_linking(monkeypatch)
+    built = helpers.spy_bounds_linkings(monkeypatch)
     report = check(example1)
     assert report.bounds == checker_mod.DimBounds(3, 3, True, 2)
-    assert calls == Counter()
+    assert built == []
 
 
 def test_check_links_once_below_the_ceiling(chain10, monkeypatch):
-    # rank 8 against a ceiling of 9: the linking runs
-    calls = _spy_linking(monkeypatch)
+    # rank 8 against a ceiling of 9: the linking runs, and never reaches
+    # the ceiling, so every depth of the schedule is built and linked once
+    built = helpers.spy_bounds_linkings(monkeypatch)
     report = check(chain10)
     assert report.probe.dim == 8 < term_rank_ceiling(report.graph) == 9
     assert report.bounds == checker_mod.DimBounds(8, 8, True, 9)
-    assert calls == Counter(build_mdg=1, max_linking=1)
+    assert [(depth, linking.size) for depth, linking in built] == [
+        (1, 2), (2, 3), (3, 4), (5, 7), (9, 8)]
 
 
 def test_spider_links_below_the_ceiling(monkeypatch):
     # one mode's pattern twice: the probe reaches the hub, two first leg
     # states and four of the five leg ends (one per two-color word), 7,
     # below c = 8; the cover covers 5, and the linking pins upper at 7
-    calls = _spy_linking(monkeypatch)
+    built = helpers.spy_bounds_linkings(monkeypatch)
     report = check(helpers.spider_structure(5, 2, 2))
     assert report.probe.dim == 7 < term_rank_ceiling(report.graph) == 8
     assert report.bounds == checker_mod.DimBounds(5, 7, True, 10)
-    assert calls == Counter(build_mdg=1, max_linking=1)
+    assert [depth for depth, _ in built] == [1, 2, 3, 5, 10]
+    assert None not in [linking for _, linking in built]
 
 
 def test_skipped_linking_keeps_the_vertex_cap(monkeypatch):
     # the probe reaches the ceiling, so the linking is read as c and nothing
     # is built; the vertex cap guards only graphs that are built, so the
     # depth-10 unrolling of four modes, past it, does not void the bound
-    calls = _spy_linking(monkeypatch)
+    built = helpers.spy_bounds_linkings(monkeypatch)
     s = helpers.gapped_structure(1, 11, 4)
     with pytest.raises(MdgSizeError):
         mdg_mod.layer_blocks(s, 10)
     report = check(s)
     assert report.probe.dim == term_rank_ceiling(report.graph) == 10
     assert report.bounds == checker_mod.DimBounds(4, 10, True, 10)
-    assert calls == Counter()
+    assert built == []
 
 
 def test_linking_past_the_vertex_cap_falls_back(monkeypatch):
-    # the cover's 4 is below c = 10, so the linking must run, and building
-    # its depth-10 graph hits the vertex cap: upper falls back to |R|
-    calls = _spy_linking(monkeypatch)
+    # the cover's 4 is below c = 10, so the linking must run; its depth-10
+    # graph is past the vertex cap, but the depth-2 linking already reaches
+    # c, so no deeper graph is built and the bound holds
+    built = helpers.spy_bounds_linkings(monkeypatch)
     bounds = dim_bounds(helpers.gapped_structure(1, 11, 4))
-    assert bounds == checker_mod.DimBounds(4, 11, False, None)
-    assert calls == Counter(build_mdg=1)
+    assert bounds == checker_mod.DimBounds(4, 10, True, 10)
+    assert [(depth, linking.size) for depth, linking in built] == [
+        (1, 5), (2, 10)]
+
+
+@pytest.mark.parametrize("spider, layer_cap, vertex_cap, bounds, depths", [
+    # depth 12 is past the vertex cap; depth 3 already reaches c = 12
+    ((4, 3, 3), 12, mdg_mod.VERTEX_CAP, (10, 12, True, 12), [1, 2, 3]),
+    # c = 14; depth 20 is past the layer cap, so nothing is built
+    ((10, 2, 3), 12, mdg_mod.VERTEX_CAP, (7, 21, False, None), []),
+    # the linking stays at 13 up to depth 5; depth 10 is past the cap
+    ((10, 2, 3), 20, 100_000, (7, 21, False, None), [1, 2, 3, 5, 10]),
+])
+def test_spider_past_the_vertex_cap(monkeypatch, spider, layer_cap, vertex_cap,
+                                    bounds, depths):
+    monkeypatch.setattr(mdg_mod, "VERTEX_CAP", vertex_cap)
+    s = helpers.spider_structure(*spider)
+    built = helpers.spy_bounds_linkings(monkeypatch)
+    assert dim_bounds(s, layer_cap=layer_cap) == checker_mod.DimBounds(*bounds)
+    assert [depth for depth, _ in built] == depths
+    # only the build past the vertex cap is not linked
+    assert [linking is None for _, linking in built] == [
+        depth == 10 for depth in depths]
+
+
+def test_dim_bounds_refuses_a_negative_layer_cap(chain10):
+    # -1 used to read as past the layer cap: upper 10, where it is 8
+    with pytest.raises(ModelError, match="layer_cap may not be negative, got -1"):
+        dim_bounds(chain10, layer_cap=-1)
+
+
+def test_check_refuses_a_negative_layer_cap(chain10):
+    with pytest.raises(ModelError, match="layer_cap may not be negative, got -5"):
+        check(chain10, layer_cap=-5)
 
 
 @pytest.mark.parametrize("layer_cap", [1.5, 12.0, "12", True])

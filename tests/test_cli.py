@@ -188,13 +188,17 @@ def test_bounds_runs_one_linking(capsys, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("build_mdg", "max_linking", "input_rank"):
-        counted(checker_mod, name)
+    built = helpers.spy_bounds_linkings(monkeypatch)
+    counted(checker_mod, "input_rank")
     counted(cactus_mod, "_cover_fixpoint")
     code, out, _ = run(capsys, "bounds", FIG3A)
     assert code == 0
     assert json.loads(out)["conventional_lower"] == 6
-    assert calls["build_mdg"] == calls["max_linking"] == calls["input_rank"] == 1
+    # the linking stays below c = 9, so each depth of the schedule is built
+    # and linked once
+    assert [depth for depth, _ in built] == [1, 2, 3, 5, 9]
+    assert None not in [linking for _, linking in built]
+    assert calls["input_rank"] == 1
     # one all-color fixpoint plus one per color, shared by both lower bounds
     assert calls["_cover_fixpoint"] == 1 + 2
 

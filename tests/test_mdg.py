@@ -28,8 +28,10 @@ from swcactus import (
     SwitchedStructure,
     build_mdg,
     build_union_graph,
+    dim_bounds,
     max_linking,
     parse_system,
+    reachable_states,
     sample_realization,
 )
 from swcactus.checker import input_rank
@@ -295,32 +297,53 @@ def _assert_max_linking(nx, mdg, linking):
 
 
 def _stop_depth(s, depth: int, ceiling: int) -> int:
-    """The first depth of ``max_linking``'s schedule, the full ``depth``
-    halved (rounding up) down to 1 and run shallowest first, whose own
-    linking reaches ``ceiling``; ``depth`` if none does."""
-    schedule = [depth]
-    while schedule[-1] > 1:
-        schedule.append((schedule[-1] + 1) // 2)
-    return next((d for d in reversed(schedule)
+    """The first depth of the bounds' schedule, the full ``depth`` halved
+    (rounding up) down to 1 and run shallowest first, whose own linking
+    reaches ``ceiling``; ``depth`` if none does."""
+    return next((d for d in helpers.halving_schedule(depth)
                  if max_linking(build_mdg(s, d)).size == ceiling), depth)
 
 
+def _bounds_linkings(s, **kwargs):
+    """``dim_bounds(s, **kwargs)``, the ``[depth, linking]`` pairs it built
+    and linked, and its kernel calls, each checked to start cold."""
+    with pytest.MonkeyPatch.context() as mp:
+        built = helpers.spy_bounds_linkings(mp)
+        calls = helpers.spy_kernel(mp, mdg_mod)
+        bounds = dim_bounds(s, **kwargs)
+    # one kernel call per linking; its result has one entry per left
+    assert len(calls) == sum(linking is not None for _, linking in built)
+    assert all(call.start == [-1] * len(call.result) for call in calls)
+    return bounds, built
+
+
 def _assert_linkings_match_networkx(nx, s):
-    """At depth ``n`` minus the input rank, the linking with and without the
-    ceiling is maximum; below it, linking sizes never fall with depth and
-    never pass the ceiling, which is what makes stopping there exact.  The
-    ceiling-stopped linking is the one of the depth where it stopped."""
+    """At depth ``n`` minus the input rank, the linking is maximum; below
+    it, linking sizes never fall with depth and never pass the ceiling,
+    which is what makes stopping there exact.  ``dim_bounds`` links each
+    depth of its schedule once, cold, up to the first that reaches the
+    ceiling, and that depth's linking is maximum at the full depth too."""
     g = build_union_graph(s)
     ceiling = term_rank_ceiling(g)
     depth = s.n - input_rank(g)
     mdg = build_mdg(s, depth)
-    _assert_max_linking(nx, mdg, max_linking(mdg))
-    stopped = max_linking(mdg, ceiling)
-    _assert_max_linking(nx, mdg, stopped)
-    assert stopped == max_linking(build_mdg(s, _stop_depth(s, depth, ceiling)))
+    full = max_linking(mdg)
+    _assert_max_linking(nx, mdg, full)
     sizes = [max_linking(build_mdg(s, d)).size for d in range(depth + 1)]
     assert sizes == sorted(sizes)
     assert sizes[-1] <= ceiling
+    # the single-mode cover is the smaller lower bound, so it leaves more
+    # of these below the ceiling, where the linking runs
+    bounds, built = _bounds_linkings(s, conventional=True, layer_cap=depth)
+    assert bounds.upper == min(len(reachable_states(g)), full.size)
+    if bounds.lower == ceiling:  # read from the ceiling, nothing built
+        assert built == []
+        return
+    stop = _stop_depth(s, depth, ceiling)
+    schedule = helpers.halving_schedule(depth)
+    assert built == [[d, max_linking(build_mdg(s, d))]
+                     for d in schedule[:schedule.index(stop) + 1]]
+    _assert_max_linking(nx, mdg, built[-1][1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,13 +365,14 @@ def test_benchmark_families_match_networkx_max_flow(nx, family, seed):
 
 def test_ceiling_stops_at_a_shallow_layer():
     # 873,810 layered vertices at depth 8, but the linking reaches the
-    # ceiling of 8 at depth 2: no path may touch a deeper layer
+    # ceiling of 8 at depth 2: no deeper layer is built
     s = helpers.gapped_structure(1, 9, 4)
     g = build_union_graph(s)
-    mdg = build_mdg(s, s.n - input_rank(g))
-    assert mdg.vertex_count == 873_810
-    linking = max_linking(mdg, term_rank_ceiling(g))
-    assert linking.size == 8
+    assert build_mdg(s, s.n - input_rank(g)).vertex_count == 873_810
+    bounds, built = _bounds_linkings(s)
+    assert [depth for depth, _ in built] == [1, 2]
+    linking = built[-1][1]
+    assert linking.size == bounds.upper == term_rank_ceiling(g) == 8
     assert max(v[1] for path in linking.paths for v in path) <= 2
 
 
@@ -356,33 +380,27 @@ def test_ceiling_stops_at_a_shallow_layer():
                                              (0, 7, 3)])
 def test_ceiling_stopped_linking_is_its_stop_depth_linking(seed, n, modes):
     # each reaches its ceiling at depth 2; a run warm-started from the
-    # depth-1 matching ended on other paths than the depth-2 graph's own
+    # depth-1 matching ended on other paths than the depth-2 graph's own;
+    # the single-mode covers stay below the ceiling, so the linking runs
     s = helpers.gapped_structure(seed, n, modes)
     g = build_union_graph(s)
     ceiling = term_rank_ceiling(g)
-    mdg = build_mdg(s, s.n - input_rank(g))
-    assert _stop_depth(s, mdg.depth, ceiling) == 2
-    assert max_linking(mdg, ceiling) == max_linking(build_mdg(s, 2))
+    assert _stop_depth(s, s.n - input_rank(g), ceiling) == 2
+    bounds, built = _bounds_linkings(s, conventional=True)
+    assert [depth for depth, _ in built] == [1, 2]
+    assert built[-1][1] == max_linking(build_mdg(s, 2))
+    assert bounds.upper == ceiling
 
 
-def test_every_linking_run_starts_cold(monkeypatch):
+def test_every_linking_run_starts_cold():
     # the spider's linking, 7, stays below its ceiling of 8, so all five
-    # depths of the schedule run (1, 2, 3, 5, 10), and the full depth once
-    # more without a ceiling: each gets a fresh all-free match_right
-    calls = helpers.spy_kernel(monkeypatch, mdg_mod)
+    # depths of the schedule run (1, 2, 3, 5, 10), each with a fresh
+    # all-free match_right
     s = helpers.spider_structure(5, 2, 2)
-    mdg = build_mdg(s, 10)
-    assert max_linking(mdg, 8) == max_linking(mdg)
-    assert max_linking(mdg).size == 7
-    # the kernel's result has one entry per left of the call
-    assert [call.start == [-1] * len(call.result) for call in calls] == [True] * 7
-
-
-@pytest.mark.parametrize("ceiling", [True, 8.0, "8"])
-def test_max_linking_refuses_a_ceiling_that_is_not_an_index(chain10, ceiling):
-    # True was read as a ceiling of 1
-    with pytest.raises(ModelError, match="ceiling must be an integer"):
-        max_linking(build_mdg(chain10, 9), ceiling)
+    bounds, built = _bounds_linkings(s)
+    assert [depth for depth, _ in built] == [1, 2, 3, 5, 10]
+    assert built[-1][1] == max_linking(build_mdg(s, 10))
+    assert bounds.upper == built[-1][1].size == 7
 
 
 @pytest.mark.parametrize("vertex", [("x", 0, 0, 0, 1), ("u", 0, 0, 0, 2, 7),

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,25 @@ def test_zero_input_structure():
     assert probe.dim == 0 and probe.layers_used == 0
     r = sample_realization(s, field_kind="real", seed=0)
     assert reachable_space_dim(s, r) == (0, 0)
+
+
+def test_real_probe_keeps_a_basis_not_the_stack():
+    # three modes share one path x_1 -> .. -> x_9 from the input, so the
+    # span grows by one state a round for eight rounds; stacking every
+    # round's products held 4^8 columns, a basis holds at most 9
+    n = 9
+    a = StructuredMatrix(n, n, frozenset((j + 1, j) for j in range(n - 1)))
+    b = StructuredMatrix(n, 1, frozenset({(0, 0)}))
+    s = SwitchedStructure(n=n, subsystems=((a, b),) * 3)
+    r = sample_realization(s, field_kind="real", seed=0)
+    reachable_space_dim(s, r)  # warm numpy's lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        assert reachable_space_dim(s, r) == (9, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_probe_fields(example1):

@@ -166,3 +166,19 @@ def test_only_the_layered_graph_checks_the_vertex_cap():
                                                    getattr(node, "attr", None),
                                                    getattr(node, "name", None)}]
     assert readers == []
+
+
+def test_the_layered_graph_knows_no_ceiling():
+    # the ceiling-stopped depth schedule lives in ``checker.dim_bounds``;
+    # ``mdg.max_linking`` links the graph it is given, whole
+    tree = ast.parse((SRC / "mdg.py").read_text())
+    names = {name for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "arg", None), getattr(node, "name", None))
+             if isinstance(name, str)}
+    assert {name for name in names if "ceiling" in name} == set()
+    linking = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "max_linking")
+    args = linking.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["mdg"]
+    assert args.vararg is None and args.kwarg is None
